@@ -13,8 +13,8 @@ import sys
 from . import closed_forms, empirical, finite_mag, graph_mag, mc, weight_measures
 from .errors import MagnilabError, MetricValidationError
 from .spaces import (Circle, FlatTorusUnit, Interval, LineGaussian,
-                     LineLaplace, Sphere2, load_distance_csv, load_edge_list,
-                     validate_metric)
+                     LineLaplace, Sphere2, graph_metric, load_distance_csv,
+                     load_edge_list, validate_metric)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -199,19 +199,20 @@ def _run_finite(args) -> int:
 
 def _run_graph(args) -> int:
     g = load_edge_list(args.edges)
+    metric = graph_metric(g)
+    counts = graph_mag.count_geodesics(g, metric) if args.gamma == "count" else None
     lines = [HEADER]
     for t in _t_grid(args):
-        if args.gamma == "triv":
-            from .spaces import graph_metric
-            exact = finite_mag.classical_magnitude(graph_metric(g), t)
-            series_val = finite_mag.neumann_partial(graph_metric(g), t, args.N)
+        if counts is None:
+            z = finite_mag.similarity(metric.dist, t)
         else:
-            exact = graph_mag.tilde_magnitude(g, t)
-            series_val = graph_mag.tilde_neumann_partial(g, t, args.N)
+            z = graph_mag.counted_similarity(counts, metric.dist, t)
+        exact = float(finite_mag._solve_ones(z).sum())
         if args.method in ("inverse", "all"):
             lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))
         if args.method in ("series", "all"):
-            lines.append(_row(t, args.N, series_val.partial_sums[args.N], 0.0, exact,
+            series = finite_mag.chain_series(z, t, args.N)
+            lines.append(_row(t, args.N, series.partial_sums[args.N], 0.0, exact,
                               "series", args.seed))
     _emit(lines, args.output)
     return EXIT_OK

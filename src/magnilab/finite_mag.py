@@ -8,7 +8,6 @@ proper chains, computed by matrix-vector powers of Y = Z - I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,35 +19,19 @@ from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
 COND_LIMIT = 1e13
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """entries[x, y] = exp(-t * d(x, y)); symmetric with unit diagonal."""
-
-    entries: np.ndarray
-    t: float
-
-    @classmethod
-    def from_space(cls, m: FiniteMetricSpace, t: float) -> "SimilarityMatrix":
-        if t <= 0:
-            raise ValueError("scale t must be positive")
-        z = np.exp(-t * m.dist)
-        z.setflags(write=False)
-        return cls(z, t)
-
-    def neumann_generator(self) -> np.ndarray:
-        """Y = Z - I; zero diagonal, positive off-diagonal."""
-        return self.entries - np.eye(self.entries.shape[0])
+def similarity(dist: np.ndarray, t: float) -> np.ndarray:
+    """Z with entries exp(-t * d(x, y)); symmetric with unit diagonal."""
+    if t <= 0:
+        raise ValueError("scale t must be positive")
+    return np.exp(-t * dist)
 
 
 def _solve_ones(z: np.ndarray) -> np.ndarray:
     """Solve Z v = 1 by pivoted LU, guarding against near-singularity."""
     lu, piv = scipy.linalg.lu_factor(z)
-    # reciprocal condition from the factorization's diagonal growth
-    norm_z = np.linalg.norm(z, 1)
-    diag = np.abs(np.diag(lu))
-    if diag.min() == 0.0:
-        raise SingularMatrixError(math.inf)
-    cond = norm_z * (1.0 / diag.min())
+    # LAPACK's 1-norm condition estimate from the same factors
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(z, 1))
+    cond = 1.0 / rcond if rcond > 0 else math.inf
     if cond > COND_LIMIT:
         raise SingularMatrixError(cond)
     return scipy.linalg.lu_solve((lu, piv), np.ones(z.shape[0]))
@@ -56,7 +39,7 @@ def _solve_ones(z: np.ndarray) -> np.ndarray:
 
 def weighting_vector(m: FiniteMetricSpace, t: float) -> np.ndarray:
     """The weighting v with Z v = 1; its sum is the magnitude."""
-    return _solve_ones(SimilarityMatrix.from_space(m, t).entries)
+    return _solve_ones(similarity(m.dist, t))
 
 
 def classical_magnitude(m: FiniteMetricSpace, t: float) -> float:
@@ -64,22 +47,48 @@ def classical_magnitude(m: FiniteMetricSpace, t: float) -> float:
     return float(weighting_vector(m, t).sum())
 
 
-def neumann_partial(m: FiniteMetricSpace, t: float, N: int) -> MagnitudeSeries:
-    """Alternating partial sums |X| + sum_{n=1}^{N} (-1)^n 1^T Y^n 1.
+def chain_series(z: np.ndarray, t: float, N: int) -> MagnitudeSeries:
+    """Alternating partial sums n + sum_{k=1}^{N} (-1)^k 1^T Y^k 1, Y = Z - I.
 
-    Each a_n is the sum over proper chains (x_0 != x_1 != ... != x_n) of
-    exp(-t * sum of leg lengths).
+    With Z = e^{-td}, a_k sums exp(-t * chain length) over proper chains
+    x_0 != x_1 != ... != x_k; Z may also be the counted similarity.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    y = SimilarityMatrix.from_space(m, t).neumann_generator()
-    ones = np.ones(m.size)
+    n = z.shape[0]
+    y = z - np.eye(n)
+    ones = np.ones(n)
     w = ones.copy()
     terms = []
-    for n in range(1, N + 1):
+    for k in range(1, N + 1):
         w = y @ w
-        terms.append(SeriesTerm(order=n, value=float(ones @ w), std_error=0.0, method="exact"))
-    return MagnitudeSeries(t=t, total_mass=float(m.size), terms=tuple(terms))
+        terms.append(SeriesTerm(order=k, value=float(ones @ w), std_error=0.0, method="exact"))
+    return MagnitudeSeries(t=t, total_mass=float(n), terms=tuple(terms))
+
+
+def neumann_partial(m: FiniteMetricSpace, t: float, N: int) -> MagnitudeSeries:
+    """Alternating partial sums |X| + sum_{n=1}^{N} (-1)^n 1^T Y^n 1."""
+    return chain_series(similarity(m.dist, t), t, N)
+
+
+def bisect_threshold(weights: np.ndarray, dist: np.ndarray, hi: float) -> float:
+    """Scale t* past which every column sum of weights * e^{-t*dist} is < 1.
+
+    hi is doubled until it lies past t*, then [0, hi] is bisected to 1e-10.
+    """
+    def col_max(t: float) -> float:
+        return float((weights * np.exp(-t * dist)).sum(axis=0).max())
+
+    lo = 0.0
+    while col_max(hi) >= 1.0:
+        hi *= 2.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if col_max(mid) < 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
@@ -91,28 +100,13 @@ def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
     n = m.size
     if n < 2:
         raise MetricValidationError("convergence threshold undefined for a singleton")
-    eps = m.min_positive_distance()
-    crude = math.log(n) / eps
-
-    def col_max(t: float) -> float:
-        y = np.exp(-t * m.dist) - np.eye(n)
-        return float(y.sum(axis=0).max())
-
-    lo, hi = 0.0, crude
-    while col_max(hi) >= 1.0:  # crude bound guarantees < 1 strictly above it
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if col_max(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), crude
+    crude = math.log(n) / m.min_positive_distance()
+    return bisect_threshold(1.0 - np.eye(n), m.dist, crude), crude
 
 
 def column_sum_ratio(m: FiniteMetricSpace, t: float) -> float:
     """max column sum of Y = Z - I; series tail is geometric in this ratio."""
-    y = SimilarityMatrix.from_space(m, t).neumann_generator()
+    y = similarity(m.dist, t) - np.eye(m.size)
     return float(np.abs(y).sum(axis=0).max())
 
 

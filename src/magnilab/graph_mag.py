@@ -8,14 +8,12 @@ the shortest-path metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeodesicOverflowError, MetricValidationError
-from .finite_mag import _solve_ones
-from .spaces import (FiniteMetricSpace, GeodesicGraph, MagnitudeSeries,
-                     SeriesTerm, graph_metric)
+from .finite_mag import _solve_ones, bisect_threshold, chain_series
+from .spaces import FiniteMetricSpace, GeodesicGraph, MagnitudeSeries, graph_metric
 
 #: relative tolerance for recognizing equal-length paths on weighted graphs
 TIE_TOL = 1e-9
@@ -24,26 +22,50 @@ TIE_TOL = 1e-9
 COUNT_LIMIT = float(2**53)
 
 
-@dataclass(frozen=True)
-class GeodesicCountMatrix:
-    """counts[x, y] = number of shortest x-y paths; diagonal zero."""
+def count_geodesics(g: GeodesicGraph, metric: FiniteMetricSpace | None = None) -> np.ndarray:
+    """Read-only counts[x, y] = number of shortest x-y paths; diagonal zero.
 
-    counts: np.ndarray
+    Pass the graph's metric when it is already built; the CLI builds the
+    metric and the counts once per invocation and reuses them for every t.
 
-    def __post_init__(self):
-        self.counts.setflags(write=False)
-
-
-def count_geodesics(g: GeodesicGraph) -> GeodesicCountMatrix:
-    """Count shortest paths between every vertex pair.
-
-    Runs one Dijkstra pass per source, then accumulates counts over the
-    shortest-path DAG in order of increasing distance.  Edges (u, v) with
-    dist[u] + w(u,v) == dist[v] (within TIE_TOL relative) are DAG edges.
+    Unit-length graphs count from all sources at once, one breadth-first
+    level per sparse product: with C_0 = I and A the adjacency matrix,
+    C_k = (A C_{k-1}) masked to the pairs at distance k, and the counts are
+    the sum of the C_k.  Weighted graphs run one pass per source over the
+    shortest-path DAG in order of increasing distance, where edges (u, v)
+    with dist[u] + w(u,v) == dist[v] (within TIE_TOL relative) are DAG
+    edges.  Both paths raise GeodesicOverflowError once a count exceeds
+    COUNT_LIMIT.
     """
-    metric = graph_metric(g)  # also rejects disconnected graphs
+    if metric is None:
+        metric = graph_metric(g)  # also rejects disconnected graphs
+    counts = _count_levels(g, metric.dist) if g.is_unit else _count_dag(g, metric.dist)
+    counts.setflags(write=False)
+    return counts
+
+
+def _check_limit(c: np.ndarray) -> None:
+    if c.max() > COUNT_LIMIT:
+        raise GeodesicOverflowError(
+            f"shortest-path count {c.max():.3e} exceeds exact float64 range")
+
+
+def _count_levels(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
     n = g.vertex_count
-    dist = metric.dist
+    adj = g.adjacency()
+    counts = np.zeros((n, n))
+    level = np.eye(n)
+    at_k = np.empty((n, n), dtype=bool)
+    for k in range(1, int(dist.max()) + 1):
+        level = adj @ level
+        level *= np.equal(dist, k, out=at_k)
+        _check_limit(level)
+        counts += level
+    return counts
+
+
+def _count_dag(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
+    n = g.vertex_count
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for u, v, w in g.edges:
         adj[u].append((v, w))
@@ -63,24 +85,25 @@ def count_geodesics(g: GeodesicGraph) -> GeodesicCountMatrix:
                 if abs(d[u] + w - d[v]) <= TIE_TOL * max(1.0, d[v]):
                     acc += c[u]
             c[v] = acc
-        if c.max() > COUNT_LIMIT:
-            raise GeodesicOverflowError(
-                f"shortest-path count {c.max():.3e} exceeds exact float64 range"
-            )
+        _check_limit(c)
         counts[s] = c
     counts[np.diag_indices(n)] = 0.0
-    return GeodesicCountMatrix(counts)
+    return counts
 
 
-def tilde_similarity(g: GeodesicGraph, t: float) -> np.ndarray:
+def counted_similarity(counts: np.ndarray, dist: np.ndarray, t: float) -> np.ndarray:
     """Entries |Omega| * exp(-t*d_G) off-diagonal, 1 on the diagonal."""
     if t <= 0:
         raise ValueError("scale t must be positive")
-    metric = graph_metric(g)
-    counts = count_geodesics(g).counts
-    z = counts * np.exp(-t * metric.dist)
+    z = counts * np.exp(-t * dist)
     np.fill_diagonal(z, 1.0)
     return z
+
+
+def tilde_similarity(g: GeodesicGraph, t: float) -> np.ndarray:
+    """counted_similarity of g, building its metric and counts."""
+    metric = graph_metric(g)
+    return counted_similarity(count_geodesics(g, metric), metric.dist, t)
 
 
 def tilde_magnitude(g: GeodesicGraph, t: float) -> float:
@@ -90,17 +113,7 @@ def tilde_magnitude(g: GeodesicGraph, t: float) -> float:
 
 def tilde_neumann_partial(g: GeodesicGraph, t: float, N: int) -> MagnitudeSeries:
     """Alternating series for tilde_magnitude via powers of Z-tilde - I."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    n = g.vertex_count
-    y = tilde_similarity(g, t) - np.eye(n)
-    ones = np.ones(n)
-    w = ones.copy()
-    terms = []
-    for k in range(1, N + 1):
-        w = y @ w
-        terms.append(SeriesTerm(order=k, value=float(ones @ w), std_error=0.0, method="exact"))
-    return MagnitudeSeries(t=t, total_mass=float(n), terms=tuple(terms))
+    return chain_series(tilde_similarity(g, t), t, N)
 
 
 def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
@@ -111,27 +124,9 @@ def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
     S * exp(-t*eps), so t > log(S)/eps suffices.  For the 4-cycle S = 4;
     with the length-2 diagonal S = 5.
     """
-    n = g.vertex_count
-    if n < 2:
+    if g.vertex_count < 2:
         raise MetricValidationError("convergence threshold undefined for a singleton")
     metric = graph_metric(g)
-    counts = count_geodesics(g).counts
-    eps = metric.min_positive_distance()
-    # sufficient: max_y sum counts * e^{-t*eps} <= colsum_max * e^{-t*eps} < 1
-    colsum_max = float(counts.sum(axis=0).max())
-    crude = math.log(colsum_max) / eps
-
-    def col_max(t: float) -> float:
-        y = counts * np.exp(-t * metric.dist)
-        return float(y.sum(axis=0).max())
-
-    lo, hi = 0.0, max(crude, 1.0)
-    while col_max(hi) >= 1.0:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if col_max(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), crude
+    counts = count_geodesics(g, metric)
+    crude = math.log(float(counts.sum(axis=0).max())) / metric.min_positive_distance()
+    return bisect_threshold(counts, metric.dist, max(crude, 1.0)), crude

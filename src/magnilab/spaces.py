@@ -129,8 +129,9 @@ class GeodesicGraph:
                 raise MetricValidationError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise MetricValidationError(f"edge ({u},{v}) out of range")
-            if w <= 0:
-                raise MetricValidationError(f"edge ({u},{v}) has nonpositive length {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise MetricValidationError(
+                    f"edge ({u},{v}) length {w} is not finite and positive")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise MetricValidationError(f"duplicate edge {key}")
@@ -371,8 +372,11 @@ def load_edge_list(path) -> GeodesicGraph:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise MetricValidationError(f"bad edge line {line!r} in {path}")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise MetricValidationError(f"bad edge line {line!r} in {path}") from None
             edges.append((u, v, w))
             maxv = max(maxv, u, v)
     if not edges:

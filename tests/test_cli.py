@@ -132,3 +132,52 @@ def test_method_all_multi_seed_agreement():
 
 def test_run_returns_zero_in_process(tmp_path, distance_csv):
     assert cli.run(["finite", "--input", distance_csv, "--t", "1"]) == 0
+
+
+@pytest.mark.parametrize("line, named", [("0 1 nan", "(0,1)"), ("0 1 inf", "(0,1)"),
+                                         ("0 x", "'0 x'")])
+def test_bad_edge_list_exits_2(tmp_path, line, named):
+    p = tmp_path / "bad.edges"
+    p.write_text(f"1 2\n{line}\n2 0\n")
+    res = run_cli(["graph", "--edges", str(p), "--t", "1"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and named in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def assert_printed_close(printed, value):
+    """rel 1e-12, plus half a unit in the 12th significant digit the CSV prints."""
+    resolution = 0.5 * 10.0 ** (math.floor(math.log10(abs(value))) - 11)
+    assert abs(float(printed) - value) <= 1e-12 * abs(value) + resolution
+
+
+def test_graph_count_method_all_matches_numpy(tmp_path):
+    """Z-tilde on a 4x5 grid has counts C(|dr|+|dc|, |dr|) at distance |dr|+|dc|."""
+    import numpy as np
+    rows, cols, n_terms = 4, 5, 4
+    p = tmp_path / "grid.edges"
+    p.write_text("".join(
+        [f"{r * cols + c} {r * cols + c + 1}\n" for r in range(rows) for c in range(cols - 1)]
+        + [f"{r * cols + c} {(r + 1) * cols + c}\n" for r in range(rows - 1) for c in range(cols)]))
+    out = tmp_path / "o.csv"
+    assert cli.run(["graph", "--edges", str(p), "--gamma", "count", "--method", "all",
+                    "--t-grid", "1.5", "3", "3", "--N", str(n_terms),
+                    "--output", str(out)]) == 0
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    dr = np.abs(r[:, None] - r[None, :])
+    dc = np.abs(c[:, None] - c[None, :])
+    counts = np.vectorize(math.comb)(dr + dc, dr).astype(float)
+    lines = out.read_text().strip().splitlines()[1:]
+    assert len(lines) == 6
+    for i, t in enumerate((1.5, 2.25, 3.0)):
+        z = counts * np.exp(-t * (dr + dc))
+        np.fill_diagonal(z, 1.0)
+        inverse = lines[2 * i].split(",")
+        series = lines[2 * i + 1].split(",")
+        assert float(inverse[0]) == pytest.approx(t, rel=1e-12)
+        assert inverse[6] == "inverse" and series[6] == "series"
+        assert_printed_close(inverse[2], np.linalg.solve(z, np.ones(len(z))).sum())
+        y = z - np.eye(len(z))
+        terms = [np.linalg.matrix_power(y, k).sum() for k in range(1, n_terms + 1)]
+        assert_printed_close(series[2], len(z) + sum(
+            (-1) ** k * a for k, a in enumerate(terms, start=1)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from magnilab import closed_forms as cf
 
@@ -116,14 +116,21 @@ class TestLines:
                    - cf.gaussian_line_first_term_published(2.0)) > 0.1
 
     def test_gaussian_second_term_vs_direct_3d(self):
+        """a_2 = int g(y)^2 e^{-y^2} dy, g(y) = int e^{-t|x-y|} e^{-x^2} dx.
+
+        Integrating out both chain endpoints leaves the 1-D endpoint route
+        g(y) = (sqrt(pi)/2) e^{-y^2} [erfcx(t/2 - y) + erfcx(t/2 + y)] of the
+        3-D chain integral.  The range is [-9, 9]: beyond it the integrand is
+        below 1e-30, and over the whole line e^{-y^2} erfcx(t/2 - y) is inf * 0.
+        """
         t = 1.0
 
-        def integrand(z, y, x):
-            return math.exp(-t * (abs(x - y) + abs(y - z))) * math.exp(
-                -(x * x + y * y + z * z))
+        def g(y):
+            return 0.5 * math.sqrt(math.pi) * math.exp(-y * y) * (
+                special.erfcx(t / 2 - y) + special.erfcx(t / 2 + y))
 
-        direct, _ = integrate.tplquad(integrand, -5, 5, -5, 5, -5, 5,
-                                      epsabs=1e-10, epsrel=1e-10)
+        direct, _ = integrate.quad(lambda y: g(y) ** 2 * math.exp(-y * y), -9, 9,
+                                   epsabs=1e-14, epsrel=1e-13, limit=200)
         assert cf.gaussian_line_second_term(t) == pytest.approx(direct, rel=1e-7)
         assert abs(cf.gaussian_line_second_term_published(t) - direct) > 0.1
 

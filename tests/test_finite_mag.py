@@ -66,6 +66,15 @@ def test_singular_similarity_raises():
         finite_mag.classical_magnitude(m, 1.0)
 
 
+def test_condition_estimate_is_lapack_1norm_condition():
+    # unit diagonal in U, so norm(Z)/min|U_ii| would report only 1e7, while
+    # the 1-norm condition (1 + 1e7)^2 is past COND_LIMIT
+    z = np.array([[1.0, 1e7], [0.0, 1.0]])
+    with pytest.raises(SingularMatrixError) as exc:
+        finite_mag._solve_ones(z)
+    assert exc.value.condition_estimate == pytest.approx(np.linalg.cond(z, 1), rel=1e-9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 2.0))
 def test_shift_metric_scaling_identity(c):

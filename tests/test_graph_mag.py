@@ -23,14 +23,14 @@ def four_cycle_with_diagonals():
 
 
 def test_geodesic_counts_four_cycle():
-    counts = graph_mag.count_geodesics(cycle(4)).counts
+    counts = graph_mag.count_geodesics(cycle(4))
     assert counts[0, 1] == 1
     assert counts[0, 2] == 2  # two ways around
     assert np.all(np.diag(counts) == 0)
 
 
 def test_geodesic_counts_with_diagonals():
-    counts = graph_mag.count_geodesics(four_cycle_with_diagonals()).counts
+    counts = graph_mag.count_geodesics(four_cycle_with_diagonals())
     assert counts[0, 2] == 3  # two cycle routes plus the direct diagonal
 
 
@@ -62,14 +62,82 @@ def test_tilde_neumann_converges():
         graph_mag.tilde_magnitude(g, t), abs=1e-8)
 
 
-def test_count_overflow_guard():
-    # stacked parallel routes double the count per stage: 2^60 > 2^53 limit
+def scaled(g, factor):
+    """Same graph with every edge length multiplied by factor.
+
+    Uniform scaling keeps every geodesic, so the counts are unchanged, but a
+    non-unit length sends count_geodesics down the per-source DAG loop.
+    """
+    return GeodesicGraph(g.vertex_count, tuple((u, v, w * factor) for u, v, w in g.edges))
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1, 1.0) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c, 1.0) for r in range(rows - 1) for c in range(cols)]
+    return GeodesicGraph(rows * cols, tuple(edges))
+
+
+def random_connected(rng, n, extra):
+    """Random spanning tree on n vertices plus up to `extra` further unit edges."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < min(n - 1 + extra, n * (n - 1) // 2):
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((u, v))
+    return GeodesicGraph(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_level_counts_equal_dag_loop_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    g = random_connected(rng, n, int(rng.integers(0, 2 * n)))
+    unit = graph_mag.count_geodesics(g)
+    assert np.array_equal(unit, graph_mag.count_geodesics(scaled(g, 2.0)))
+    assert not unit.flags.writeable
+
+
+def test_grid_counts_are_binomials():
+    side = 6
+    g = grid(side, side)
+    r, c = np.divmod(np.arange(side * side), side)
+    dr = np.abs(r[:, None] - r[None, :])
+    dc = np.abs(c[:, None] - c[None, :])
+    expected = np.vectorize(math.comb)(dr + dc, dr).astype(float)
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(graph_mag.count_geodesics(g), expected)
+    assert np.array_equal(graph_mag.count_geodesics(scaled(g, 2.0)), expected)
+
+
+def test_count_geodesics_accepts_prebuilt_metric():
+    g = grid(3, 4)
+    assert np.array_equal(graph_mag.count_geodesics(g, graph_metric(g)),
+                          graph_mag.count_geodesics(g))
+
+
+def diamond_ladder(stages, length):
+    """Stacked parallel routes: the count doubles per stage."""
     edges = []
     v = 0
-    for stage in range(60):
+    for stage in range(stages):
         a, b1, b2, c = v, v + 1, v + 2, v + 3
-        edges += [(a, b1, 1.0), (a, b2, 1.0), (b1, c, 1.0), (b2, c, 1.0)]
+        edges += [(a, b1, length), (a, b2, length), (b1, c, length), (b2, c, length)]
         v = c
-    g = GeodesicGraph(v + 1, tuple(edges))
+    return GeodesicGraph(v + 1, tuple(edges))
+
+
+def test_count_overflow_guard():
+    # 2^60 > 2^53 limit, on the all-sources level path of unit graphs
     with pytest.raises(GeodesicOverflowError):
-        graph_mag.count_geodesics(g)
+        graph_mag.count_geodesics(diamond_ladder(60, 1.0))
+
+
+def test_count_overflow_guard_weighted():
+    # the same ladder with length 2 runs the per-source DAG loop
+    with pytest.raises(GeodesicOverflowError):
+        graph_mag.count_geodesics(diamond_ladder(60, 2.0))
+
+
+def test_ladder_below_limit_counts_powers_of_two():
+    for length in (1.0, 2.0):
+        counts = graph_mag.count_geodesics(diamond_ladder(50, length))
+        assert counts[0, -1] == 2.0**50
