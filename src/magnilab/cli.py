@@ -8,6 +8,7 @@ produce byte-identical files regardless of MAGNILAB_THREADS.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import closed_forms, empirical, finite_mag, graph_mag, mc, weight_measures
@@ -46,21 +47,41 @@ def _emit(lines: list[str], path: str | None):
         sys.stdout.write(text)
 
 
+def _positive(x: float) -> bool:
+    """True for finite x > 0; False for NaN, whose comparisons all fail."""
+    return 0.0 < x < math.inf
+
+
+def _checked_t(t: float) -> float:
+    if not _positive(t):
+        raise MetricValidationError("t must be finite and strictly positive")
+    return t
+
+
 def _t_grid(args) -> list[float]:
     if args.t is not None:
-        return [args.t]
+        return [_checked_t(args.t)]
     start, stop, count = args.t_grid
-    count = int(count)
-    if start <= 0 or stop <= 0 or count < 1:
+    if not (_positive(start) and _positive(stop) and 1 <= count < math.inf):
         raise MetricValidationError("t grid must be strictly positive with count >= 1")
+    count = int(count)
     if count == 1:
         return [start]
     if args.t_spacing == "log":
-        import math
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio**i for i in range(count)]
     step = (stop - start) / (count - 1)
     return [start + step * i for i in range(count)]
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {lo}")
+        return value
+    return integer
 
 
 def _add_t_args(p):
@@ -72,9 +93,9 @@ def _add_t_args(p):
 
 def _add_common(p):
     _add_t_args(p)
-    p.add_argument("--N", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--N", type=_int_at_least(0), default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
 
@@ -113,26 +134,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True,
                    choices=("circle", "sphere", "torus", "interval", "line-gauss", "line-laplace"))
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
+    p.add_argument("--bins", type=_int_at_least(2), default=64)
     p.add_argument("--l-max", type=float, default=None)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("interval-weight", help="boundary-weight interval comparison table")
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=3)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--N", type=_int_at_least(0), default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=200_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("fekete-demo", help="empirical-measure convergence on the sphere")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--m-list", type=int, nargs="+", default=(50, 100, 200, 400))
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m-list", type=_int_at_least(2), nargs="+", default=(50, 100, 200, 400))
+    p.add_argument("--N", type=_int_at_least(0), default=2)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("catalog", help="closed forms vs independent oracles")
@@ -255,6 +276,8 @@ def _run_length_spectrum(args) -> int:
         l_max = n * space.diameter
     else:
         l_max = n * 8.0
+    if not _positive(l_max):
+        raise MetricValidationError("--l-max must be finite and strictly positive")
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
     edges, density = mc.estimate_length_density(spec, n, args.bins, l_max)
     lines = [HEADER]
@@ -272,7 +295,6 @@ def _run_length_spectrum(args) -> int:
             except ValueError:
                 pass
         elif isinstance(space, LineGaussian) and n == 1:
-            import math
             closed = math.sqrt(2 * math.pi) * math.exp(-center * center / 2)
         lines.append(_row(center, n, density[i], 0.0, closed, "mc", args.seed))
     _emit(lines, args.output)
@@ -281,7 +303,7 @@ def _run_length_spectrum(args) -> int:
 
 def _run_interval_weight(args) -> int:
     rows = weight_measures.interval_weight_report(
-        args.N, args.L, args.t, samples=args.samples, seed=args.seed)
+        args.N, args.L, _checked_t(args.t), samples=args.samples, seed=args.seed)
     lines = ["N,paper_formula,corrected_formula,bruteforce,mc_estimate,mc_stderr"]
     for r in rows:
         lines.append(",".join([str(r.N), _fmt(r.paper_formula), _fmt(r.corrected_formula),

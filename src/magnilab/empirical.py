@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import closed_forms
-from .spaces import (AnalyticSpace, FiniteMetricSpace, MagnitudeSeries,
-                     SeriesTerm, Sphere2)
+from .finite_mag import chain_series, similarity
+from .spaces import AnalyticSpace, FiniteMetricSpace, MagnitudeSeries, Sphere2
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,7 @@ def weighted_partial_magnitude(
     a_n = sum over proper chains of w_{i_0} ... w_{i_n} e^{-t sum d};
     computed as w^T (Y W)^{n-1} Y w with Y = exp(-t d) - I and W = diag(w).
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    w = np.asarray(weights, dtype=float)
-    y = np.exp(-t * dist) - np.eye(len(w))
-    terms = []
-    v = y @ w
-    for n in range(1, N + 1):
-        terms.append(SeriesTerm(order=n, value=float(w @ v), std_error=0.0, method="exact"))
-        v = y @ (w * v)
-    return MagnitudeSeries(t=t, total_mass=float(w.sum()), terms=tuple(terms))
+    return chain_series(similarity(dist, t), t, N, weights)
 
 
 def empirical_partial_magnitude(cfg: PointConfiguration, t: float, N: int) -> MagnitudeSeries:
@@ -133,13 +124,6 @@ def minimal_energy_configuration(
     u = res.x.reshape(m, 3)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return PointConfiguration.empirical(Sphere2(r), u)
-
-
-def logarithmic_energy(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = (diff**2).sum(axis=2)
-    iu = np.triu_indices(len(points), k=1)
-    return float(-0.5 * np.log(dist2[iu]).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -47,23 +47,26 @@ def classical_magnitude(m: FiniteMetricSpace, t: float) -> float:
     return float(weighting_vector(m, t).sum())
 
 
-def chain_series(z: np.ndarray, t: float, N: int) -> MagnitudeSeries:
-    """Alternating partial sums n + sum_{k=1}^{N} (-1)^k 1^T Y^k 1, Y = Z - I.
+def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeries:
+    """Alternating partial sums mu(X) + sum_{k=1}^{N} (-1)^k a_k, Y = Z - I.
 
-    With Z = e^{-td}, a_k sums exp(-t * chain length) over proper chains
-    x_0 != x_1 != ... != x_k; Z may also be the counted similarity.
+    a_k = w^T (Y W)^{k-1} Y w with W = diag(w): with Z = e^{-td} it sums
+    w_{x_0} ... w_{x_k} exp(-t * chain length) over proper chains
+    x_0 != x_1 != ... != x_k.  weights defaults to the counting measure;
+    Z may also be the counted similarity.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     n = z.shape[0]
     y = z - np.eye(n)
-    ones = np.ones(n)
-    w = ones.copy()
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     terms = []
+    x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next
     for k in range(1, N + 1):
-        w = y @ w
-        terms.append(SeriesTerm(order=k, value=float(ones @ w), std_error=0.0, method="exact"))
-    return MagnitudeSeries(t=t, total_mass=float(n), terms=tuple(terms))
+        v = y @ x
+        terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0, method="exact"))
+        x = w * v
+    return MagnitudeSeries(t=t, total_mass=float(w.sum()), terms=tuple(terms))
 
 
 def neumann_partial(m: FiniteMetricSpace, t: float, N: int) -> MagnitudeSeries:

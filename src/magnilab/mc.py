@@ -6,6 +6,11 @@ measure and multiply by mu(X)^{n+1}.  The indicator only matters for measures
 with atoms (interval weight measure); atom identity is tracked by integer
 tags, never by float comparison.
 
+One engine, _map_batches, draws every batch of order-n chains and reduces
+it: to (sum, sum of squares) pairs for every t of a grid, or to histogram
+counts.  The streams do not depend on t, so estimate_term_grid draws an
+order's chains once and shares them across the whole t grid.
+
 Determinism contract: a fixed batch size, one random stream per (order,
 batch index) derived from the master seed, and reduction in batch order.
 Estimates are bit-identical for a given seed regardless of worker count.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -140,86 +145,60 @@ def _chain_batch(spec: SamplerSpec, rng: np.random.Generator, n: int, m: int):
     return total, proper
 
 
-@dataclass(frozen=True)
-class _BatchStat:
-    count: int
-    total: float
-    total_sq: float
-    proper: int
+def _map_batches(spec: SamplerSpec, n: int, reduce) -> list:
+    """reduce(total lengths, proper indicator) on every batch of order-n chains.
 
+    Batch idx always draws from _stream(spec, n, idx), and the results come
+    back in batch order whatever the worker count.
+    """
+    starts = range(0, spec.samples, BATCH_SIZE)
+    items = [(idx, min(BATCH_SIZE, spec.samples - start)) for idx, start in enumerate(starts)]
 
-def _term_batches(spec: SamplerSpec, n: int, t: float):
-    sizes = []
-    left = spec.samples
-    while left > 0:
-        sizes.append(min(BATCH_SIZE, left))
-        left -= sizes[-1]
-
-    def work(item) -> _BatchStat:
+    def work(item):
         idx, m = item
-        rng = _stream(spec, n, idx)
-        total, proper = _chain_batch(spec, rng, n, m)
-        vals = np.exp(-t * total) * proper
-        return _BatchStat(m, float(vals.sum()), float((vals * vals).sum()), int(proper.sum()))
+        return reduce(*_chain_batch(spec, _stream(spec, n, idx), n, m))
 
-    items = list(enumerate(sizes))
     if len(items) > 1 and worker_count() > 1:
         with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-            stats = list(ex.map(work, items))  # map preserves batch order
-    else:
-        stats = [work(it) for it in items]
-    return stats
+            return list(ex.map(work, items))  # map preserves batch order
+    return [work(it) for it in items]
 
 
 def estimate_term(spec: SamplerSpec, n: int, t: float) -> TermEstimate:
     """Monte-Carlo estimate of a_n(t) with a standard error."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    stats = _term_batches(spec, n, t)
-    count = sum(s.count for s in stats)
-    mean = math.fsum(s.total for s in stats) / count
-    sq = math.fsum(s.total_sq for s in stats) / count
-    var = max(sq - mean * mean, 0.0)
-    scale = spec.total_mass ** (n + 1)
-    return TermEstimate(
-        n=n,
-        value=scale * mean,
-        std_error=scale * math.sqrt(var / count),
-        proper_fraction=sum(s.proper for s in stats) / count,
-    )
+    return estimate_term_grid(spec, n, [t])[0]
 
 
 def estimate_term_grid(spec: SamplerSpec, n: int, t_grid) -> list[TermEstimate]:
     """Estimates over a t grid with common random numbers (same chains).
 
-    With shared chains the estimates are strictly decreasing in t whenever at
-    least one sampled chain is proper.
+    The chains are drawn once and each batch is reduced for every t, so each
+    estimate is bit-identical to estimate_term at that t.  With shared chains
+    the estimates are strictly decreasing in t whenever at least one sampled
+    chain is proper.
     """
-    sizes = []
-    left = spec.samples
-    while left > 0:
-        sizes.append(min(BATCH_SIZE, left))
-        left -= sizes[-1]
+    if n < 1:
+        raise ValueError("n must be >= 1")
     t_grid = [float(t) for t in t_grid]
-    sums = np.zeros(len(t_grid))
-    sqs = np.zeros(len(t_grid))
-    propers = 0
-    count = 0
-    for idx, m in enumerate(sizes):
-        rng = _stream(spec, n, idx)
-        total, proper = _chain_batch(spec, rng, n, m)
-        for j, t in enumerate(t_grid):
+
+    def reduce(total, proper):
+        sums = []
+        for t in t_grid:
             vals = np.exp(-t * total) * proper
-            sums[j] += vals.sum()
-            sqs[j] += (vals * vals).sum()
-        propers += int(proper.sum())
-        count += m
+            sums.append((float(vals.sum()), float((vals * vals).sum())))
+        return sums, int(proper.sum())
+
+    batches = _map_batches(spec, n, reduce)
+    count = spec.samples
+    proper_fraction = sum(p for _, p in batches) / count
     scale = spec.total_mass ** (n + 1)
     out = []
-    for j, t in enumerate(t_grid):
-        mean = sums[j] / count
-        var = max(sqs[j] / count - mean * mean, 0.0)
-        out.append(TermEstimate(n, scale * mean, scale * math.sqrt(var / count), propers / count))
+    for per_batch in zip(*(sums for sums, _ in batches)):
+        mean = math.fsum(s for s, _ in per_batch) / count
+        sq = math.fsum(q for _, q in per_batch) / count
+        var = max(sq - mean * mean, 0.0)
+        out.append(TermEstimate(n, scale * mean, scale * math.sqrt(var / count),
+                                proper_fraction))
     return out
 
 
@@ -294,23 +273,9 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
     if bins < 2:
         raise ValueError("need at least 2 bins")
     edges = np.linspace(0.0, l_max, bins + 1)
-    counts = np.zeros(bins)
-    sizes = []
-    left = spec.samples
-    while left > 0:
-        sizes.append(min(BATCH_SIZE, left))
-        left -= sizes[-1]
-    count = 0
-    for idx, m in enumerate(sizes):
-        rng = _stream(spec, n, idx)
-        total, proper = _chain_batch(spec, rng, n, m)
-        h, _ = np.histogram(total[proper], bins=edges)
-        counts += h
-        count += m
+    counts = sum(_map_batches(
+        spec, n, lambda total, proper: np.histogram(total[proper], bins=edges)[0]))
     width = edges[1] - edges[0]
-    density = counts * spec.total_mass ** (n + 1) / (count * width)
+    density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
     return edges, density
 
-
-def with_seed(spec: SamplerSpec, seed: int) -> SamplerSpec:
-    return replace(spec, seed=seed)

@@ -78,13 +78,19 @@ class ValidationReport:
 
 
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
-    """Check symmetry, zero diagonal, positivity, and the triangle inequality.
+    """Check finiteness, symmetry, zero diagonal, positivity, and the triangle
+    inequality.
 
     Returns a report listing every violated invariant with offending indices;
     the report is empty iff the space is a valid metric space.
     """
     d = m.dist
     n = d.shape[0]
+    nonfinite = np.argwhere(~np.isfinite(d))
+    if len(nonfinite):
+        # every comparison with NaN is False, so the checks below cannot judge d
+        return ValidationReport(tuple(("non-finite entry", (int(i), int(j)))
+                                      for i, j in nonfinite))
     bad: list[tuple[str, tuple[int, ...]]] = []
 
     asym = np.argwhere(np.abs(d - d.T) > tol)

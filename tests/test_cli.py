@@ -89,11 +89,14 @@ def test_t_grid_ordering_and_log_spacing(distance_csv):
 
 
 def test_byte_identical_across_thread_env(tmp_path):
-    args = ["manifold", "--space", "circle", "--t", "1", "--N", "2",
-            "--samples", "200000", "--seed", "7", "--method", "mc"]
-    a = run_cli(args, {"MAGNILAB_THREADS": "1"})
-    b = run_cli(args, {"MAGNILAB_THREADS": "4"})
-    assert a.stdout == b.stdout and a.stdout
+    # 600000 samples is three batches, so the thread pool runs
+    for args in (["manifold", "--space", "circle", "--t-grid", "1", "3", "3", "--N", "2",
+                  "--samples", "600000", "--seed", "7", "--method", "mc"],
+                 ["length-spectrum", "--space", "circle", "--n", "2", "--bins", "16",
+                  "--samples", "600000", "--seed", "7"]):
+        a = run_cli(args, {"MAGNILAB_THREADS": "1"})
+        b = run_cli(args, {"MAGNILAB_THREADS": "4"})
+        assert a.stdout == b.stdout and a.stdout
 
 
 def test_output_file(tmp_path, distance_csv):
@@ -181,3 +184,31 @@ def test_graph_count_method_all_matches_numpy(tmp_path):
         terms = [np.linalg.matrix_power(y, k).sum() for k in range(1, n_terms + 1)]
         assert_printed_close(series[2], len(z) + sum(
             (-1) ** k * a for k, a in enumerate(terms, start=1)))
+
+
+def test_non_finite_distance_exits_2(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("0,1,nan\n1,0,1\nnan,1,0\n")
+    res = run_cli(["finite", "--input", str(p), "--t", "1"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "non-finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["manifold", "--space", "circle", "--t", "1", "--samples", "0"],
+    ["weight-check", "--t", "1", "--samples", "0"],
+    ["length-spectrum", "--space", "circle", "--bins", "1"],
+    ["finite", "--input", "DIST", "--method", "series", "--N", "-1", "--t", "1"],
+    ["finite", "--input", "DIST", "--t", "-1"],
+    ["manifold", "--space", "circle", "--t", "nan", "--samples", "10"],
+    ["length-spectrum", "--space", "circle", "--n", "0"],
+    ["length-spectrum", "--space", "circle", "--l-max", "-1", "--samples", "10"],
+    ["fekete-demo", "--seed", "-1"],
+    ["interval-weight", "--t", "-1"],
+])
+def test_flag_out_of_range_exits_2(distance_csv, args):
+    res = run_cli([distance_csv if a == "DIST" else a for a in args])
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -92,6 +92,22 @@ def test_shift_metric_scaling_identity(c):
         assert math.exp(-c) * a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def test_chain_series_counting_measure_is_plain_powers():
+    """weights=None gives the bits of 1^T Y^k 1 by repeated Y @ w."""
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(7, 2))
+    z = finite_mag.similarity(np.linalg.norm(pts[:, None] - pts[None, :], axis=2), 0.8)
+    y = z - np.eye(7)
+    w = np.ones(7)
+    expected = []
+    for _ in range(5):
+        w = y @ w
+        expected.append(float(np.ones(7) @ w))
+    series = finite_mag.chain_series(z, 0.8, 5)
+    assert [term.value for term in series.terms] == expected
+    assert series.total_mass == 7.0
+
+
 def test_restrict():
     d = np.array([[0, 1, 2.0], [1, 0, 1], [2.0, 1, 0]])
     m = FiniteMetricSpace.from_matrix(d, points=("a", "b", "c"))

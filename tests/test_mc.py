@@ -55,12 +55,38 @@ def test_first_term_within_four_sigma(space, closed):
 
 
 def test_common_random_numbers_on_grid():
-    spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=200_000)
+    # three batches, so the per-batch sums are combined across batches
+    spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=600_000)
     grid = [1.0, 2.0, 3.0]
-    ests = mc.estimate_term_grid(spec, 1, grid)
-    singles = [mc.estimate_term(spec, 1, t) for t in grid]
+    ests = mc.estimate_term_grid(spec, 2, grid)
+    singles = [mc.estimate_term(spec, 2, t) for t in grid]
     for g, s in zip(ests, singles):
-        assert g.value == s.value  # same sample stream reused across the grid
+        # same sample stream reused across the grid
+        assert (g.value, g.std_error) == (s.value, s.std_error)
+
+
+def test_engine_matches_serial_reference_loop(monkeypatch):
+    """Threaded grid and histogram equal a serial loop over the (order, batch)
+    streams, with per-batch sums combined by fsum in batch order."""
+    monkeypatch.setenv("MAGNILAB_THREADS", "2")
+    n, grid, edges = 2, [0.5, 2.0], np.linspace(0.0, 2 * math.pi, 9)
+    spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE + 1000)
+    sums, sqs, counts = {t: [] for t in grid}, {t: [] for t in grid}, 0
+    for idx, m in enumerate([mc.BATCH_SIZE, mc.BATCH_SIZE, 1000]):
+        total, proper = mc._chain_batch(spec, mc._stream(spec, n, idx), n, m)
+        counts = counts + np.histogram(total[proper], bins=edges)[0]
+        for t in grid:
+            vals = np.exp(-t * total) * proper
+            sums[t].append(float(vals.sum()))
+            sqs[t].append(float((vals * vals).sum()))
+    scale = spec.total_mass ** (n + 1)
+    for t, est in zip(grid, mc.estimate_term_grid(spec, n, grid)):
+        mean = math.fsum(sums[t]) / spec.samples
+        var = max(math.fsum(sqs[t]) / spec.samples - mean * mean, 0.0)
+        assert est.value == scale * mean
+        assert est.std_error == scale * math.sqrt(var / spec.samples)
+    _, density = mc.estimate_length_density(spec, n, 8, 2 * math.pi)
+    assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
 
 
 def test_tail_bound_controls_truncation():

@@ -37,6 +37,14 @@ def test_validation_catches_asymmetry_and_triangle():
     assert "triangle inequality" in names
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_validation_catches_non_finite_entries(entry):
+    d = np.array([[0, 1, entry], [1, 0, 1], [entry, 1, 0]])
+    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    assert ("non-finite entry", (0, 2)) in report.violations
+    assert ("non-finite entry", (2, 0)) in report.violations
+
+
 def test_from_matrix_rejects_wrong_shape():
     with pytest.raises(MetricValidationError):
         FiniteMetricSpace.from_matrix(np.zeros((2, 3)))
