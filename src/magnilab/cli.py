@@ -99,6 +99,15 @@ def _add_common(p):
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
 
+def _add_space_args(p):
+    p.add_argument("--space", required=True,
+                   choices=("circle", "sphere", "torus", "interval", "line-gauss", "line-laplace"))
+    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--measure", choices=("lebesgue", "weight"), default="lebesgue")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="magnilab",
                                  description="magnitude computation for metric measure spaces")
@@ -116,12 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("manifold", help="chain-integral terms for an analytic space")
-    p.add_argument("--space", required=True,
-                   choices=("circle", "sphere", "torus", "interval", "line-gauss", "line-laplace"))
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--measure", choices=("lebesgue", "weight"), default="lebesgue")
+    _add_space_args(p)
     p.add_argument("--method", choices=("mc", "closed", "quadrature", "all"), default="all")
     _add_common(p)
 
@@ -131,9 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("length-spectrum", help="histogram of total chain length")
-    p.add_argument("--space", required=True,
-                   choices=("circle", "sphere", "torus", "interval", "line-gauss", "line-laplace"))
-    p.add_argument("--r", type=float, default=1.0)
+    _add_space_args(p)
     p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--bins", type=_int_at_least(2), default=64)
     p.add_argument("--l-max", type=float, default=None)
@@ -356,7 +358,7 @@ def run(argv) -> int:
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (MagnilabError, FloatingPointError) as exc:
+    except (MagnilabError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -135,7 +135,7 @@ def uniform_sphere_partial(r: float, t: float, N: int) -> float:
 
     Per-order terms are (J(t)/Vol)^n by homogeneity.
     """
-    ratio = closed_forms.sphere_leg_integral(r, t) / (4.0 * math.pi * r**2)
+    ratio = closed_forms.sphere_leg_integral(r, t) / Sphere2(r).total_mass
     return sum((-ratio) ** n for n in range(N + 1))
 
 

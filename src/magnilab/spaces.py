@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import DisconnectedGraphError, MetricValidationError
 
 #: absolute tolerance for metric-invariant checks on float64 distances
 METRIC_TOL = 1e-12
+#: most violations validate_metric reports before it stops scanning
+MAX_VIOLATIONS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +66,13 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_metric: a list of (invariant, offending indices)."""
+    """Outcome of validate_metric: a list of (invariant, offending indices).
+
+    truncated is True when the scan stopped after MAX_VIOLATIONS entries.
+    """
 
     violations: tuple[tuple[str, tuple[int, ...]], ...]
+    truncated: bool = False
 
     @property
     def valid(self) -> bool:
@@ -74,40 +81,55 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.valid:
             return "valid metric"
-        return "; ".join(f"{name} at {idx}" for name, idx in self.violations)
+        text = "; ".join(f"{name} at {idx}" for name, idx in self.violations)
+        if self.truncated:
+            text += f"; list cut after the first {len(self.violations)} violations"
+        return text
 
 
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check finiteness, symmetry, zero diagonal, positivity, and the triangle
     inequality.
 
-    Returns a report listing every violated invariant with offending indices;
-    the report is empty iff the space is a valid metric space.
+    Returns a report listing violated invariants with offending indices, in
+    the order the checks run, and stops scanning after MAX_VIOLATIONS of
+    them; the report is empty iff the space is a valid metric space.  Takes
+    O(n^3) time and O(n^2) memory.
     """
-    d = m.dist
+    found = tuple(islice(_violations(m.dist, tol), MAX_VIOLATIONS + 1))
+    return ValidationReport(found[:MAX_VIOLATIONS], truncated=len(found) > MAX_VIOLATIONS)
+
+
+def _violations(d: np.ndarray, tol: float):
+    """Yield every violated invariant of the distance matrix d in report order."""
     n = d.shape[0]
     nonfinite = np.argwhere(~np.isfinite(d))
     if len(nonfinite):
         # every comparison with NaN is False, so the checks below cannot judge d
-        return ValidationReport(tuple(("non-finite entry", (int(i), int(j)))
-                                      for i, j in nonfinite))
-    bad: list[tuple[str, tuple[int, ...]]] = []
-
+        for i, j in nonfinite:
+            yield "non-finite entry", (int(i), int(j))
+        return
     asym = np.argwhere(np.abs(d - d.T) > tol)
     for i, j in asym[asym[:, 0] < asym[:, 1]]:
-        bad.append(("asymmetric", (int(i), int(j))))
+        yield "asymmetric", (int(i), int(j))
     for i in range(n):
         if abs(d[i, i]) > tol:
-            bad.append(("nonzero diagonal", (i,)))
+            yield "nonzero diagonal", (i,)
     offdiag = np.argwhere((d <= 0.0) & ~np.eye(n, dtype=bool))
     for i, j in offdiag[offdiag[:, 0] < offdiag[:, 1]]:
-        bad.append(("nonpositive off-diagonal", (int(i), int(j))))
-    # d(i,k) <= d(i,j) + d(j,k) for all ordered triples
-    viol = d[:, None, :] > d[:, :, None] + d[None, :, :] + tol
-    for i, j, k in np.argwhere(viol):
-        if i != j and j != k and i != k:
-            bad.append(("triangle inequality", (int(i), int(j), int(k))))
-    return ValidationReport(tuple(bad))
+        yield "nonpositive off-diagonal", (int(i), int(j))
+    # d(i,k) <= d(i,j) + d(j,k) for all triples, one row i at a time, with
+    # s[j, k] = d(i,j) + d(j,k).  x -> x + tol is monotone in floating point,
+    # so a row with d(i,k) <= min_j s[j, k] + tol for every k has no violation
+    # and only the rows this screen flags run the exact test.
+    s = np.empty_like(d)
+    for i in range(n):
+        np.add(d[i, :, None], d, out=s)
+        if not (d[i] > s.min(axis=0) + tol).any():
+            continue
+        for j, k in np.argwhere(d[i] > s + tol):
+            if i != j and j != k and i != k:
+                yield "triangle inequality", (i, int(j), int(k))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +204,11 @@ def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
 # analytic spaces
 # ---------------------------------------------------------------------------
 
+def _require_positive(name: str, x: float) -> None:
+    if not 0.0 < x < math.inf:  # also rejects NaN
+        raise MetricValidationError(f"{name} must be finite and positive, got {x}")
+
+
 @dataclass(frozen=True)
 class Circle:
     """Round circle of radius r with the arc-length metric and dvol measure."""
@@ -189,8 +216,7 @@ class Circle:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("circle radius must be positive")
+        _require_positive("circle radius", self.r)
 
     @property
     def total_mass(self) -> float:
@@ -208,8 +234,7 @@ class Sphere2:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("sphere radius must be positive")
+        _require_positive("sphere radius", self.r)
 
     @property
     def total_mass(self) -> float:
@@ -249,14 +274,19 @@ class Interval:
     measure: str = "lebesgue"  # "lebesgue" | "weight"
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError("interval needs b > a")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise MetricValidationError(
+                f"interval needs finite endpoints with b > a, got a={self.a}, b={self.b}")
         if self.measure not in ("lebesgue", "weight"):
-            raise ValueError(f"unknown interval measure {self.measure!r}")
+            raise MetricValidationError(f"unknown interval measure {self.measure!r}")
 
     @property
     def length(self) -> float:
         return self.b - self.a
+
+    @property
+    def diameter(self) -> float:
+        return self.length
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -345,24 +375,38 @@ class MagnitudeSeries:
 # ---------------------------------------------------------------------------
 
 def load_distance_csv(path) -> FiniteMetricSpace:
-    """Read an n x n distance matrix from CSV, optional first header row."""
+    """Read an n x n distance matrix from CSV, optional first header row.
+
+    Blank lines are skipped.  A non-numeric field or a row with other than n
+    fields raises MetricValidationError naming its 1-based line.
+    """
     with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+        rows = [(no, line.strip()) for no, line in enumerate(fh, 1) if line.strip()]
     if not rows:
         raise MetricValidationError(f"empty distance file {path}")
     labels = None
-    first = rows[0].split(",")
+    first = rows[0][1].split(",")
     try:
         [float(x) for x in first]
     except ValueError:
         labels = [x.strip() for x in first]
         rows = rows[1:]
-    data = [[float(x) for x in row.split(",")] for row in rows]
-    d = np.array(data, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise MetricValidationError(f"distance file {path} is not square: shape {d.shape}")
-    if labels is not None and len(labels) != d.shape[0]:
-        raise MetricValidationError(f"{len(labels)} labels for {d.shape[0]} rows in {path}")
+    n = len(rows)
+    if n == 0:
+        raise MetricValidationError(f"no distance rows in {path}")
+    d = np.empty((n, n))
+    for r, (no, line) in enumerate(rows):
+        fields = line.split(",")
+        if len(fields) != n:
+            raise MetricValidationError(
+                f"distance file {path} is not square: line {no} has {len(fields)} "
+                f"fields for {n} rows")
+        try:
+            d[r] = [float(x) for x in fields]
+        except ValueError as exc:
+            raise MetricValidationError(f"line {no} of {path}: {exc}") from None
+    if labels is not None and len(labels) != n:
+        raise MetricValidationError(f"{len(labels)} labels for {n} rows in {path}")
     return FiniteMetricSpace.from_matrix(d, labels)
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from magnilab import cli
 
@@ -212,3 +217,148 @@ def test_flag_out_of_range_exits_2(distance_csv, args):
     assert res.returncode == 2
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["manifold", "--space", "circle", "--r", "-1", "--t", "1", "--samples", "10"],
+    ["manifold", "--space", "sphere", "--r", "nan", "--t", "1", "--samples", "10"],
+    ["manifold", "--space", "interval", "--a", "1", "--b", "0", "--t", "1", "--samples", "10"],
+    ["interval-weight", "--L", "-1"],
+    ["weight-check", "--r", "0", "--t", "1", "--samples", "10"],
+    ["fekete-demo", "--r", "-1", "--m-list", "2"],
+    ["fekete-demo", "--r", "0", "--m-list", "2"],
+])
+def test_space_parameter_out_of_range_exits_2(capsys, args):
+    assert cli.run(args) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["manifold", "--space", "circle", "--r", "1e300", "--t", "1", "--samples", "10"],
+    ["weight-check", "--space", "sphere", "--r", "1e-300", "--t", "1", "--samples", "10"],
+])
+def test_arithmetic_failure_exits_3(capsys, args):
+    assert cli.run(args) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
+                                         ("0,1,2\n1,0,1\n\n2,1\n", "line 4")])
+def test_malformed_distance_csv_exits_2(tmp_path, capsys, text, named):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    assert cli.run(["finite", "--input", str(p), "--t", "1"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_length_spectrum_on_interval(tmp_path):
+    out = tmp_path / "o.csv"
+    assert cli.run(["length-spectrum", "--space", "interval", "--a", "0", "--b", "2",
+                    "--measure", "weight", "--bins", "4", "--samples", "10000",
+                    "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # the default l-max is the diameter, 2, so the four bins centre on 0.25 ... 1.75
+    assert [float(r[0]) for r in rows] == [0.25, 0.75, 1.25, 1.75]
+    assert all(float(r[2]) > 0 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing cli.run with malformed files and out-of-range parameters
+# ---------------------------------------------------------------------------
+
+NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.integers(-2, 6).map(str),
+                   st.sampled_from(["", " ", "abc", "1e400", "-0", "0x1", "1,5", "nan"]))
+PARAM = st.one_of(st.floats(0.1, 3.0).map(repr),
+                  st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e400", "abc", "",
+                                   "1e300", "1e-300", "5e-324"]))
+
+
+def run_in_process(argv, text=""):
+    """cli.run on argv, with FILE replaced by a temporary file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run([path if a == "FILE" else a for a in argv])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL)
+    assert "Traceback" not in err.getvalue()
+    event(f"exit {code}")
+
+
+@st.composite
+def corrupted(draw, rows):
+    """rows (lists of fields) with up to two fields replaced, dropped or added."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add":
+            row.append(draw(NUMBER))
+        elif row:
+            i = draw(st.integers(0, len(row) - 1))
+            if action == "replace":
+                row[i] = draw(NUMBER)
+            else:
+                del row[i]
+    return rows
+
+
+@st.composite
+def distance_csv_text(draw):
+    n = draw(st.integers(1, 4))
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.floats(0.5, 5.0))
+    rows = draw(corrupted([[repr(x) for x in r] for r in d]))
+    return ("\n\n" if draw(st.booleans()) else "\n").join(",".join(r) for r in rows)
+
+
+@st.composite
+def edge_list_text(draw):
+    n = draw(st.integers(2, 5))
+    lines = [[str(u), str(u + 1)] for u in range(n - 1)]
+    if draw(st.booleans()):
+        lines = [line + [repr(draw(st.floats(0.5, 3.0)))] for line in lines]
+    rows = draw(corrupted(lines))
+    return "\n".join(" ".join(f.replace(" ", "") or "0" for f in r) for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=distance_csv_text(), method=st.sampled_from(["inverse", "series", "all"]))
+def test_fuzz_distance_csv(text, method):
+    run_in_process(["finite", "--input", "FILE", "--t", "1", "--method", method], text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=edge_list_text(), gamma=st.sampled_from(["triv", "count"]))
+def test_fuzz_edge_list(text, gamma):
+    run_in_process(["graph", "--edges", "FILE", "--t", "1", "--gamma", gamma,
+                    "--method", "all"], text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([
+           ["manifold", "--space", "circle", "--r", "P", "--t", "P", "--N", "2"],
+           ["manifold", "--space", "sphere", "--r", "P", "--t", "1", "--method", "mc"],
+           ["manifold", "--space", "interval", "--a", "P", "--b", "P", "--t", "P"],
+           ["manifold", "--space", "interval", "--measure", "weight", "--b", "P", "--t", "1"],
+           ["length-spectrum", "--space", "interval", "--b", "P", "--l-max", "P"],
+           ["length-spectrum", "--space", "circle", "--r", "P", "--n", "2"],
+           ["weight-check", "--space", "sphere", "--r", "P", "--t", "P"],
+           ["interval-weight", "--L", "P", "--t", "P", "--N", "0"]]),
+       params=st.lists(PARAM, min_size=3, max_size=3))
+def test_fuzz_space_parameters(case, params):
+    values = iter(params)
+    run_in_process([next(values) if a == "P" else a for a in case]
+                   + ["--samples", "2000", "--seed", "1"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=PARAM)
+def test_fuzz_fekete_radius(r):
+    run_in_process(["fekete-demo", "--r", r, "--m-list", "2", "3"])
