@@ -74,12 +74,14 @@ def _t_grid(args) -> list[float]:
     return [start + step * i for i in range(count)]
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than lo."""
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi]."""
     def integer(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {lo}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {hi}")
         return value
     return integer
 
@@ -93,9 +95,9 @@ def _add_t_args(p):
 
 def _add_common(p):
     _add_t_args(p)
-    p.add_argument("--N", type=_int_at_least(0), default=3)
-    p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--N", type=_int_in(0), default=3)
+    p.add_argument("--samples", type=_int_in(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
 
@@ -136,26 +138,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("length-spectrum", help="histogram of total chain length")
     _add_space_args(p)
-    p.add_argument("--n", type=_int_at_least(1), default=1)
-    p.add_argument("--bins", type=_int_at_least(2), default=64)
+    p.add_argument("--n", type=_int_in(1), default=1)
+    p.add_argument("--bins", type=_int_in(2), default=64)
     p.add_argument("--l-max", type=float, default=None)
-    p.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_int_in(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("interval-weight", help="boundary-weight interval comparison table")
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--N", type=_int_at_least(0), default=3)
-    p.add_argument("--samples", type=_int_at_least(1), default=200_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--N", type=_int_in(0, weight_measures.MAX_N), default=3)
+    p.add_argument("--samples", type=_int_in(1), default=200_000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("fekete-demo", help="empirical-measure convergence on the sphere")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--m-list", type=_int_at_least(2), nargs="+", default=(50, 100, 200, 400))
-    p.add_argument("--N", type=_int_at_least(0), default=2)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--m-list", type=_int_in(2), nargs="+", default=(50, 100, 200, 400))
+    p.add_argument("--N", type=_int_in(0), default=2)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("catalog", help="closed forms vs independent oracles")

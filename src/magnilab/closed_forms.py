@@ -15,6 +15,7 @@ length-spectrum densities in the test suite.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -294,6 +295,65 @@ def interval_first_partial(t: float, L: float) -> float:
     return L - 2.0 * L / t + (2.0 / t**2) * (1.0 - math.exp(-t * L))
 
 
+def _interval_digits(N: int, t: float, L: float) -> int:
+    """Working precision of interval_chain_terms: 20 + 2N + (N+1) ceil(-log10 tL)."""
+    return 20 + 2 * N + (N + 1) * max(0, -(Decimal(t) * Decimal(L)).adjusted())
+
+
+def interval_chain_terms(N: int, t: float, L: float, atom: float,
+                         density: float) -> list[float]:
+    """[a_0, ..., a_N] on [0, L] under m (delta_0 + delta_L) + c dx, m = atom,
+    c = density; a proper chain never steps from an atom to the same atom.
+
+    Transfer recursion over the chain's last point: alpha is the mass ending
+    at either atom (equal by symmetry), f the density ending at interior x.
+    With (Kf)(x) = int_0^L e^{-t|x-y|} f(y) dy, one leg maps
+    alpha -> m (alpha e^{-tL} + (Kf)(0)) and f -> c (Kf + alpha (e^{-tx} +
+    e^{-t(L-x)})), and a_k = 2 alpha + int f.  K keeps f in the span
+    p0 + q(x) e^{-tx} + q(L-x) e^{-t(L-x)}, p0 constant, q a polynomial:
+    K1 = 2/t - (e^{-tx} + e^{-t(L-x)})/t and
+    K[q e^{-tx}] = e^{-tx} (Q + R q) - e^{-tL} (R q)(L) e^{-t(L-x)}, where
+    Q' = q, Q(0) = 0 and R q = sum_j q^{(j)} / (2t)^{j+1}.
+
+    As tL -> 0 the three basis functions merge and the coefficients behind
+    a_n cancel in up to (n+1) log10(1/tL) leading digits, so the arithmetic
+    is decimal at _interval_digits(N, t, L) digits.  tL is taken as a
+    Decimal, so one that underflows a float still sets the precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _interval_digits(N, t, L)
+        t, L, m, c = (Decimal(v) for v in (t, L, atom, density))
+        decay = (-t * L).exp()
+
+        def resolvent(q, s):
+            """sum_j q^{(j)} / s^{j+1}: the polynomial r with s r - r' = q."""
+            r, higher = list(q), Decimal(0)
+            for i in reversed(range(len(q))):
+                r[i] = higher = (q[i] + (i + 1) * higher) / s
+            return r
+
+        def at_L(q):
+            acc = Decimal(0)
+            for coef in reversed(q):
+                acc = acc * L + coef
+            return acc
+
+        alpha, p0, q = m, c, [Decimal(0)]
+        terms = []
+        for _ in range(N + 1):
+            u = resolvent(q, t)  # int_0^L q e^{-tx} dx = u(0) - u(L) e^{-tL}
+            terms.append(float(2 * alpha + p0 * L + 2 * (u[0] - decay * at_L(u))))
+            r = resolvent(q, 2 * t)
+            kq = r + [Decimal(0)]  # Kf = 2 p0/t + kq(x) e^{-tx} + kq(L-x) e^{-t(L-x)}
+            kq[0] -= p0 / t + decay * at_L(r)
+            for i, coef in enumerate(q):
+                kq[i + 1] += coef / (i + 1)
+            kf_at_0 = 2 * p0 / t + kq[0] + decay * at_L(kq)
+            kq[0] += alpha
+            alpha, p0, q = m * (alpha * decay + kf_at_0), 2 * c * p0 / t, [c * x for x in kq]
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # real line with Laplace weight exp(-|x|) (total mass 2)
 # ---------------------------------------------------------------------------
@@ -402,8 +462,10 @@ def gaussian_line_second_term_published(t: float) -> float:
 def catalog_rows(t_grid=(0.5, 1.0, 2.0, 5.0)):
     """(space, n, t, closed_form, oracle, abs_diff, citation) tuples.
 
-    The oracle column is an independent quadrature; citation names the result
-    family each row instantiates.
+    The oracle column is an independent quadrature or, for the interval, the
+    transfer recursion of interval_chain_terms, a different algorithm from
+    the interval_alpha recursion; citation names the result family each row
+    instantiates.
     """
     rows = []
     for t in t_grid:
@@ -418,9 +480,11 @@ def catalog_rows(t_grid=(0.5, 1.0, 2.0, 5.0)):
         cf = torus_first_term(t)
         oracle = torus_first_term_identity(t)
         rows.append(("torus", 1, t, cf, oracle, abs(cf - oracle), "flat torus first term"))
+        oracles = interval_chain_terms(3, t, 1.0, 0.0, 1.0)
         for n in (1, 2, 3):
             cf = interval_term(n, t, 1.0)
-            rows.append(("interval", n, t, cf, cf, 0.0, "interval recursion"))
+            rows.append(("interval", n, t, cf, oracles[n], abs(cf - oracles[n]),
+                         "interval recursion"))
         cf = laplace_line_first_term(t)
         rows.append(("line-laplace", 1, t, cf, cf, 0.0, "Laplace-weight line"))
         cf = gaussian_line_first_term(t)

@@ -374,9 +374,18 @@ class MagnitudeSeries:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Read an n x n distance matrix from CSV, optional first header row.
 
+    The first row is a header of labels when none of its fields is a number.
     Blank lines are skipped.  A non-numeric field or a row with other than n
     fields raises MetricValidationError naming its 1-based line.
     """
@@ -386,9 +395,7 @@ def load_distance_csv(path) -> FiniteMetricSpace:
         raise MetricValidationError(f"empty distance file {path}")
     labels = None
     first = rows[0][1].split(",")
-    try:
-        [float(x) for x in first]
-    except ValueError:
+    if not any(_parses_as_float(x) for x in first):
         labels = [x.strip() for x in first]
         rows = rows[1:]
     n = len(rows)

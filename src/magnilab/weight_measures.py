@@ -9,9 +9,10 @@ For the interval [a,b] the weight measure (delta_a + delta_b + Lebesgue)/2
 has atoms, so non-proper chains carry mass and the proper-chain integral
 needs correction terms indexed by integer compositions.  This module exposes
 the published composition formula, an atom-mass-corrected variant, and an
-exact brute-force oracle that expands the product measure into atom /
-continuous patterns and integrates the continuous runs by repeated kernel
-application.  The oracle is the source of truth; the comparison between the
+exact oracle, closed_forms.interval_chain_terms: a transfer recursion over
+the chain's last point (atom a, atom b, or an interior density kept as an
+exponential polynomial), in decimal arithmetic, for every order up to
+MAX_N = 20.  The oracle is the source of truth; the comparison between the
 three is a deliverable, not an assertion that they agree.
 """
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from . import closed_forms, mc
 from .spaces import AnalyticSpace, Circle, Interval, Sphere2
@@ -190,6 +189,11 @@ def cluster_stats(lam: OrderedPartition) -> tuple[int, int]:
 # interval weight measure: composition formula vs corrected vs brute force
 # ---------------------------------------------------------------------------
 
+#: largest order of the comparison table; the composition sums enumerate
+#: 2^N - 1 compositions at order N
+MAX_N = 20
+
+
 def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[float, float]:
     """(verbatim, corrected) composition-formula values of Mag;N.
 
@@ -200,8 +204,8 @@ def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[flo
     additionally carrying the atom masses (1/2)^{sum of parts >= 2}:
     mu_w + sum_n (-1)^n (mu_w - sum_lambda 2^f e^{-t L g} (1/2)^{rep}).
     """
-    if N > 20:
-        raise ValueError("composition enumeration is exponential; N <= 20")
+    if N > MAX_N:
+        raise ValueError(f"composition enumeration is exponential; N <= {MAX_N}")
     mass = 1.0 + L / 2.0
     verbatim = mass
     corrected = mass
@@ -219,131 +223,17 @@ def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[flo
     return verbatim, corrected
 
 
-# --- exact oracle: atom/continuous pattern expansion -----------------------
-
-_KERNEL_NODES = 240
-
-
-@lru_cache(maxsize=None)
-def _kernel_cache(t: float, L: float, depth: int):
-    """Iterated applications of (Kf)(x) = (1/2) int_0^L e^{-t|x-y|} f(y) dy.
-
-    Returns {name: [f0, Kf0, K^2 f0, ...]} for f0 in {1, e^{-t x},
-    e^{-t(L-x)}}, each level stored as (values at Chebyshev nodes, spline).
-    K preserves smoothness (g = Kf solves g'' = t^2 g - t f), so spline
-    interpolation between applications converges fast.
-    """
-    # Chebyshev-like clustering improves the spline near the endpoints
-    k = np.arange(_KERNEL_NODES)
-    nodes = 0.5 * L * (1.0 - np.cos(math.pi * k / (_KERNEL_NODES - 1)))
-
-    def apply_k(spline) -> np.ndarray:
-        out = np.empty_like(nodes)
-        for i, x in enumerate(nodes):
-            left, _ = integrate.quad(
-                lambda y: math.exp(-t * (x - y)) * spline(y), 0.0, x,
-                epsabs=1e-12, limit=200,
-            )
-            right, _ = integrate.quad(
-                lambda y: math.exp(-t * (y - x)) * spline(y), x, L,
-                epsabs=1e-12, limit=200,
-            )
-            out[i] = 0.5 * (left + right)
-        return out
-
-    start = {
-        "one": np.ones_like(nodes),
-        "ga": np.exp(-t * nodes),
-        "gb": np.exp(-t * (L - nodes)),
-    }
-    table = {}
-    for name, f0 in start.items():
-        levels = [(f0, CubicSpline(nodes, f0))]
-        for _ in range(depth):
-            vals = apply_k(levels[-1][1])
-            levels.append((vals, CubicSpline(nodes, vals)))
-        table[name] = levels
-    return nodes, table
-
-
-def _run_value(t: float, L: float, k: int, left: float | None, right: float | None,
-               depth: int) -> float:
-    """Integral over one maximal continuous run of k variables.
-
-    left/right are anchor positions (0 or L) or None for a free chain end.
-    Each variable carries the measure (1/2) dy; legs join consecutive
-    variables and any anchors.
-    """
-    _, table = _kernel_cache(t, L, depth)
-    if left is None and right is None:
-        # the whole chain is continuous: k variables, k-1 legs
-        if k == 1:
-            return 0.5 * L
-        nodes, _ = _kernel_cache(t, L, depth)
-        vals, spline = table["one"][k - 1]
-        total, _ = integrate.quad(spline, 0.0, L, epsabs=1e-12, limit=200)
-        return 0.5 * total
-    if left is None or right is None:
-        anchor = right if left is None else left
-        name = "ga" if anchor == 0.0 else "gb"
-        # k variables, k legs (anchor leg + k-1 internal); K^k 1 at anchor
-        vals, spline = table["one"][k]
-        return float(spline(anchor))
-    # both anchors: k variables, k+1 legs; K^k g_right evaluated at left
-    name = "ga" if right == 0.0 else "gb"
-    vals, spline = table[name][k]
-    return float(spline(left))
-
-
-def interval_weight_term_bruteforce(n: int, L: float, t: float = 1.0) -> float:
-    """Exact order-n proper-chain integral under (delta_a+delta_b+Leb)/2.
-
-    Expands the product measure into 3^{n+1} atom/continuous patterns,
-    drops improper ones (adjacent equal atoms), and factorizes each pattern
-    at its atoms into independent continuous runs.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    depth = n + 1
-    total = 0.0
-    for pattern in product((0, 1, 2), repeat=n + 1):  # 0 = continuous, 1 = a, 2 = b
-        if any(p and p == q for p, q in zip(pattern, pattern[1:])):
-            continue  # adjacent equal atoms: non-proper chain, measure kept out
-        value = 1.0
-        positions = {1: 0.0, 2: L}
-        # atom masses and direct atom-atom legs
-        for p in pattern:
-            if p:
-                value *= 0.5
-        for p, q in zip(pattern, pattern[1:]):
-            if p and q:
-                value *= math.exp(-t * abs(positions[p] - positions[q]))
-        # maximal continuous runs with their anchors
-        i = 0
-        while i <= n:
-            if pattern[i] == 0:
-                j = i
-                while j <= n and pattern[j] == 0:
-                    j += 1
-                left = positions[pattern[i - 1]] if i > 0 else None
-                right = positions[pattern[j]] if j <= n else None
-                value *= _run_value(t, L, j - i, left, right, depth)
-                i = j
-            else:
-                i += 1
-        total += value
-    return total
+# An lru_cache because bench/traced_cli.py reports its cache_info() after
+# each run; bounded, because float keys would grow for the life of the process.
+@lru_cache(maxsize=64)
+def _kernel_cache(t: float, L: float, N: int) -> tuple[float, ...]:
+    """[a_0, ..., a_N] for the proper-chain integrals under (delta_a+delta_b+Leb)/2."""
+    return tuple(closed_forms.interval_chain_terms(N, t, L, 0.5, 0.5))
 
 
 def interval_weight_bruteforce(N: int, L: float, t: float = 1.0) -> float:
     """Exact partial magnitude Mag;N for the interval weight measure."""
-    if N > 4:
-        raise ValueError("pattern expansion oracle supports N <= 4")
-    mass = 1.0 + L / 2.0
-    total = mass
-    for n in range(1, N + 1):
-        total += (-1.0) ** n * interval_weight_term_bruteforce(n, L, t)
-    return total
+    return sum((-1.0) ** n * a for n, a in enumerate(_kernel_cache(t, L, N)))
 
 
 @dataclass(frozen=True)
@@ -367,8 +257,8 @@ def interval_weight_report(
     rows = []
     for N in range(1, N_max + 1):
         verbatim, corrected = interval_weight_partition_sum(N, L, t)
-        brute = interval_weight_bruteforce(N, L, t) if N <= 4 else math.nan
         rows.append(IntervalWeightRow(
-            N, verbatim, corrected, brute, series.partial_sums[N], errs[N]
+            N, verbatim, corrected, interval_weight_bruteforce(N, L, t),
+            series.partial_sums[N], errs[N]
         ))
     return rows

@@ -211,6 +211,7 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["length-spectrum", "--space", "circle", "--l-max", "-1", "--samples", "10"],
     ["fekete-demo", "--seed", "-1"],
     ["interval-weight", "--t", "-1"],
+    ["interval-weight", "--N", "21"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])
@@ -350,7 +351,7 @@ def test_fuzz_edge_list(text, gamma):
            ["length-spectrum", "--space", "interval", "--b", "P", "--l-max", "P"],
            ["length-spectrum", "--space", "circle", "--r", "P", "--n", "2"],
            ["weight-check", "--space", "sphere", "--r", "P", "--t", "P"],
-           ["interval-weight", "--L", "P", "--t", "P", "--N", "0"]]),
+           ["interval-weight", "--L", "P", "--t", "P", "--N", "3"]]),
        params=st.lists(PARAM, min_size=3, max_size=3))
 def test_fuzz_space_parameters(case, params):
     values = iter(params)

@@ -99,6 +99,26 @@ class TestInterval:
                 lambda l: 2 * l**k * math.exp(-t * l) / math.factorial(k), 0, L)
             assert cf.interval_alpha(1, k, t, L) == pytest.approx(quad, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 30.0])
+    def test_chain_terms_match_alpha_recursion(self, t):
+        # Lebesgue measure is the transfer recursion with no atoms and density 1
+        terms = cf.interval_chain_terms(6, t, 1.0, 0.0, 1.0)
+        assert terms[0] == 1.0
+        for n in range(1, 7):
+            assert terms[n] == pytest.approx(cf.interval_term(n, t, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("tl", [1e-3, 1e-6, 1e-20])
+    @pytest.mark.parametrize("atom, density", [(0.0, 1.0), (0.5, 0.5)])
+    def test_chain_term_precision_suffices(self, monkeypatch, tl, atom, density):
+        # the coefficients cancel as tL -> 0; 40 more digits change nothing
+        chosen = [cf.interval_chain_terms(N, tl, 1.0, atom, density) for N in (1, 3, 8)]
+        digits = cf._interval_digits
+        monkeypatch.setattr(cf, "_interval_digits", lambda N, t, L: digits(N, t, L) + 40)
+        for terms in chosen:
+            wider = cf.interval_chain_terms(len(terms) - 1, tl, 1.0, atom, density)
+            for a, b in zip(terms, wider):
+                assert a == pytest.approx(b, rel=1e-15)
+
 
 class TestLines:
     def test_laplace_first_term(self):

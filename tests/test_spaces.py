@@ -217,7 +217,8 @@ def test_load_distance_csv_matches_list_parse(tmp_path):
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
                                          ("0,1,2\n\n1,0\n2,1,0\n", "line 3"),
                                          ("0,1\n1,0,1\n", "line 2"),
-                                         ("a,b\n", "no distance rows")])
+                                         ("a,b\n", "no distance rows"),
+                                         ("0,1,abc\n1,0,1\n2,1,0\n", "line 1")])
 def test_load_distance_csv_names_the_bad_line(tmp_path, text, named):
     p = tmp_path / "d.csv"
     p.write_text(text)

@@ -4,8 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnilab import weight_measures as wm
+from magnilab import mc, weight_measures as wm
 from magnilab.spaces import Circle, Interval, Sphere2
+
+# Mag;N, N = 1..4, from the 240-node spline and quad oracle that the exact
+# recursion replaced, keyed by (L, t)
+SPLINE_ORACLE = {
+    (1.0, 1.0): (0.49999999999957323, 1.2499999999997478, 0.704015069853244,
+                 1.1044566228204342),
+    (0.5, 1.0): (0.4999999999999831, 0.9999999999999875, 0.6741836675359067,
+                 0.8875166481166901),
+    (2.0, 1.0): (0.499999999991267, 1.749999999996776, 0.7330830895888787,
+                 1.5656561845190273),
+    (1.0, 0.5): (0.1967346701436159, 1.4179593142096778, 0.29202042679081686,
+                 1.3336705138395841),
+}
 
 
 class TestHomogeneousWeights:
@@ -85,3 +98,17 @@ class TestIntervalWeightTable:
         assert abs(r2.bruteforce - r2.mc_estimate) < 4 * r2.mc_stderr
         assert abs(r2.paper_formula - r2.bruteforce) > 0.1
         assert abs(r2.corrected_formula - r2.bruteforce) > 0.1
+
+    @pytest.mark.parametrize("L, t", list(SPLINE_ORACLE))
+    def test_bruteforce_matches_spline_oracle(self, L, t):
+        for N, spline in enumerate(SPLINE_ORACLE[L, t], start=1):
+            assert wm.interval_weight_bruteforce(N, L, t) == pytest.approx(spline, abs=1e-10)
+
+    @pytest.mark.parametrize("L, t", [(1.0, 1.0), (2.0, 0.5)])
+    def test_bruteforce_matches_sampling_beyond_order_four(self, L, t):
+        spec = mc.SamplerSpec(Interval(0.0, L, "weight"), seed=5, samples=200_000)
+        series = mc.estimate_partial_magnitude(spec, t, 8)
+        errs = series.partial_sum_errors()
+        for N in range(5, 9):
+            assert abs(wm.interval_weight_bruteforce(N, L, t)
+                       - series.partial_sums[N]) < 4 * errs[N]
