@@ -181,6 +181,13 @@ def _make_space(args):
     return LineLaplace()
 
 
+def _closed_form_terms(space, t: float, N: int) -> list:
+    """Catalog values [a_1, ..., a_N]; None where the catalog has no entry."""
+    if isinstance(space, Interval) and space.measure == "lebesgue":
+        return closed_forms.interval_chain_terms(N, t, space.length, 0.0, 1.0)[1:]
+    return [_closed_form_term(space, n, t) for n in range(1, N + 1)]
+
+
 def _closed_form_term(space, n: int, t: float):
     """Catalog value for a_n, or None if the catalog has no entry."""
     try:
@@ -190,8 +197,6 @@ def _closed_form_term(space, n: int, t: float):
             return closed_forms.sphere_term(n, space.r, t)
         if isinstance(space, FlatTorusUnit) and n == 1:
             return closed_forms.torus_first_term(t)
-        if isinstance(space, Interval) and space.measure == "lebesgue":
-            return closed_forms.interval_term(n, t, space.length)
         if isinstance(space, LineLaplace) and n == 1:
             return closed_forms.laplace_line_first_term(t)
         if isinstance(space, LineGaussian):
@@ -245,16 +250,21 @@ def _run_graph(args) -> int:
 
 def _run_manifold(args) -> int:
     space = _make_space(args)
+    grid = _t_grid(args)
+    if args.method in ("mc", "all"):
+        spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
+        # one draw per order, reduced for the whole grid
+        estimates = {n: mc.estimate_term(spec, n, grid) for n in range(1, args.N + 1)}
     lines = [HEADER]
-    for t in _t_grid(args):
-        for n in range(1, args.N + 1):
-            closed = _closed_form_term(space, n, t)
+    for i, t in enumerate(grid):
+        closed_terms = _closed_form_terms(space, t, args.N)
+        for n, closed in enumerate(closed_terms, start=1):
             if args.method in ("closed", "all") and closed is not None:
                 lines.append(_row(t, n, closed, 0.0, closed, "closed", args.seed))
             if args.method in ("mc", "all"):
-                spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
-                est = mc.estimate_term(spec, n, t)
-                lines.append(_row(t, n, est.value, est.std_error, closed, "mc", args.seed))
+                est = estimates[n]
+                lines.append(_row(t, n, est.value[i], est.std_error[i], closed, "mc",
+                                  args.seed))
     _emit(lines, args.output)
     return EXIT_OK
 

@@ -8,8 +8,11 @@ tags, never by float comparison.
 
 One engine, _map_batches, draws every batch of order-n chains and reduces
 it: to (sum, sum of squares) pairs for every t of a grid, or to histogram
-counts.  The streams do not depend on t, so estimate_term_grid draws an
-order's chains once and shares them across the whole t grid.
+counts.  The streams do not depend on t, so estimate_term, given a sequence
+of t, draws an order's chains once and shares them across the whole grid.
+
+Sphere points are kept as rows (z, sqrt(1 - z^2), phi), so a distance needs
+one cosine: cos(theta) = z1 z2 + s1 s2 cos(phi1 - phi2).
 
 Determinism contract: a fixed batch size, one random stream per (order,
 batch index) derived from the master seed, and reduction in batch order.
@@ -63,9 +66,12 @@ class SamplerSpec:
 
 @dataclass(frozen=True)
 class TermEstimate:
+    """value and std_error are floats for a scalar t, tuples in grid order
+    for a sequence of t."""
+
     n: int
-    value: float
-    std_error: float
+    value: float | tuple[float, ...]
+    std_error: float | tuple[float, ...]
     proper_fraction: float
 
 
@@ -90,8 +96,7 @@ def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Batch:
     if isinstance(sp, Sphere2):
         z = rng.uniform(-1.0, 1.0, size=m)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        s = np.sqrt(1.0 - z * z)
-        return Batch(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]))
+        return Batch(np.stack([z, np.sqrt(1.0 - z * z), phi]))
     if isinstance(sp, FlatTorusUnit):
         return Batch(rng.uniform(0.0, 1.0, size=(m, 2)))
     if isinstance(sp, Interval):
@@ -121,8 +126,16 @@ def geodesic_distance(space: AnalyticSpace, p: np.ndarray, q: np.ndarray) -> np.
         delta = np.abs(p - q)
         return space.r * np.minimum(delta, 2.0 * math.pi - delta)
     if isinstance(space, Sphere2):
-        cosang = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
-        return space.r * np.arccos(cosang)
+        (z1, s1, phi1), (z2, s2, phi2) = p, q
+        cosang = np.subtract(phi1, phi2)
+        np.cos(cosang, out=cosang)
+        cosang *= s1
+        cosang *= s2
+        cosang += z1 * z2
+        np.clip(cosang, -1.0, 1.0, out=cosang)
+        np.arccos(cosang, out=cosang)
+        cosang *= space.r
+        return cosang
     if isinstance(space, FlatTorusUnit):
         delta = np.abs(p - q)
         delta = np.minimum(delta, 1.0 - delta)
@@ -164,27 +177,25 @@ def _map_batches(spec: SamplerSpec, n: int, reduce) -> list:
     return [work(it) for it in items]
 
 
-def estimate_term(spec: SamplerSpec, n: int, t: float) -> TermEstimate:
-    """Monte-Carlo estimate of a_n(t) with a standard error."""
-    return estimate_term_grid(spec, n, [t])[0]
+def estimate_term(spec: SamplerSpec, n: int, t) -> TermEstimate:
+    """Monte-Carlo estimate of a_n(t) with a standard error.
 
-
-def estimate_term_grid(spec: SamplerSpec, n: int, t_grid) -> list[TermEstimate]:
-    """Estimates over a t grid with common random numbers (same chains).
-
-    The chains are drawn once and each batch is reduced for every t, so each
-    estimate is bit-identical to estimate_term at that t.  With shared chains
-    the estimates are strictly decreasing in t whenever at least one sampled
+    t is a float or a sequence of floats.  For a sequence the chains are
+    drawn once and each batch is reduced for every t (common random
+    numbers), value and std_error are tuples in grid order, and each entry
+    is bit-identical to the scalar call at that t.  With shared chains the
+    estimates are strictly decreasing in t whenever at least one sampled
     chain is proper.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t_grid = [float(t) for t in t_grid]
+    scalar = np.ndim(t) == 0
+    t_grid = [float(t)] if scalar else [float(x) for x in t]
 
     def reduce(total, proper):
         sums = []
-        for t in t_grid:
-            vals = np.exp(-t * total) * proper
+        for x in t_grid:
+            vals = np.exp(-x * total) * proper
             sums.append((float(vals.sum()), float((vals * vals).sum())))
         return sums, int(proper.sum())
 
@@ -192,14 +203,16 @@ def estimate_term_grid(spec: SamplerSpec, n: int, t_grid) -> list[TermEstimate]:
     count = spec.samples
     proper_fraction = sum(p for _, p in batches) / count
     scale = spec.total_mass ** (n + 1)
-    out = []
+    values, errors = [], []
     for per_batch in zip(*(sums for sums, _ in batches)):
         mean = math.fsum(s for s, _ in per_batch) / count
         sq = math.fsum(q for _, q in per_batch) / count
         var = max(sq - mean * mean, 0.0)
-        out.append(TermEstimate(n, scale * mean, scale * math.sqrt(var / count),
-                                proper_fraction))
-    return out
+        values.append(scale * mean)
+        errors.append(scale * math.sqrt(var / count))
+    if scalar:
+        return TermEstimate(n, values[0], errors[0], proper_fraction)
+    return TermEstimate(n, tuple(values), tuple(errors), proper_fraction)
 
 
 def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
@@ -273,9 +286,12 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
     if bins < 2:
         raise ValueError("need at least 2 bins")
     edges = np.linspace(0.0, l_max, bins + 1)
+    if not np.all(np.diff(edges) > 0):
+        raise FloatingPointError(
+            f"bin width underflows to 0: l_max = {l_max:.3g} split into {bins} bins")
+    width = edges[1] - edges[0]
     counts = sum(_map_batches(
         spec, n, lambda total, proper: np.histogram(total[proper], bins=edges)[0]))
-    width = edges[1] - edges[0]
     density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
     return edges, density
 

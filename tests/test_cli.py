@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from magnilab import cli
+from magnilab import cli, mc
 
 
 def run_cli(args, env_extra=None):
@@ -127,7 +127,7 @@ def test_catalog_columns():
 
 def test_method_all_multi_seed_agreement():
     """MC agrees with the closed form within 4 sigma for >= 95% of seeds."""
-    from magnilab import closed_forms, mc
+    from magnilab import closed_forms
     from magnilab.spaces import Circle
     hits = 0
     exact = closed_forms.circle_term(1, 1.0, 1.0)
@@ -237,6 +237,8 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
 @pytest.mark.parametrize("args", [
     ["manifold", "--space", "circle", "--r", "1e300", "--t", "1", "--samples", "10"],
     ["weight-check", "--space", "sphere", "--r", "1e-300", "--t", "1", "--samples", "10"],
+    ["manifold", "--space", "interval", "--b", "1e300", "--t", "1e-3", "--method", "closed"],
+    ["length-spectrum", "--space", "circle", "--r", "5e-324", "--n", "2", "--samples", "10"],
 ])
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -262,6 +264,58 @@ def test_length_spectrum_on_interval(tmp_path):
     # the default l-max is the diameter, 2, so the four bins centre on 0.25 ... 1.75
     assert [float(r[0]) for r in rows] == [0.25, 0.75, 1.25, 1.75]
     assert all(float(r[2]) > 0 for r in rows)
+
+
+def test_length_spectrum_bin_width_underflow(capsys):
+    assert cli.run(["length-spectrum", "--space", "circle", "--r", "5e-324", "--n", "2",
+                    "--samples", "1000"]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.startswith("numerical failure: bin width underflows to 0")
+
+
+def test_manifold_draws_each_order_once(monkeypatch, capsys):
+    monkeypatch.setenv("MAGNILAB_THREADS", "2")
+    calls = []
+    sample_batch = mc.sample_batch
+
+    def counted(spec, rng, m):
+        calls.append(m)
+        return sample_batch(spec, rng, m)
+
+    monkeypatch.setattr(mc, "sample_batch", counted)
+    samples, batches = mc.BATCH_SIZE + 1000, 2
+    assert cli.run(["manifold", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
+                    "--samples", str(samples), "--method", "mc"]) == 0
+    # order n draws n + 1 points per chain, once for the whole grid
+    assert len(calls) == sum((n + 1) * batches for n in (1, 2))
+    assert sum(calls) == sum((n + 1) * samples for n in (1, 2))
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2
+
+
+def test_manifold_grid_rows_equal_single_t_rows(capsys):
+    args = ["manifold", "--space", "sphere", "--N", "2", "--samples", "300000", "--seed", "3"]
+
+    def mc_rows(extra):
+        assert cli.run(args + extra) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.split(",")[6] == "mc"]
+
+    singles = [row for t in ("1", "2", "3") for row in mc_rows(["--t", t])]
+    assert mc_rows(["--t-grid", "1", "3", "3"]) == singles
+    assert len(singles) == 6
+
+
+def test_interval_closed_column_at_small_t(capsys):
+    # the float alpha recursion is off by 2.4e-4 in a_3 at tL = 0.001
+    assert cli.run(["manifold", "--space", "interval", "--t", "0.001", "--N", "3",
+                    "--samples", "200000", "--method", "all"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    closed = {int(r[1]): float(r[2]) for r in rows if r[6] == "closed"}
+    estimate = {int(r[1]): (float(r[2]), float(r[3])) for r in rows if r[6] == "mc"}
+    for n in (1, 2, 3):
+        value, std_error = estimate[n]
+        assert abs(closed[n] - value) < 4 * std_error
 
 
 # ---------------------------------------------------------------------------

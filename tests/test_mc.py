@@ -58,11 +58,13 @@ def test_common_random_numbers_on_grid():
     # three batches, so the per-batch sums are combined across batches
     spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=600_000)
     grid = [1.0, 2.0, 3.0]
-    ests = mc.estimate_term_grid(spec, 2, grid)
+    est = mc.estimate_term(spec, 2, grid)
     singles = [mc.estimate_term(spec, 2, t) for t in grid]
-    for g, s in zip(ests, singles):
+    assert len(est.value) == len(est.std_error) == len(grid)
+    for value, std_error, s in zip(est.value, est.std_error, singles):
         # same sample stream reused across the grid
-        assert (g.value, g.std_error) == (s.value, s.std_error)
+        assert (value, std_error) == (s.value, s.std_error)
+        assert est.proper_fraction == s.proper_fraction
 
 
 def test_engine_matches_serial_reference_loop(monkeypatch):
@@ -80,13 +82,31 @@ def test_engine_matches_serial_reference_loop(monkeypatch):
             sums[t].append(float(vals.sum()))
             sqs[t].append(float((vals * vals).sum()))
     scale = spec.total_mass ** (n + 1)
-    for t, est in zip(grid, mc.estimate_term_grid(spec, n, grid)):
+    est = mc.estimate_term(spec, n, grid)
+    for t, value, std_error in zip(grid, est.value, est.std_error):
         mean = math.fsum(sums[t]) / spec.samples
         var = max(math.fsum(sqs[t]) / spec.samples - mean * mean, 0.0)
-        assert est.value == scale * mean
-        assert est.std_error == scale * math.sqrt(var / spec.samples)
+        assert value == scale * mean
+        assert std_error == scale * math.sqrt(var / spec.samples)
     _, density = mc.estimate_length_density(spec, n, 8, 2 * math.pi)
     assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
+
+
+def test_sphere_distance_matches_three_vector_reference():
+    """The (z, phi) cosine equals the dot product of the unit 3-vectors."""
+    r, m = 2.0, 1_000_000
+    spec = mc.SamplerSpec(Sphere2(r))
+    rng = np.random.default_rng(11)
+    p, q = mc.sample_batch(spec, rng, m).coords, mc.sample_batch(spec, rng, m).coords
+    dist = mc.geodesic_distance(spec.space, p, q)
+
+    def unit_vectors(rows):
+        z, s, phi = rows
+        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+    cos_ref = np.clip(np.einsum("ij,ij->i", unit_vectors(p), unit_vectors(q)), -1.0, 1.0)
+    assert np.max(np.abs(np.cos(dist / r) - cos_ref)) <= 2e-15
+    assert np.max(np.abs(dist - r * np.arccos(cos_ref))) <= 1e-9
 
 
 def test_tail_bound_controls_truncation():
