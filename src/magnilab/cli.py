@@ -271,10 +271,11 @@ def _run_manifold(args) -> int:
 
 def _run_weight_check(args) -> int:
     space = Circle(args.r) if args.space == "circle" else Sphere2(args.r)
+    grid = _t_grid(args)
+    checks = weight_measures.weight_partial_magnitude_check(
+        space, grid, args.N, args.samples, args.seed)
     lines = [HEADER]
-    for t in _t_grid(args):
-        rows = weight_measures.weight_partial_magnitude_check(
-            space, t, args.N, args.samples, args.seed)
+    for t, rows in zip(grid, checks):
         for r in rows:
             lines.append(_row(t, r.N, r.value, r.std_error, r.target, "mc", args.seed))
     _emit(lines, args.output)

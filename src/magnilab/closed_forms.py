@@ -19,8 +19,6 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc
 
 # ---------------------------------------------------------------------------
 # circle of radius r, arc-length metric, dvol measure (total 2*pi*r)
@@ -83,6 +81,8 @@ def circle_term_quadrature(n: int, r: float, t: float) -> float:
     For n = 3 this is the constrained-simplex quadrature that freezes the
     catalog prefactor.
     """
+    from scipy import integrate
+
     d = math.pi * r
     val, _ = integrate.quad(
         lambda l: math.exp(-t * l) * float(circle_length_density(n, r, l)),
@@ -163,6 +163,8 @@ def sphere_length_density(n: int, r: float, l) -> np.ndarray:
 
 def sphere_term_quadrature(n: int, r: float, t: float) -> float:
     """Laplace-transform oracle for the sphere catalog."""
+    from scipy import integrate
+
     d = math.pi * r
     val, _ = integrate.quad(
         lambda l: math.exp(-t * l) * float(sphere_length_density(n, r, l)),
@@ -194,6 +196,8 @@ def torus_level_volume(l: float) -> float:
 
 def torus_first_term(t: float) -> float:
     """a_1 on the unit torus: int_0^R exp(-t*l) F(l) dl, split at the kink."""
+    from scipy import integrate
+
     if t <= 0:
         raise ValueError("scale t must be positive")
     part1, _ = integrate.quad(
@@ -208,6 +212,8 @@ def torus_first_term(t: float) -> float:
 
 def torus_arccos_integral(t: float) -> float:
     """int_rho^R exp(-t*l) * l * arccos(1/(2l)) dl (the cut-locus term)."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda l: math.exp(-t * l) * l * math.acos(1.0 / (2.0 * l)),
         TORUS_RHO, TORUS_R, epsabs=1e-13, limit=200,
@@ -246,6 +252,8 @@ def torus_first_term_identity(t: float) -> float:
 
 def _exp_moment(j: int, t: float, L: float) -> float:
     """I_j = int_0^L (u^j / j!) exp(-t*u) du = P(j+1, tL) / t^{j+1}."""
+    from scipy.special import gammainc
+
     return gammainc(j + 1, t * L) / t ** (j + 1)
 
 
@@ -381,6 +389,8 @@ def laplace_line_first_term(t: float) -> float:
 def laplace_line_first_term_quadrature(t: float) -> float:
     """Independent oracle: int_0^inf e^{-tl} 2(1 + l) e^{-l} dl, the Laplace
     transform of the order-1 length density 2(1 + l) e^{-l}."""
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda l: math.exp(-t * l) * 2.0 * (1.0 + l) * math.exp(-l),
                             0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
@@ -407,6 +417,8 @@ def gaussian_line_first_term(t: float) -> float:
     Closed form pi * exp(t^2/2) * erfc(t/sqrt(2)); the quadrature is the
     ground truth and the published alternative is exposed separately.
     """
+    from scipy import integrate
+
     if t < 0:
         raise ValueError("t must be nonnegative")
     val, _ = integrate.quad(
@@ -424,6 +436,8 @@ def gaussian_line_first_term_published(t: float) -> float:
 def _gaussian_reduced_2d(t: float, qa: float, qb: float, c: float) -> float:
     """4*sqrt(pi/3) * int int e^{-t(s1+s2)} e^{-(qa s1^2 + qb s2^2)/3}
     cosh(c s1 s2 / 3) over the positive quadrant, truncated at S = 20."""
+    from scipy import integrate
+
     S = 20.0
 
     def integrand(s1: float, s2: float) -> float:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import closed_forms
 from .finite_mag import chain_series, similarity
@@ -109,6 +108,8 @@ def minimal_energy_configuration(
     Deterministic given the seed; uses an unconstrained parametrization in
     R^{3m} with the unit projection folded into the objective.
     """
+    from scipy.optimize import minimize
+
     if m < 2:
         raise ValueError("need at least 2 points")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

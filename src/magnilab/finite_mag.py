@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MetricValidationError, SingularMatrixError
 from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
@@ -28,6 +27,8 @@ def similarity(dist: np.ndarray, t: float) -> np.ndarray:
 
 def _solve_ones(z: np.ndarray) -> np.ndarray:
     """Solve Z v = 1 by pivoted LU, guarding against near-singularity."""
+    import scipy.linalg
+
     lu, piv = scipy.linalg.lu_factor(z)
     # LAPACK's 1-norm condition estimate from the same factors
     rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(z, 1))

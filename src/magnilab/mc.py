@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import closed_forms
 from .spaces import (AnalyticSpace, Circle, FlatTorusUnit, Interval,
@@ -218,8 +217,10 @@ def estimate_term(spec: SamplerSpec, n: int, t) -> TermEstimate:
 def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
     """c(t) = sup_y int exp(-t*d(x,y)) dmu(x), including the mass scale.
 
-    Closed forms for homogeneous spaces; for the rest, maximize over a
-    basepoint grid with 1-D quadrature.
+    Closed forms for homogeneous spaces and for the two weighted lines, whose
+    weights are symmetric and log-concave, so the leg integral (a convolution
+    of two such functions) peaks at y = 0; the interval maximizes over a
+    basepoint grid.
     """
     sp = spec.space
     s = spec.mass_scale
@@ -240,17 +241,14 @@ def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
                 val += mass * math.exp(-t * abs(loc - sp.a - y))
             best = max(best, val)
         return s * best
-    if isinstance(sp, (LineGaussian, LineLaplace)):
-        dens = (lambda x: math.exp(-x * x)) if isinstance(sp, LineGaussian) else (
-            lambda x: math.exp(-abs(x)))
-        best = 0.0
-        for y in np.linspace(-3.0, 3.0, 25):
-            val, _ = integrate.quad(
-                lambda x: math.exp(-t * abs(x - y)) * dens(x), -40, 40,
-                points=[y], limit=200,
-            )
-            best = max(best, val)
-        return s * best
+    if isinstance(sp, LineLaplace):
+        # int exp(-t|x| - |x|) dx
+        return s * 2.0 / (1.0 + t)
+    if isinstance(sp, LineGaussian):
+        # int exp(-t|x| - x^2) dx = sqrt(pi) exp(t^2/4) erfc(t/2)
+        from scipy.special import erfcx
+
+        return s * math.sqrt(math.pi) * float(erfcx(t / 2.0))
     raise TypeError(f"no leg-integral bound for {type(sp).__name__}")
 
 

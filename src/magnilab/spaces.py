@@ -11,8 +11,6 @@ from itertools import islice
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DisconnectedGraphError, MetricValidationError
 
@@ -171,7 +169,10 @@ class GeodesicGraph:
     def is_unit(self) -> bool:
         return all(w == 1.0 for _, _, w in self.edges)
 
-    def adjacency(self) -> csr_matrix:
+    def adjacency(self):
+        """Symmetric weighted adjacency as a scipy.sparse CSR matrix."""
+        from scipy.sparse import csr_matrix
+
         n = self.vertex_count
         if not self.edges:
             return csr_matrix((n, n))
@@ -187,6 +188,8 @@ def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
 
     Raises DisconnectedGraphError naming an unreachable pair.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     n = g.vertex_count
     if n == 1:
         return FiniteMetricSpace.from_matrix(np.zeros((1, 1)))

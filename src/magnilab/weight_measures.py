@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import closed_forms, mc
-from .spaces import AnalyticSpace, Circle, Interval, Sphere2
+from .spaces import (AnalyticSpace, Circle, Interval, MagnitudeSeries, SeriesTerm,
+                     Sphere2)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,8 @@ def weight_identity_residual(space: AnalyticSpace, t: float) -> float:
     measure is checked pointwise on a 16-point grid with t = 1 being the
     scale at which the identity holds.
     """
+    from scipy import integrate
+
     if isinstance(space, Circle):
         r = space.r
         val, _ = integrate.quad(
@@ -93,24 +95,39 @@ class WeightCheckRow:
 
 
 def weight_partial_magnitude_check(
-    space: AnalyticSpace, t: float, N: int, samples: int, seed: int
-) -> list[WeightCheckRow]:
+    space: AnalyticSpace, t, N: int, samples: int, seed: int
+) -> list:
     """MC partial sums under the weight-normalized measure vs the exact
-    pattern (mu_w(X) for even N, 0 for odd N)."""
-    c_tilde = homogeneous_weight_constant(space, t)
-    mass = homogeneous_weight_mass(space, t)
-    spec = mc.SamplerSpec(space, seed=seed, samples=samples, mass_scale=c_tilde)
+    pattern (mu_w(X) for even N, 0 for odd N).
+
+    t is a float, giving one list of rows, or a sequence of t, giving one
+    list per t.  Only mu_w(X) depends on t, so each order's chains are drawn
+    once from the normalized measure, and the order-n estimates of every t
+    are scaled by that t's mu_w(X)^{n+1}.
+    """
+    scalar = np.ndim(t) == 0
+    grid = [float(t)] if scalar else [float(x) for x in t]
+    masses = [homogeneous_weight_mass(space, x) for x in grid]
+    spec = mc.SamplerSpec(space, seed=seed, samples=samples,
+                          mass_scale=1.0 / space.total_mass)
     # the weight identity holds for the metric t*d, so estimate at scale t
-    series = mc.estimate_partial_magnitude(spec, t, N)
-    errors = series.partial_sum_errors()
-    rows = []
-    for k in range(N + 1):
-        target = mass if k % 2 == 0 else 0.0
-        dev = series.partial_sums[k] - target
-        err = errors[k]
-        rows.append(WeightCheckRow(k, series.partial_sums[k], target, err,
-                                   dev / err if err > 0 else 0.0))
-    return rows
+    estimates = [mc.estimate_term(spec, n, grid) for n in range(1, N + 1)]
+    out = []
+    for i, (x, mass) in enumerate(zip(grid, masses)):
+        terms = tuple(SeriesTerm(order=e.n, value=mass ** (e.n + 1) * e.value[i],
+                                 std_error=mass ** (e.n + 1) * e.std_error[i],
+                                 method="montecarlo") for e in estimates)
+        series = MagnitudeSeries(t=x, total_mass=mass, terms=terms)
+        errors = series.partial_sum_errors()
+        rows = []
+        for k in range(N + 1):
+            target = mass if k % 2 == 0 else 0.0
+            dev = series.partial_sums[k] - target
+            err = errors[k]
+            rows.append(WeightCheckRow(k, series.partial_sums[k], target, err,
+                                       dev / err if err > 0 else 0.0))
+        out.append(rows)
+    return out[0] if scalar else out
 
 
 def scaled_weight_magnitude(space: AnalyticSpace, t: float, c: float) -> float:

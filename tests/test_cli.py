@@ -306,6 +306,69 @@ def test_manifold_grid_rows_equal_single_t_rows(capsys):
     assert len(singles) == 6
 
 
+def test_weight_check_draws_each_order_once(monkeypatch, capsys):
+    monkeypatch.setenv("MAGNILAB_THREADS", "2")
+    calls = []
+    sample_batch = mc.sample_batch
+
+    def counted(spec, rng, m):
+        calls.append(m)
+        return sample_batch(spec, rng, m)
+
+    monkeypatch.setattr(mc, "sample_batch", counted)
+    samples, batches = mc.BATCH_SIZE + 1000, 2
+    assert cli.run(["weight-check", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
+                    "--samples", str(samples)]) == 0
+    assert len(calls) == sum((n + 1) * batches for n in (1, 2))
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
+
+
+def test_weight_check_grid_rows_equal_single_t_rows(capsys):
+    args = ["weight-check", "--space", "circle", "--N", "3", "--samples", "200000", "--seed", "2"]
+
+    def rows(extra):
+        assert cli.run(args + extra) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    singles = [row for t in ("0.5", "1.5", "2.5") for row in rows(["--t", t])]
+    assert rows(["--t-grid", "0.5", "2.5", "3"]) == singles
+
+
+SCIPY_PROBE = """
+import sys
+{code}
+print(*(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def scipy_loaded(code):
+    """The scipy modules a fresh interpreter holds after running code."""
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE.format(code=code)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(res.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["interval-weight", "--N", "4", "--samples", "1000"],
+    ["manifold", "--space", "sphere", "--N", "1", "--samples", "1000", "--t", "1"],
+])
+def test_import_and_scipy_free_subcommands_load_no_scipy(argv):
+    code = "import magnilab.cli" if argv is None else (
+        f"from magnilab import cli; assert cli.run({argv!r}) == 0")
+    assert scipy_loaded(code) == set()
+
+
+def test_finite_loads_only_scipy_linalg(distance_csv):
+    loaded = scipy_loaded(
+        f"from magnilab import cli; assert cli.run(['finite', '--input', {distance_csv!r}, "
+        "'--t', '1', '--method', 'all']) == 0")
+    assert "scipy.linalg" in loaded
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+    assert not [m for m in loaded if m.startswith(unused)]
+
+
 def test_interval_closed_column_at_small_t(capsys):
     # the float alpha recursion is off by 2.4e-4 in a_3 at tL = 0.001
     assert cli.run(["manifold", "--space", "interval", "--t", "0.001", "--N", "3",

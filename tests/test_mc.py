@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from magnilab import closed_forms as cf
 from magnilab import mc
@@ -119,6 +120,23 @@ def test_tail_bound_controls_truncation():
     assert bound > a5 - 1e-12
     # divergent regime yields no bound
     assert mc.tail_bound(spec, 0.05, 4) is None
+
+
+@pytest.mark.parametrize("space, weight", [(LineLaplace(), lambda x: math.exp(-abs(x))),
+                                           (LineGaussian(), lambda x: math.exp(-x * x))])
+def test_line_leg_bound_is_the_leg_integral_at_zero(space, weight):
+    """Both weights are symmetric and log-concave, so the leg integral peaks
+    at y = 0: quadrature there gives c(t), and no basepoint of a 25-point
+    grid over [-3, 3] gives more."""
+    def leg(y, t):
+        val, _ = integrate.quad(lambda x: math.exp(-t * abs(x - y)) * weight(x), -40, 40,
+                                points=[y], limit=200)
+        return val
+
+    for t in (0.1, 1.0, 3.0, 10.0):
+        c = mc.leg_integral_bound(mc.SamplerSpec(space), t)
+        assert c == pytest.approx(leg(0.0, t), rel=1e-8)
+        assert max(leg(y, t) for y in np.linspace(-3.0, 3.0, 25)) <= c * (1 + 1e-12)
 
 
 def test_length_density_histogram_matches_closed_form():
