@@ -253,8 +253,8 @@ def _run_manifold(args) -> int:
     grid = _t_grid(args)
     if args.method in ("mc", "all"):
         spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
-        # one draw per order, reduced for the whole grid
-        estimates = {n: mc.estimate_term(spec, n, grid) for n in range(1, args.N + 1)}
+        # one (N+1)-point chain per draw serves every order and the whole grid
+        est = mc.estimate_term(spec, range(1, args.N + 1), grid)
     lines = [HEADER]
     for i, t in enumerate(grid):
         closed_terms = _closed_form_terms(space, t, args.N)
@@ -262,9 +262,8 @@ def _run_manifold(args) -> int:
             if args.method in ("closed", "all") and closed is not None:
                 lines.append(_row(t, n, closed, 0.0, closed, "closed", args.seed))
             if args.method in ("mc", "all"):
-                est = estimates[n]
-                lines.append(_row(t, n, est.value[i], est.std_error[i], closed, "mc",
-                                  args.seed))
+                value, stderr = est.term(n - 1, i, spec.total_mass)
+                lines.append(_row(t, n, value, stderr, closed, "mc", args.seed))
     _emit(lines, args.output)
     return EXIT_OK
 

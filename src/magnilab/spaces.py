@@ -351,6 +351,9 @@ class MagnitudeSeries:
     total_mass: float
     terms: tuple[SeriesTerm, ...]
     tail_bound: float | None = None
+    #: std error of each partial sum, from the estimator of sampled terms
+    #: (they may share samples); None for exact terms
+    errors: tuple[float, ...] | None = None
     partial_sums: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -364,13 +367,8 @@ class MagnitudeSeries:
         return len(self.terms)
 
     def partial_sum_errors(self) -> tuple[float, ...]:
-        """Std error of each partial sum, combining terms in quadrature."""
-        out = [0.0]
-        acc = 0.0
-        for term in self.terms:
-            acc += term.std_error**2
-            out.append(math.sqrt(acc))
-        return tuple(out)
+        """Std error of each partial sum: errors, or zeros for exact terms."""
+        return self.errors if self.errors is not None else (0.0,) * (self.order + 1)
 
 
 # ---------------------------------------------------------------------------

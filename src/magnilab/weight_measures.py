@@ -24,8 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import closed_forms, mc
-from .spaces import (AnalyticSpace, Circle, Interval, MagnitudeSeries, SeriesTerm,
-                     Sphere2)
+from .spaces import AnalyticSpace, Circle, Interval, Sphere2
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +38,14 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
     Sphere2(r): (t^2 r^2 + 1) / (2 pi r^2 (1 + e^{-t pi r})).
     """
     if isinstance(space, Circle):
-        return 1.0 / closed_forms.circle_leg_integral(space.r, t)
-    if isinstance(space, Sphere2):
-        return 1.0 / closed_forms.sphere_leg_integral(space.r, t)
-    raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
+        c = 1.0 / closed_forms.circle_leg_integral(space.r, t)
+    elif isinstance(space, Sphere2):
+        c = 1.0 / closed_forms.sphere_leg_integral(space.r, t)
+    else:
+        raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
+    if not math.isfinite(c):
+        raise OverflowError(f"weight constant 1/J(t) overflows at r = {space.r:g}, t = {t:g}")
+    return c
 
 
 def homogeneous_weight_mass(space: AnalyticSpace, t: float) -> float:
@@ -101,23 +104,19 @@ def weight_partial_magnitude_check(
     pattern (mu_w(X) for even N, 0 for odd N).
 
     t is a float, giving one list of rows, or a sequence of t, giving one
-    list per t.  Only mu_w(X) depends on t, so each order's chains are drawn
-    once from the normalized measure, and the order-n estimates of every t
-    are scaled by that t's mu_w(X)^{n+1}.
+    list per t.  Only mu_w(X) depends on t, so one set of (N+1)-point chains
+    is drawn from the normalized measure for every order and t, and each t
+    reads its partial sums and their errors with total mass mu_w(X).
     """
     scalar = np.ndim(t) == 0
     grid = [float(t)] if scalar else [float(x) for x in t]
     masses = [homogeneous_weight_mass(space, x) for x in grid]
-    spec = mc.SamplerSpec(space, seed=seed, samples=samples,
-                          mass_scale=1.0 / space.total_mass)
     # the weight identity holds for the metric t*d, so estimate at scale t
-    estimates = [mc.estimate_term(spec, n, grid) for n in range(1, N + 1)]
+    est = mc.estimate_term(mc.SamplerSpec(space, seed=seed, samples=samples),
+                           range(1, N + 1), grid)
     out = []
-    for i, (x, mass) in enumerate(zip(grid, masses)):
-        terms = tuple(SeriesTerm(order=e.n, value=mass ** (e.n + 1) * e.value[i],
-                                 std_error=mass ** (e.n + 1) * e.std_error[i],
-                                 method="montecarlo") for e in estimates)
-        series = MagnitudeSeries(t=x, total_mass=mass, terms=terms)
+    for i, mass in enumerate(masses):
+        series = est.series(i, mass)
         errors = series.partial_sum_errors()
         rows = []
         for k in range(N + 1):
@@ -206,9 +205,48 @@ def cluster_stats(lam: OrderedPartition) -> tuple[int, int]:
 # interval weight measure: composition formula vs corrected vs brute force
 # ---------------------------------------------------------------------------
 
-#: largest order of the comparison table; the composition sums enumerate
-#: 2^N - 1 compositions at order N
+#: largest order of the comparison table
 MAX_N = 20
+
+
+def _composition_weights(s: int, one: int) -> list[int]:
+    """[sum of one^(number of parts 1) * 2^f over the compositions of s with
+    cluster statistic g, for g = 0..s], f and g as in cluster_stats.
+
+    A dynamic program over the parts; its one state is whether the last part
+    is >= 2.  A part >= 2 after a part 1 (or at the start) opens a run, f + 1;
+    after a part >= 2 it extends the run, g + 1.
+    """
+    ends_one = [[1] + [0] * s]  # the empty composition opens no run
+    ends_big = [[0] * (s + 1)]
+    for total in range(1, s + 1):
+        ends_one.append([one * (a + b) for a, b in zip(ends_one[-1], ends_big[-1])])
+        big = [0] * (s + 1)
+        for p in range(2, total + 1):
+            after_one, after_big = ends_one[total - p], ends_big[total - p]
+            for g in range(s + 1):
+                big[g] += 2 * after_one[g] + (after_big[g - 1] if g else 0)
+        ends_big.append(big)
+    return [a + b for a, b in zip(ends_one[s], ends_big[s])]
+
+
+@lru_cache(maxsize=MAX_N)
+def composition_coefficients(n: int) -> tuple[tuple[int, ...], tuple]:
+    """(plain, mass) coefficients by g of the order-n composition sums.
+
+    Over the compositions lambda of n+1 with a part >= 2, plain[g] sums 2^f
+    and mass[g] sums 2^f (1/2)^rep over those with statistic g, where rep is
+    the sum of the parts >= 2.  (1/2)^rep = 2^{(number of parts 1) - (n+1)},
+    so both are counted by _composition_weights; the all-ones composition
+    (f = g = rep = 0) is then taken out.
+    """
+    from fractions import Fraction
+
+    plain = _composition_weights(n + 1, 1)
+    scaled = _composition_weights(n + 1, 2)
+    plain[0] -= 1
+    scaled[0] -= 2 ** (n + 1)
+    return tuple(plain), tuple(Fraction(c, 2 ** (n + 1)) for c in scaled)
 
 
 def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[float, float]:
@@ -220,24 +258,23 @@ def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[flo
     Corrected: alternating bookkeeping with the non-proper mass per lambda
     additionally carrying the atom masses (1/2)^{sum of parts >= 2}:
     mu_w + sum_n (-1)^n (mu_w - sum_lambda 2^f e^{-t L g} (1/2)^{rep}).
+
+    The sums over lambda come from composition_coefficients; each value is
+    summed exactly from the float e^{-t L g} and rounded once.
     """
     if N > MAX_N:
-        raise ValueError(f"composition enumeration is exponential; N <= {MAX_N}")
-    mass = 1.0 + L / 2.0
-    verbatim = mass
-    corrected = mass
+        raise ValueError(f"the comparison table stops at N = {MAX_N}")
+    from fractions import Fraction
+
+    mass = Fraction(1.0 + L / 2.0)
+    decay = [Fraction(math.exp(-t * L * g)) for g in range(N + 2)]
+    verbatim = corrected = mass
     for n in range(1, N + 1):
-        s_plain = 0.0
-        s_mass = 0.0
-        for lam in enumerate_partitions(n):
-            f, g = cluster_stats(lam)
-            term = 2.0**f * math.exp(-t * L * g)
-            s_plain += term
-            rep = sum(p for p in lam.parts if p >= 2)
-            s_mass += term * 0.5**rep
-        verbatim -= (-1.0) ** n * s_plain
-        corrected += (-1.0) ** n * (mass - s_mass)
-    return verbatim, corrected
+        plain, atom_mass = composition_coefficients(n)
+        sign = (-1) ** n
+        verbatim -= sign * sum(c * x for c, x in zip(plain, decay))
+        corrected += sign * (mass - sum(c * x for c, x in zip(atom_mass, decay)))
+    return float(verbatim), float(corrected)
 
 
 # An lru_cache because bench/traced_cli.py reports its cache_info() after

@@ -239,6 +239,9 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
     ["weight-check", "--space", "sphere", "--r", "1e-300", "--t", "1", "--samples", "10"],
     ["manifold", "--space", "interval", "--b", "1e300", "--t", "1e-3", "--method", "closed"],
     ["length-spectrum", "--space", "circle", "--r", "5e-324", "--n", "2", "--samples", "10"],
+    # r^2 is subnormal: J(t) is tiny but nonzero, and 1/J(t) overflows to inf
+    ["weight-check", "--space", "sphere", "--r", "1e-160", "--t", "1", "--N", "2",
+     "--samples", "10"],
 ])
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -287,9 +290,9 @@ def test_manifold_draws_each_order_once(monkeypatch, capsys):
     samples, batches = mc.BATCH_SIZE + 1000, 2
     assert cli.run(["manifold", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
                     "--samples", str(samples), "--method", "mc"]) == 0
-    # order n draws n + 1 points per chain, once for the whole grid
-    assert len(calls) == sum((n + 1) * batches for n in (1, 2))
-    assert sum(calls) == sum((n + 1) * samples for n in (1, 2))
+    # one 3-point chain per draw serves both orders and the whole grid
+    assert len(calls) == 3 * batches
+    assert sum(calls) == 3 * samples
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2
 
 
@@ -306,6 +309,19 @@ def test_manifold_grid_rows_equal_single_t_rows(capsys):
     assert len(singles) == 6
 
 
+def test_manifold_order_one_rows_do_not_depend_on_N(capsys):
+    args = ["manifold", "--space", "sphere", "--t-grid", "1", "3", "3", "--samples",
+            str(mc.BATCH_SIZE + 1000), "--seed", "3"]
+
+    def rows(N):
+        assert cli.run(args + ["--N", N]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()[1:]
+                if line.split(",")[1] == "1"]
+
+    one, two = rows("1"), rows("2")
+    assert one == two and len(one) == 2 * 3
+
+
 def test_weight_check_draws_each_order_once(monkeypatch, capsys):
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
     calls = []
@@ -319,7 +335,8 @@ def test_weight_check_draws_each_order_once(monkeypatch, capsys):
     samples, batches = mc.BATCH_SIZE + 1000, 2
     assert cli.run(["weight-check", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
                     "--samples", str(samples)]) == 0
-    assert len(calls) == sum((n + 1) * batches for n in (1, 2))
+    assert len(calls) == 3 * batches
+    assert sum(calls) == 3 * samples
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
 
 

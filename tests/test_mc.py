@@ -20,6 +20,18 @@ def test_worker_count_env(monkeypatch):
     assert mc.worker_count() >= 1
 
 
+def test_worker_count_auto_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("MAGNILAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert mc.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)), raising=False)
+    assert mc.worker_count() == 8
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert mc.worker_count() == 2
+
+
 def test_estimate_is_seed_deterministic():
     spec = mc.SamplerSpec(Circle(1.0), seed=5, samples=100_000)
     a = mc.estimate_term(spec, 2, 1.0)
@@ -68,29 +80,103 @@ def test_common_random_numbers_on_grid():
         assert est.proper_fraction == s.proper_fraction
 
 
+def _serial_chains(spec, N):
+    """Per batch, (prefix lengths, prefix proper indicators) of the chains:
+    N + 1 points drawn in turn from the batch's stream, then the legs."""
+    out = []
+    for idx, start in enumerate(range(0, spec.samples, mc.BATCH_SIZE)):
+        m = min(mc.BATCH_SIZE, spec.samples - start)
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, idx))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        points = [mc.sample_batch(spec, rng, m) for _ in range(N + 1)]
+        total, proper = np.zeros(m), np.ones(m, dtype=bool)
+        lengths, propers = [], []
+        for a, b in zip(points, points[1:]):
+            total = total + mc.geodesic_distance(spec.space, a.coords, b.coords)
+            if a.tags is not None:
+                proper = proper & ~((a.tags > 0) & (a.tags == b.tags))
+            lengths.append(total)
+            propers.append(proper)
+        out.append((lengths, propers))
+    return out
+
+
 def test_engine_matches_serial_reference_loop(monkeypatch):
-    """Threaded grid and histogram equal a serial loop over the (order, batch)
+    """Threaded grid, orders and histogram equal a serial loop over the batch
     streams, with per-batch sums combined by fsum in batch order."""
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
-    n, grid, edges = 2, [0.5, 2.0], np.linspace(0.0, 2 * math.pi, 9)
+    N, grid, edges = 2, [0.5, 2.0], np.linspace(0.0, 2 * math.pi, 9)
     spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE + 1000)
-    sums, sqs, counts = {t: [] for t in grid}, {t: [] for t in grid}, 0
-    for idx, m in enumerate([mc.BATCH_SIZE, mc.BATCH_SIZE, 1000]):
-        total, proper = mc._chain_batch(spec, mc._stream(spec, n, idx), n, m)
-        counts = counts + np.histogram(total[proper], bins=edges)[0]
+    sums, cross, counts = {}, {}, 0
+    for lengths, propers in _serial_chains(spec, N):
+        counts = counts + np.histogram(lengths[N - 1][propers[N - 1]], bins=edges)[0]
         for t in grid:
-            vals = np.exp(-t * total) * proper
-            sums[t].append(float(vals.sum()))
-            sqs[t].append(float((vals * vals).sum()))
-    scale = spec.total_mass ** (n + 1)
-    est = mc.estimate_term(spec, n, grid)
-    for t, value, std_error in zip(grid, est.value, est.std_error):
-        mean = math.fsum(sums[t]) / spec.samples
-        var = max(math.fsum(sqs[t]) / spec.samples - mean * mean, 0.0)
-        assert value == scale * mean
-        assert std_error == scale * math.sqrt(var / spec.samples)
-    _, density = mc.estimate_length_density(spec, n, 8, 2 * math.pi)
+            vals = [np.exp(-t * total) * proper for total, proper in zip(lengths, propers)]
+            for j in range(N):
+                sums.setdefault((t, j), []).append(float(vals[j].sum()))
+                for k in range(N):
+                    cross.setdefault((t, j, k), []).append(float((vals[j] * vals[k]).sum()))
+    est = mc.estimate_term(spec, range(1, N + 1), grid)
+    single = mc.estimate_term(spec, N, grid)
+    for i, t in enumerate(grid):
+        for j in range(N):
+            mean = math.fsum(sums[t, j]) / spec.samples
+            assert est.mean[i, j] == mean
+            for k in range(N):
+                assert est.moment[i, j, k] == math.fsum(cross[t, j, k]) / spec.samples
+            var = max(math.fsum(cross[t, j, j]) / spec.samples - mean * mean, 0.0)
+            scale = spec.total_mass ** (j + 2)
+            assert est.term(j, i, spec.total_mass) == (
+                scale * mean, scale * math.sqrt(var / spec.samples))
+        # an order's estimate does not depend on the other orders asked for
+        assert (single.value[i], single.std_error[i]) == est.term(N - 1, i, spec.total_mass)
+    scale = spec.total_mass ** (N + 1)
+    _, density = mc.estimate_length_density(spec, N, 8, 2 * math.pi)
     assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
+
+
+def test_partial_sum_errors_match_per_chain_alternating_sums():
+    """The cross-moment errors equal those of the per-chain alternating sums
+    s_k = sum_{n<=k} (-1)^n mu^{n+1} v_n.  The two round differently, so they
+    agree to a relative 1e-9, far below any statistical meaning."""
+    N, t = 6, 1.0
+    spec = mc.SamplerSpec(Interval(0.0, 1.0, "weight"), seed=7, samples=mc.BATCH_SIZE + 5000)
+    mass = spec.total_mass
+    sums, sqs = [[] for _ in range(N)], [[] for _ in range(N)]
+    for lengths, propers in _serial_chains(spec, N):
+        s = np.zeros(len(lengths[0]))
+        for k, (total, proper) in enumerate(zip(lengths, propers)):
+            s = s + (-1.0) ** (k + 1) * mass ** (k + 2) * (np.exp(-t * total) * proper)
+            sums[k].append(float(s.sum()))
+            sqs[k].append(float((s * s).sum()))
+    series = mc.estimate_partial_magnitude(spec, t, N)
+    errors = series.partial_sum_errors()
+    assert errors[0] == 0.0
+    quadrature = 0.0
+    for k in range(N):
+        mean = math.fsum(sums[k]) / spec.samples
+        var = math.fsum(sqs[k]) / spec.samples - mean * mean
+        assert series.partial_sums[k + 1] == pytest.approx(mass + mean, rel=1e-12)
+        assert errors[k + 1] == pytest.approx(math.sqrt(var / spec.samples), rel=1e-9)
+        quadrature = math.hypot(quadrature, series.terms[k].std_error)
+    # consecutive terms are positively correlated, so their alternating sum
+    # varies less than independent terms would
+    assert errors[N] < quadrature
+
+
+def test_multi_order_estimate_independent_of_thread_count():
+    code = (
+        "from magnilab import mc; from magnilab.spaces import Interval; "
+        "e = mc.estimate_term(mc.SamplerSpec(Interval(0.0, 1.0, 'weight'), seed=3, "
+        "samples=600000), range(1, 4), [0.5, 2.0]); "
+        "print(e.mean.tolist(), e.moment.tolist(), e.proper_fraction)"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, MAGNILAB_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0].strip()
 
 
 def test_sphere_distance_matches_three_vector_reference():

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,41 @@ class TestPartitions:
         for lam in wm.enumerate_partitions(n):
             assert sum(lam.parts) == n + 1
             assert any(p >= 2 for p in lam.parts)
+
+    def test_counted_coefficients_equal_the_enumeration(self):
+        for n in range(1, 15):
+            plain, mass = Counter(), Counter()
+            for lam in wm.enumerate_partitions(n):
+                f, g = wm.cluster_stats(lam)
+                rep = sum(p for p in lam.parts if p >= 2)
+                plain[g] += 2**f
+                mass[g] += Fraction(2**f, 2**rep)
+            dp_plain, dp_mass = wm.composition_coefficients(n)
+            assert {g: c for g, c in enumerate(dp_plain) if c} == plain
+            assert {g: c for g, c in enumerate(dp_mass) if c} == mass
+
+
+def enumerated_partition_sum(N, L, t):
+    """The composition formulas summed term by term over every composition."""
+    mass = 1.0 + L / 2.0
+    verbatim = corrected = mass
+    for n in range(1, N + 1):
+        s_plain = s_mass = 0.0
+        for lam in wm.enumerate_partitions(n):
+            f, g = wm.cluster_stats(lam)
+            term = 2.0**f * math.exp(-t * L * g)
+            s_plain += term
+            s_mass += term * 0.5 ** sum(p for p in lam.parts if p >= 2)
+        verbatim -= (-1.0) ** n * s_plain
+        corrected += (-1.0) ** n * (mass - s_mass)
+    return verbatim, corrected
+
+
+@pytest.mark.parametrize("N, L, t", [(4, 1.0, 1.0), (12, 1.0, 1.0), (12, 2.0, 0.5)])
+def test_counted_formulas_print_the_enumerated_digits(N, L, t):
+    counted = wm.interval_weight_partition_sum(N, L, t)
+    assert [f"{x:.12g}" for x in counted] == [
+        f"{x:.12g}" for x in enumerated_partition_sum(N, L, t)]
 
 
 class TestIntervalWeightTable:
