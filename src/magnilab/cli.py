@@ -96,7 +96,7 @@ def _add_t_args(p):
 def _add_common(p):
     _add_t_args(p)
     p.add_argument("--N", type=_int_in(0), default=3)
-    p.add_argument("--samples", type=_int_in(1), default=1_000_000)
+    p.add_argument("--samples", type=_int_in(2), default=1_000_000)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_in(1), default=1)
     p.add_argument("--bins", type=_int_in(2), default=64)
     p.add_argument("--l-max", type=float, default=None)
-    p.add_argument("--samples", type=_int_in(1), default=1_000_000)
+    p.add_argument("--samples", type=_int_in(2), default=1_000_000)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None)
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--N", type=_int_in(0, weight_measures.MAX_N), default=3)
-    p.add_argument("--samples", type=_int_in(1), default=200_000)
+    p.add_argument("--samples", type=_int_in(2), default=200_000)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None)
 
@@ -293,7 +293,8 @@ def _run_length_spectrum(args) -> int:
     if not _positive(l_max):
         raise MetricValidationError("--l-max must be finite and strictly positive")
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
-    edges, density = mc.estimate_length_density(spec, n, args.bins, l_max)
+    edges, density, counts = mc.estimate_length_density(spec, n, args.bins, l_max)
+    stderr = mc.length_density_stderr(spec, n, edges[1] - edges[0], counts)
     lines = [HEADER]
     for i in range(args.bins):
         center = 0.5 * (edges[i] + edges[i + 1])
@@ -310,7 +311,7 @@ def _run_length_spectrum(args) -> int:
                 pass
         elif isinstance(space, LineGaussian) and n == 1:
             closed = math.sqrt(2 * math.pi) * math.exp(-center * center / 2)
-        lines.append(_row(center, n, density[i], 0.0, closed, "mc", args.seed))
+        lines.append(_row(center, n, density[i], stderr[i], closed, "mc", args.seed))
     _emit(lines, args.output)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ proper chains, computed by matrix-vector powers of Y = Z - I.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -29,7 +30,10 @@ def _solve_ones(z: np.ndarray) -> np.ndarray:
     """Solve Z v = 1 by pivoted LU, guarding against near-singularity."""
     import scipy.linalg
 
-    lu, piv = scipy.linalg.lu_factor(z)
+    with warnings.catch_warnings():
+        # an exactly singular factor also warns; dgecon below reports it
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(z)
     # LAPACK's 1-norm condition estimate from the same factors
     rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(z, 1))
     cond = 1.0 / rcond if rcond > 0 else math.inf

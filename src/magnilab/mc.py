@@ -15,8 +15,21 @@ grid, or to histogram counts.  The chains do not depend on t, so
 estimate_term draws them once for all its orders and the whole grid, and the
 cross moments give the error of any partial sum of the shared terms.
 
-Sphere points are kept as rows (z, sqrt(1 - z^2), phi), so a distance needs
-one cosine: cos(theta) = z1 z2 + s1 s2 cos(phi1 - phi2).
+Each worker of a call keeps one scratch set for the whole call: two point
+slots that the chain's points alternate between, and the prefix lengths and
+indicators.  sample_batch and geodesic_distance write into it through their
+out arguments, and the reduce writes its chain values and products into the
+point slots, which are dead by then; only the sphere distance still takes a
+temporary per leg.  The set lives in a threading.local made per call, so it
+is gone when the call returns.  Draws are rng.random(out=...) followed by
+the in-place affine map, bit-identical to rng.uniform(lo, hi).
+
+Sphere points are kept as rows (z, sqrt(1 - z^2), phi), and
+cos(theta) = z1 z2 + s1 s2 cos(phi1 - phi2), with the cosine taken from the
+half angle: cos(d) = (1 - u^2) / (1 + u^2), u = tan(d / 2), within 4.4e-16
+of np.cos.  NumPy vectorises float64 tan only on AVX512 machines, where
+np.cos runs in scalar libm and costs about ten times more; elsewhere both
+forms cost one libm call per leg.
 
 Determinism contract: a fixed batch size, one random stream per batch index
 derived from the master seed, and reduction in batch order.  Estimates are
@@ -26,6 +39,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,94 +150,176 @@ class Batch:
     tags: np.ndarray | None = None
 
 
-def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Batch:
-    """Draw m points from the normalized measure of the space."""
+def _empty_batch(space: AnalyticSpace, m: int) -> Batch:
+    """Uninitialised arrays for m points of the space, as sample_batch fills them."""
+    if isinstance(space, Sphere2):
+        return Batch((np.empty(m), np.empty(m), np.empty(m)))
+    if isinstance(space, FlatTorusUnit):
+        return Batch(np.empty((m, 2)))
+    atoms = isinstance(space, Interval) and space.measure != "lebesgue"
+    return Batch(np.empty(m), np.empty(m, dtype=np.int8) if atoms else None)
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(lo, hi) drawn into out: lo + (hi - lo) * u, bit for bit."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int,
+                 out: Batch | None = None) -> Batch:
+    """Draw m points from the normalized measure of the space.
+
+    out, a Batch from a call on the same space with at least m points, takes
+    the draws in its first m entries; the result views them.  Without it
+    the arrays are new.  Both give the same bits.
+    """
     sp = spec.space
+    if out is None:
+        out = _empty_batch(sp, m)
+    if isinstance(out.coords, tuple):
+        coords = tuple(c[:m] for c in out.coords)
+    else:
+        coords = out.coords[:m]
+    tags = None if out.tags is None else out.tags[:m]
     if isinstance(sp, Circle):
-        return Batch(rng.uniform(0.0, 2.0 * math.pi, size=m))
-    if isinstance(sp, Sphere2):
-        z = rng.uniform(-1.0, 1.0, size=m)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        return Batch((z, np.sqrt(1.0 - z * z), phi))
-    if isinstance(sp, FlatTorusUnit):
-        return Batch(rng.uniform(0.0, 1.0, size=(m, 2)))
-    if isinstance(sp, Interval):
-        if sp.measure == "lebesgue":
-            return Batch(rng.uniform(sp.a, sp.b, size=m))
-        # atoms a, b each carry probability (1/2)/(1 + L/2)
+        _uniform(rng, 0.0, 2.0 * math.pi, coords)
+    elif isinstance(sp, Sphere2):
+        z, s, phi = coords
+        _uniform(rng, -1.0, 1.0, z)
+        _uniform(rng, 0.0, 2.0 * math.pi, phi)
+        np.multiply(z, z, out=s)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)
+    elif isinstance(sp, FlatTorusUnit):
+        _uniform(rng, 0.0, 1.0, coords)
+    elif isinstance(sp, Interval) and sp.measure == "lebesgue":
+        _uniform(rng, sp.a, sp.b, coords)
+    elif isinstance(sp, Interval):
+        # atoms a, b each carry probability (1/2)/(1 + L/2); the selector u
+        # is drawn first, into the array the positions overwrite next
         p_atom = 0.5 / sp.total_mass
-        u = rng.uniform(0.0, 1.0, size=m)
-        x = rng.uniform(sp.a, sp.b, size=m)
-        tags = np.zeros(m, dtype=np.int8)
+        u = _uniform(rng, 0.0, 1.0, coords)
+        tags.fill(0)
         tags[u < p_atom] = 1
         tags[(u >= p_atom) & (u < 2 * p_atom)] = 2
+        x = _uniform(rng, sp.a, sp.b, coords)
         x[tags == 1] = sp.a
         x[tags == 2] = sp.b
-        return Batch(x, tags)
-    if isinstance(sp, LineGaussian):
-        # density proportional to exp(-x^2) -> normal with sigma = 1/sqrt(2)
-        return Batch(rng.normal(0.0, 1.0 / math.sqrt(2.0), size=m))
-    if isinstance(sp, LineLaplace):
-        return Batch(rng.laplace(0.0, 1.0, size=m))
-    raise TypeError(f"no sampler for {type(sp).__name__}")
+    elif isinstance(sp, LineGaussian):
+        # density proportional to exp(-x^2) -> normal with sigma = 1/sqrt(2),
+        # drawn as rng.normal(0, sigma) draws it: 0 + sigma * z
+        rng.standard_normal(out=coords)
+        coords *= 1.0 / math.sqrt(2.0)
+    elif isinstance(sp, LineLaplace):
+        coords[...] = rng.laplace(0.0, 1.0, size=m)
+    else:
+        raise TypeError(f"no sampler for {type(sp).__name__}")
+    return Batch(coords, tags)
 
 
-def geodesic_distance(space: AnalyticSpace, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized intrinsic distance between sampled point arrays."""
-    if isinstance(space, Circle):
-        delta = np.abs(p - q)
-        return space.r * np.minimum(delta, 2.0 * math.pi - delta)
+def _half_angle_cos(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """cos(d) in place of d, as (1 - u^2) / (1 + u^2) with u = tan(d / 2).
+
+    tmp is scratch of d's shape.  Within 4.4e-16 of np.cos for |d| < 2 pi;
+    u^2 stays finite, because tan of a double never exceeds 1.7e16.
+    """
+    d *= 0.5
+    np.tan(d, out=d)
+    d *= d
+    np.subtract(1.0, d, out=tmp)
+    d += 1.0
+    return np.divide(tmp, d, out=d)
+
+
+def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized intrinsic distance between sampled point arrays, written
+    into out (new if None) and returned."""
     if isinstance(space, Sphere2):
         (z1, s1, phi1), (z2, s2, phi2) = p, q
-        cosang = np.subtract(phi1, phi2)
-        np.cos(cosang, out=cosang)
+        cosang = np.subtract(phi1, phi2, out=out)
+        tmp = np.empty_like(cosang)
+        _half_angle_cos(cosang, tmp)
         cosang *= s1
         cosang *= s2
-        cosang += z1 * z2
+        cosang += np.multiply(z1, z2, out=tmp)
         np.clip(cosang, -1.0, 1.0, out=cosang)
         np.arccos(cosang, out=cosang)
         cosang *= space.r
         return cosang
+    if isinstance(space, Circle):
+        delta = np.subtract(p, q, out=out)
+        np.abs(delta, out=delta)
+        np.minimum(delta, 2.0 * math.pi - delta, out=delta)
+        delta *= space.r
+        return delta
     if isinstance(space, FlatTorusUnit):
         delta = np.abs(p - q)
-        delta = np.minimum(delta, 1.0 - delta)
-        return np.sqrt((delta**2).sum(axis=1))
+        np.minimum(delta, 1.0 - delta, out=delta)
+        delta *= delta
+        return np.sqrt(delta.sum(axis=1), out=out)
     if isinstance(space, (Interval, LineGaussian, LineLaplace)):
-        return np.abs(p - q)
+        delta = np.subtract(p, q, out=out)
+        return np.abs(delta, out=delta)
     raise TypeError(f"no metric for {type(space).__name__}")
 
 
+class _Scratch:
+    """One worker's arrays for batches of up to `size` chains of N legs."""
+
+    def __init__(self, space: AnalyticSpace, size: int, N: int):
+        self.slots = (_empty_batch(space, size), _empty_batch(space, size))
+        self.totals = np.empty((N, size))
+        atoms = self.slots[0].tags is not None
+        self.propers = np.empty((N, size), dtype=bool) if atoms else None
+
+
 def _map_batches(spec: SamplerSpec, N: int, reduce) -> list:
-    """reduce(totals, propers) on every batch of (N+1)-point chains.
+    """reduce(totals, propers, spare) on every batch of (N+1)-point chains.
 
     Each chain grows one sampled point at a time: totals[n - 1] is the length
     of its n-leg prefix, the order-n chain, and propers[n - 1] the running AND
-    of the per-leg proper indicators (None on a space without atoms).  Batch
-    idx draws from the stream with spawn key (1, idx), the key order-1 chains
-    have always used, and the results come back in batch order whatever the
-    worker count.
+    of the per-leg proper indicators (None on a space without atoms).  spare
+    lists float arrays of the batch's length that are dead by the reduce;
+    the reduce may write into them and into totals, and must return arrays
+    of its own, because the next batch of the worker reuses all of them.
+    Batch idx draws from the stream with spawn key (1, idx), the key order-1
+    chains have always used, and the results come back in batch order
+    whatever the worker count.
     """
     starts = range(0, spec.samples, BATCH_SIZE)
     items = [(idx, min(BATCH_SIZE, spec.samples - start)) for idx, start in enumerate(starts)]
+    size = items[0][1] if items else 0  # the first batch is the largest
+    local = threading.local()  # each worker's scratch set, for this call only
 
     def work(item):
         idx, m = item
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = _Scratch(spec.space, size, N)
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, idx))
         rng = np.random.Generator(np.random.PCG64(ss))
-        prev = sample_batch(spec, rng, m)
-        total = np.zeros(m)
-        proper = None if prev.tags is None else np.ones(m, dtype=bool)
-        totals, propers = [], []
-        for _ in range(N):
-            point = sample_batch(spec, rng, m)
-            total = total + geodesic_distance(spec.space, prev.coords, point.coords)
-            if proper is not None:
-                proper = proper & ~((prev.tags > 0) & (prev.tags == point.tags))
-            totals.append(total)
-            propers.append(proper)
+        totals = [row[:m] for row in scratch.totals]
+        propers = [None] * N if scratch.propers is None else [row[:m] for row in scratch.propers]
+        prev = sample_batch(spec, rng, m, out=scratch.slots[0])
+        for n in range(N):
+            point = sample_batch(spec, rng, m, out=scratch.slots[(n + 1) % 2])
+            geodesic_distance(spec.space, prev.coords, point.coords, out=totals[n])
+            if n:
+                totals[n] += totals[n - 1]
+            if propers[n] is not None:
+                np.greater(prev.tags, 0, out=propers[n])
+                propers[n] &= prev.tags == point.tags
+                np.logical_not(propers[n], out=propers[n])
+                if n:
+                    propers[n] &= propers[n - 1]
             prev = point
-        prev = point = None  # the reduce runs without the last point in memory
-        return reduce(totals, propers)
+        # the point slots are dead once the last leg is measured
+        spare = [c.reshape(-1)[:m] for slot in scratch.slots
+                 for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,))]
+        return reduce(totals, propers, spare)
 
     if len(items) > 1 and worker_count() > 1:
         with ThreadPoolExecutor(max_workers=worker_count()) as ex:
@@ -260,14 +356,18 @@ def estimate_term(spec: SamplerSpec, n, t) -> TermEstimate | ChainEstimate:
     grid = (float(t),) if np.ndim(t) == 0 else tuple(float(x) for x in t)
     K, T, count = len(orders), len(grid), spec.samples
 
-    def reduce(totals, propers):
+    def reduce(totals, propers, spare):
+        # every t but the last writes its values into dead arrays, and the
+        # last over the lengths, which it needs no more
+        need = 1 + (K if T > 1 else 0)
+        bufs = spare[:need] + [np.empty_like(totals[0]) for _ in range(need - len(spare))]
+        prod, values = bufs[0], bufs[1:]
         sums, moments = np.empty((T, K)), np.empty((T, K, K))
         for i, x in enumerate(grid):
-            # the last t needs the lengths no more: its values overwrite them
             last = i == T - 1
             vals = []
-            for k in orders:
-                v = np.multiply(totals[k - 1], -x, out=totals[k - 1] if last else None)
+            for j, k in enumerate(orders):
+                v = np.multiply(totals[k - 1], -x, out=totals[k - 1] if last else values[j])
                 np.exp(v, out=v)
                 if propers[k - 1] is not None:
                     v *= propers[k - 1]
@@ -275,7 +375,7 @@ def estimate_term(spec: SamplerSpec, n, t) -> TermEstimate | ChainEstimate:
             for j, a in enumerate(vals):
                 sums[i, j] = a.sum()
                 for k in range(j, K):
-                    moments[i, j, k] = moments[i, k, j] = (a * vals[k]).sum()
+                    moments[i, j, k] = moments[i, k, j] = np.multiply(a, vals[k], out=prod).sum()
         proper = propers[-1]
         return sums, moments, len(totals[-1]) if proper is None else int(proper.sum())
 
@@ -352,8 +452,10 @@ def estimate_partial_magnitude(spec: SamplerSpec, t: float, N: int) -> Magnitude
 def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
     """Histogram estimate of the order-n length-spectrum density.
 
-    Returns (bin edges, density values) scaled so that summing density *
-    bin width approximates mu(X)^{n+1} restricted to [0, l_max].
+    Returns (bin edges, density values, counts): counts[i] of the
+    spec.samples chains are proper and have total length in bin i, and the
+    density is scaled so that summing density * bin width approximates
+    mu(X)^{n+1} restricted to [0, l_max].
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -363,11 +465,22 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
             f"bin width underflows to 0: l_max = {l_max:.3g} split into {bins} bins")
     width = edges[1] - edges[0]
 
-    def reduce(totals, propers):
+    def reduce(totals, propers, spare):
         total, proper = totals[-1], propers[-1]
         return np.histogram(total if proper is None else total[proper], bins=edges)[0]
 
     counts = sum(_map_batches(spec, n, reduce))
     density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
-    return edges, density
+    return edges, density, counts
 
+
+def length_density_stderr(spec: SamplerSpec, n: int, width: float,
+                          counts: np.ndarray) -> np.ndarray:
+    """Standard error of each bin of estimate_length_density.
+
+    A bin's count c out of S = spec.samples chains is binomial, so the
+    error of its density mu(X)^{n+1} c / (S width) is
+    mu(X)^{n+1} / (S width) * sqrt(c (1 - c / S)).
+    """
+    S = spec.samples
+    return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(counts * (1.0 - counts / S))

@@ -212,6 +212,11 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["fekete-demo", "--seed", "-1"],
     ["interval-weight", "--t", "-1"],
     ["interval-weight", "--N", "21"],
+    # one draw has no sample variance, so the floor is 2
+    ["manifold", "--space", "circle", "--t", "1", "--samples", "1"],
+    ["weight-check", "--t", "1", "--samples", "1"],
+    ["length-spectrum", "--space", "circle", "--samples", "1"],
+    ["interval-weight", "--samples", "1"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])
@@ -269,6 +274,17 @@ def test_length_spectrum_on_interval(tmp_path):
     assert all(float(r[2]) > 0 for r in rows)
 
 
+def test_length_spectrum_errors_cover_the_closed_density(capsys):
+    assert cli.run(["length-spectrum", "--space", "circle", "--n", "2", "--bins", "32",
+                    "--samples", "400000", "--seed", "6"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 32
+    # the n = 2 density is linear on each bin, so its centre value is the bin mean
+    for row in rows:
+        value, stderr, closed = float(row[2]), float(row[3]), float(row[4])
+        assert 0.0 < stderr and abs(value - closed) <= 5 * stderr
+
+
 def test_length_spectrum_bin_width_underflow(capsys):
     assert cli.run(["length-spectrum", "--space", "circle", "--r", "5e-324", "--n", "2",
                     "--samples", "1000"]) == cli.EXIT_NUMERICAL
@@ -282,9 +298,9 @@ def test_manifold_draws_each_order_once(monkeypatch, capsys):
     calls = []
     sample_batch = mc.sample_batch
 
-    def counted(spec, rng, m):
+    def counted(spec, rng, m, out=None):
         calls.append(m)
-        return sample_batch(spec, rng, m)
+        return sample_batch(spec, rng, m, out=out)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
     samples, batches = mc.BATCH_SIZE + 1000, 2
@@ -327,9 +343,9 @@ def test_weight_check_draws_each_order_once(monkeypatch, capsys):
     calls = []
     sample_batch = mc.sample_batch
 
-    def counted(spec, rng, m):
+    def counted(spec, rng, m, out=None):
         calls.append(m)
-        return sample_batch(spec, rng, m)
+        return sample_batch(spec, rng, m, out=out)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
     samples, batches = mc.BATCH_SIZE + 1000, 2

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy import integrate
 
 from magnilab import closed_forms as cf
 from magnilab import mc
-from magnilab.spaces import (Circle, Interval, LineGaussian, LineLaplace,
-                             Sphere2)
+from magnilab.spaces import (Circle, FlatTorusUnit, Interval, LineGaussian,
+                             LineLaplace, Sphere2)
 
 
 def test_worker_count_env(monkeypatch):
@@ -131,7 +132,7 @@ def test_engine_matches_serial_reference_loop(monkeypatch):
         # an order's estimate does not depend on the other orders asked for
         assert (single.value[i], single.std_error[i]) == est.term(N - 1, i, spec.total_mass)
     scale = spec.total_mass ** (N + 1)
-    _, density = mc.estimate_length_density(spec, N, 8, 2 * math.pi)
+    _, density, _ = mc.estimate_length_density(spec, N, 8, 2 * math.pi)
     assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
 
 
@@ -179,6 +180,23 @@ def test_multi_order_estimate_independent_of_thread_count():
     assert outs[0] == outs[1] and outs[0].strip()
 
 
+def test_scratch_sets_are_not_shared_between_workers(monkeypatch):
+    """More workers than batches per worker, with frequent thread switches:
+    a scratch set that two workers shared would mix their chains."""
+    spec = mc.SamplerSpec(Sphere2(1.0), seed=8, samples=5 * mc.BATCH_SIZE - 3)
+    monkeypatch.setenv("MAGNILAB_THREADS", "1")
+    serial = mc.estimate_term(spec, range(1, 3), [0.5, 2.0])
+    monkeypatch.setenv("MAGNILAB_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = mc.estimate_term(spec, range(1, 3), [0.5, 2.0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded.mean, serial.mean)
+    assert np.array_equal(threaded.moment, serial.moment)
+
+
 def test_sphere_distance_matches_three_vector_reference():
     """The (z, phi) cosine equals the dot product of the unit 3-vectors."""
     r, m = 2.0, 1_000_000
@@ -194,6 +212,82 @@ def test_sphere_distance_matches_three_vector_reference():
     cos_ref = np.clip(np.einsum("ij,ij->i", unit_vectors(p), unit_vectors(q)), -1.0, 1.0)
     assert np.max(np.abs(np.cos(dist / r) - cos_ref)) <= 2e-15
     assert np.max(np.abs(dist - r * np.arccos(cos_ref))) <= 1e-9
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2 * math.pi), (0.0, 1.0), (0.3, 1.7)])
+def test_in_place_uniform_is_rng_uniform(lo, hi):
+    out = np.empty(1 << 20)
+    mc._uniform(np.random.default_rng(9), lo, hi, out)
+    assert np.array_equal(out.view(np.int64),
+                          np.random.default_rng(9).uniform(lo, hi, 1 << 20).view(np.int64))
+
+
+@pytest.mark.parametrize("space", [Circle(1.5), Sphere2(1.0), FlatTorusUnit(),
+                                   Interval(0.5, 2.0, "lebesgue"), Interval(0.5, 2.0, "weight"),
+                                   LineGaussian(), LineLaplace()])
+def test_sample_batch_into_out_equals_the_allocating_call(space):
+    """Drawn into the head of a larger, dirty out batch, the points have the
+    bits of a fresh call, and so do the distances written into out."""
+    spec, m = mc.SamplerSpec(space), 10_000
+    slots = [mc._empty_batch(space, m + 7) for _ in range(2)]
+    for slot in slots:
+        for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,)):
+            c.fill(np.nan)
+        if slot.tags is not None:
+            slot.tags.fill(5)
+    rng = np.random.default_rng(3)
+    drawn = [mc.sample_batch(spec, rng, m, out=slot) for slot in slots]
+    rng = np.random.default_rng(3)
+    fresh = [mc.sample_batch(spec, rng, m) for _ in range(2)]
+
+    def bits(batch):
+        coords = batch.coords if isinstance(batch.coords, tuple) else (batch.coords,)
+        return [c.view(np.int64).tolist() for c in coords], (
+            None if batch.tags is None else batch.tags.tolist())
+
+    for a, b in zip(drawn, fresh):
+        assert bits(a) == bits(b)
+    out = np.full(m, np.nan)
+    dist = mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out)
+    assert dist is out
+    assert np.array_equal(dist, mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords))
+
+
+def test_half_angle_cosine_matches_np_cos():
+    eps = np.finfo(float).eps
+    edge = [0.0, 5e-324, math.pi / 2, math.pi, 2 * math.pi - 8 * eps,
+            float(np.nextafter(2 * math.pi, 0.0)), 2 * math.pi - 1e-9]
+    angles = np.concatenate([edge, np.negative(edge),
+                             np.random.default_rng(2).uniform(-2 * math.pi, 2 * math.pi,
+                                                              1_000_000)])
+    got = mc._half_angle_cos(angles.copy(), np.empty_like(angles))
+    assert np.max(np.abs(got - np.cos(angles))) <= 2 * eps
+
+
+def test_sphere_estimate_memory_stays_at_one_scratch_set(monkeypatch):
+    """Two batches on one worker reuse one scratch set: nine batch-length
+    arrays (two point slots of (z, s, phi), two prefix lengths and the
+    distance's temporary), and the reduce adds none."""
+    monkeypatch.setenv("MAGNILAB_THREADS", "1")
+    spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE)
+    grid = [0.5, 1.0, 2.0, 3.0, 5.0]
+    mc.estimate_term(mc.SamplerSpec(Sphere2(1.0), samples=10), range(1, 3), grid)  # warm-up
+    tracemalloc.start()
+    try:
+        mc.estimate_term(spec, range(1, 3), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * mc.BATCH_SIZE + (1 << 19)
+
+
+def test_length_density_errors_are_binomial():
+    spec = mc.SamplerSpec(Interval(0.0, 1.0, "weight"), samples=1000)
+    n, width = 2, 0.25
+    counts = np.array([0, 1, 250, 999, 1000])
+    scale = spec.total_mass ** (n + 1) / (spec.samples * width)
+    want = [scale * math.sqrt(c * (1 - c / spec.samples)) for c in counts]
+    assert mc.length_density_stderr(spec, n, width, counts) == pytest.approx(want, rel=1e-15)
 
 
 def test_tail_bound_controls_truncation():
@@ -227,7 +321,7 @@ def test_line_leg_bound_is_the_leg_integral_at_zero(space, weight):
 
 def test_length_density_histogram_matches_closed_form():
     spec = mc.SamplerSpec(Circle(1.0), seed=4, samples=400_000)
-    edges, density = mc.estimate_length_density(spec, 1, 16, math.pi)
+    edges, density, _ = mc.estimate_length_density(spec, 1, 16, math.pi)
     centers = 0.5 * (edges[:-1] + edges[1:])
     exact = cf.circle_length_density(1, 1.0, centers)
     # coarse histogram: agree within a few percent everywhere
