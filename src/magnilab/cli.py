@@ -62,8 +62,9 @@ def _t_grid(args) -> list[float]:
     if args.t is not None:
         return [_checked_t(args.t)]
     start, stop, count = args.t_grid
-    if not (_positive(start) and _positive(stop) and 1 <= count < math.inf):
-        raise MetricValidationError("t grid must be strictly positive with count >= 1")
+    if not (_positive(start) and _positive(stop) and count >= 1
+            and float(count).is_integer()):
+        raise MetricValidationError("t grid must be strictly positive with an integer count >= 1")
     count = int(count)
     if count == 1:
         return [start]
@@ -96,7 +97,6 @@ def _add_t_args(p):
 def _add_common(p):
     _add_t_args(p)
     p.add_argument("--N", type=_int_in(0), default=3)
-    p.add_argument("--samples", type=_int_in(2), default=1_000_000)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
@@ -128,12 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manifold", help="chain-integral terms for an analytic space")
     _add_space_args(p)
-    p.add_argument("--method", choices=("mc", "closed", "quadrature", "all"), default="all")
+    p.add_argument("--method", choices=("mc", "closed", "all"), default="all")
+    p.add_argument("--samples", type=_int_in(2), default=1_000_000)
     _add_common(p)
 
     p = sub.add_parser("weight-check", help="weight-measure partial-sum pattern check")
     p.add_argument("--space", choices=("circle", "sphere"), default="circle")
     p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--samples", type=_int_in(2), default=1_000_000)
     _add_common(p)
 
     p = sub.add_parser("length-spectrum", help="histogram of total chain length")

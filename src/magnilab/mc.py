@@ -12,8 +12,9 @@ its n-leg prefix: the running total length after leg n, and the running AND
 of the per-leg proper indicators.  A batch reduces to sums of
 v_n = exp(-t L_n) * proper_n and of every product v_i v_j, for each t of a
 grid, or to histogram counts.  The chains do not depend on t, so
-estimate_term draws them once for all its orders and the whole grid, and the
-cross moments give the error of any partial sum of the shared terms.
+estimate_term(spec, orders, grid) draws them once for all its orders and the
+whole grid; its ChainEstimate gives each term with its error, and its cross
+moments the error of any partial sum of the shared terms.
 
 Each worker of a call keeps one scratch set for the whole call: two point
 slots that the chain's points alternate between, and the prefix lengths and
@@ -84,17 +85,6 @@ class SamplerSpec:
     @property
     def total_mass(self) -> float:
         return self.mass_scale * self.space.total_mass
-
-
-@dataclass(frozen=True)
-class TermEstimate:
-    """value and std_error are floats for a scalar t, tuples in grid order
-    for a sequence of t."""
-
-    n: int
-    value: float | tuple[float, ...]
-    std_error: float | tuple[float, ...]
-    proper_fraction: float
 
 
 @dataclass(frozen=True)
@@ -334,26 +324,24 @@ def _fsum_batches(parts: list) -> np.ndarray:
     return np.array([math.fsum(col) for col in flat]).reshape(stacked.shape[1:])
 
 
-def estimate_term(spec: SamplerSpec, n, t) -> TermEstimate | ChainEstimate:
-    """Monte-Carlo estimate of a_n(t) with a standard error.
+def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
+    """Monte-Carlo estimates of a_n(t) for every order n in orders and every
+    t in grid, from one set of chains.
 
-    t is a float or a sequence of floats; the chains do not depend on t, so
-    each batch is reduced for every t (common random numbers).  n is an order
-    or a sequence of orders; one (N+1)-point chain per draw, N the largest
-    order, serves them all.  An order's estimate depends only on the seed and
-    the sample count: it is bit-identical whatever other orders and t are
-    asked for.  With shared chains the estimates are strictly decreasing in
-    t whenever at least one sampled chain is proper.
-
-    For an order n the result is a TermEstimate: value and std_error are
-    floats for a float t, tuples in grid order for a sequence.  For a
-    sequence of orders it is a ChainEstimate, whose cross moments also give
-    the errors of partial sums; an empty sequence draws nothing.
+    One (N+1)-point chain per draw, N the largest order, serves every order,
+    and the chains do not depend on t, so each batch is reduced for every t
+    (common random numbers).  An order's estimate depends only on the seed
+    and the sample count: it is bit-identical whatever other orders and t
+    are asked for.  With shared chains the estimates are strictly decreasing
+    in t whenever at least one sampled chain is proper.  The result's
+    term(k, i, mass) is the value and standard error of a_{orders[k]} at
+    grid[i], and its series(i, mass) the partial sums with the errors its
+    cross moments give.  An empty sequence of orders draws nothing.
     """
-    orders = (int(n),) if np.ndim(n) == 0 else tuple(int(k) for k in n)
+    orders = tuple(int(k) for k in orders)
     if any(k < 1 for k in orders) or len(set(orders)) < len(orders):
         raise ValueError("orders must be distinct and >= 1")
-    grid = (float(t),) if np.ndim(t) == 0 else tuple(float(x) for x in t)
+    grid = tuple(float(x) for x in grid)
     K, T, count = len(orders), len(grid), spec.samples
 
     def reduce(totals, propers, spare):
@@ -367,7 +355,9 @@ def estimate_term(spec: SamplerSpec, n, t) -> TermEstimate | ChainEstimate:
             last = i == T - 1
             vals = []
             for j, k in enumerate(orders):
-                v = np.multiply(totals[k - 1], -x, out=totals[k - 1] if last else values[j])
+                # t L may overflow to inf, and exp(-inf) = 0 is then exact
+                with np.errstate(over="ignore"):
+                    v = np.multiply(totals[k - 1], -x, out=totals[k - 1] if last else values[j])
                 np.exp(v, out=v)
                 if propers[k - 1] is not None:
                     v *= propers[k - 1]
@@ -386,14 +376,7 @@ def estimate_term(spec: SamplerSpec, n, t) -> TermEstimate | ChainEstimate:
         proper_fraction = sum(p for _, _, p in batches) / count
     else:
         mean, moment, proper_fraction = np.empty((T, 0)), np.empty((T, 0, 0)), 1.0
-    est = ChainEstimate(orders, grid, count, mean, moment, proper_fraction)
-    if np.ndim(n) != 0:
-        return est
-    pairs = [est.term(0, i, spec.total_mass) for i in range(T)]
-    if np.ndim(t) == 0:
-        return TermEstimate(orders[0], *pairs[0], proper_fraction)
-    return TermEstimate(orders[0], tuple(v for v, _ in pairs), tuple(e for _, e in pairs),
-                        proper_fraction)
+    return ChainEstimate(orders, grid, count, mean, moment, proper_fraction)
 
 
 def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
@@ -416,7 +399,7 @@ def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
         L = sp.length
         ys = np.linspace(0.0, L, 33)
         best = 0.0
-        for y in ys:
+        for y in ys.tolist():  # Python floats: t * y may overflow to inf, quietly
             leb = (2.0 - math.exp(-t * y) - math.exp(-t * (L - y))) / t
             val = sp.continuous_density * leb
             for loc, mass in sp.atoms:
@@ -445,7 +428,7 @@ def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:
 def estimate_partial_magnitude(spec: SamplerSpec, t: float, N: int) -> MagnitudeSeries:
     """mu(X) + sum (-1)^n a_n, every order read from one set of (N+1)-point
     chains, with partial-sum errors from the chains' cross moments."""
-    est = estimate_term(spec, range(1, N + 1), t)
+    est = estimate_term(spec, range(1, N + 1), [t])
     return est.series(0, spec.total_mass, tail_bound(spec, t, N))
 
 
@@ -480,7 +463,9 @@ def length_density_stderr(spec: SamplerSpec, n: int, width: float,
 
     A bin's count c out of S = spec.samples chains is binomial, so the
     error of its density mu(X)^{n+1} c / (S width) is
-    mu(X)^{n+1} / (S width) * sqrt(c (1 - c / S)).
+    mu(X)^{n+1} / (S width) * sqrt(c (1 - c / S)).  An empty bin takes the
+    error of one count, since a zero count does not show a zero density.
     """
     S = spec.samples
-    return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(counts * (1.0 - counts / S))
+    c = np.maximum(counts, 1)
+    return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(c * (1.0 - c / S))

@@ -122,7 +122,9 @@ def _violations(d: np.ndarray, tol: float):
     # and only the rows this screen flags run the exact test.
     s = np.empty_like(d)
     for i in range(n):
-        np.add(d[i, :, None], d, out=s)
+        # a sum past the float range is inf, which still bounds d(i,k)
+        with np.errstate(over="ignore"):
+            np.add(d[i, :, None], d, out=s)
         if not (d[i] > s.min(axis=0) + tol).any():
             continue
         for j, k in np.argwhere(d[i] > s + tol):

@@ -94,23 +94,19 @@ class WeightCheckRow:
     value: float
     target: float
     std_error: float
-    sigma: float
 
 
 def weight_partial_magnitude_check(
-    space: AnalyticSpace, t, N: int, samples: int, seed: int
-) -> list:
+    space: AnalyticSpace, grid, N: int, samples: int, seed: int
+) -> list[list[WeightCheckRow]]:
     """MC partial sums under the weight-normalized measure vs the exact
-    pattern (mu_w(X) for even N, 0 for odd N).
+    pattern (mu_w(X) for even N, 0 for odd N), one list of rows per t of grid.
 
-    t is a float, giving one list of rows, or a sequence of t, giving one
-    list per t.  Only mu_w(X) depends on t, so one set of (N+1)-point chains
-    is drawn from the normalized measure for every order and t, and each t
-    reads its partial sums and their errors with total mass mu_w(X).
+    Only mu_w(X) depends on t, so one set of (N+1)-point chains is drawn
+    from the normalized measure for every order and t, and each t reads its
+    partial sums and their errors with total mass mu_w(X).
     """
-    scalar = np.ndim(t) == 0
-    grid = [float(t)] if scalar else [float(x) for x in t]
-    masses = [homogeneous_weight_mass(space, x) for x in grid]
+    masses = [homogeneous_weight_mass(space, t) for t in grid]
     # the weight identity holds for the metric t*d, so estimate at scale t
     est = mc.estimate_term(mc.SamplerSpec(space, seed=seed, samples=samples),
                            range(1, N + 1), grid)
@@ -118,15 +114,9 @@ def weight_partial_magnitude_check(
     for i, mass in enumerate(masses):
         series = est.series(i, mass)
         errors = series.partial_sum_errors()
-        rows = []
-        for k in range(N + 1):
-            target = mass if k % 2 == 0 else 0.0
-            dev = series.partial_sums[k] - target
-            err = errors[k]
-            rows.append(WeightCheckRow(k, series.partial_sums[k], target, err,
-                                       dev / err if err > 0 else 0.0))
-        out.append(rows)
-    return out[0] if scalar else out
+        out.append([WeightCheckRow(k, series.partial_sums[k], mass if k % 2 == 0 else 0.0,
+                                   errors[k]) for k in range(N + 1)])
+    return out
 
 
 def scaled_weight_magnitude(space: AnalyticSpace, t: float, c: float) -> float:

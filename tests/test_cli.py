@@ -132,9 +132,9 @@ def test_method_all_multi_seed_agreement():
     hits = 0
     exact = closed_forms.circle_term(1, 1.0, 1.0)
     for seed in range(20):
-        est = mc.estimate_term(
-            mc.SamplerSpec(Circle(1.0), seed=seed, samples=100_000), 1, 1.0)
-        hits += abs(est.value - exact) < 4 * est.std_error
+        spec = mc.SamplerSpec(Circle(1.0), seed=seed, samples=100_000)
+        value, std_error = mc.estimate_term(spec, [1], [1.0]).term(0, 0, spec.total_mass)
+        hits += abs(value - exact) < 4 * std_error
     assert hits >= 19
 
 
@@ -217,6 +217,12 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["weight-check", "--t", "1", "--samples", "1"],
     ["length-spectrum", "--space", "circle", "--samples", "1"],
     ["interval-weight", "--samples", "1"],
+    # finite and graph sample nothing, so they have no --samples
+    ["finite", "--input", "DIST", "--t", "1", "--samples", "5"],
+    # the manifold methods are mc, closed and all
+    ["manifold", "--space", "circle", "--t", "1", "--method", "quadrature"],
+    # a grid has a whole number of points
+    ["finite", "--input", "DIST", "--t-grid", "1", "2", "2.7"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])
@@ -247,6 +253,11 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
     # r^2 is subnormal: J(t) is tiny but nonzero, and 1/J(t) overflows to inf
     ["weight-check", "--space", "sphere", "--r", "1e-160", "--t", "1", "--N", "2",
      "--samples", "10"],
+    # t L overflows to inf in the sampler, whose exp is 0; mu(X)^3 overflows
+    ["manifold", "--space", "circle", "--r", "1e300", "--t", "1e300", "--N", "2",
+     "--samples", "10"],
+    # t y overflows to inf in the interval's leg bound, whose exp is 0
+    ["interval-weight", "--L", "1e300", "--t", "1e300", "--N", "3", "--samples", "2000"],
 ])
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -283,6 +294,16 @@ def test_length_spectrum_errors_cover_the_closed_density(capsys):
     for row in rows:
         value, stderr, closed = float(row[2]), float(row[3]), float(row[4])
         assert 0.0 < stderr and abs(value - closed) <= 5 * stderr
+
+
+def test_length_spectrum_empty_bins_have_an_error(capsys):
+    """The tail bins of this run draw no chain; their 0 density still has a
+    nonzero error against the nonzero exact density."""
+    assert cli.run(["length-spectrum", "--space", "line-gauss", "--n", "1",
+                    "--samples", "2000"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert any(float(row[2]) == 0.0 for row in rows)
+    assert all(float(row[3]) > 0.0 for row in rows)
 
 
 def test_length_spectrum_bin_width_underflow(capsys):

@@ -35,17 +35,17 @@ def test_worker_count_auto_follows_cpu_affinity(monkeypatch):
 
 def test_estimate_is_seed_deterministic():
     spec = mc.SamplerSpec(Circle(1.0), seed=5, samples=100_000)
-    a = mc.estimate_term(spec, 2, 1.0)
-    b = mc.estimate_term(spec, 2, 1.0)
-    assert a.value == b.value and a.std_error == b.std_error
+    a = mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)
+    b = mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)
+    assert a == b
 
 
 def test_estimate_independent_of_thread_count():
     """Bit-identical results whatever MAGNILAB_THREADS says."""
     code = (
         "from magnilab import mc; from magnilab.spaces import Circle; "
-        "e = mc.estimate_term(mc.SamplerSpec(Circle(1.0), seed=3, samples=300000), 2, 1.0); "
-        "print(repr(e.value), repr(e.std_error))"
+        "spec = mc.SamplerSpec(Circle(1.0), seed=3, samples=300000); "
+        "print(*map(repr, mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)))"
     )
     outs = []
     for threads in ("1", "4"):
@@ -64,20 +64,21 @@ def test_estimate_independent_of_thread_count():
 ])
 def test_first_term_within_four_sigma(space, closed):
     t = 1.0
-    est = mc.estimate_term(mc.SamplerSpec(space, seed=1, samples=400_000), 1, t)
-    assert abs(est.value - closed(t)) < 4 * est.std_error
+    spec = mc.SamplerSpec(space, seed=1, samples=400_000)
+    value, std_error = mc.estimate_term(spec, [1], [t]).term(0, 0, spec.total_mass)
+    assert abs(value - closed(t)) < 4 * std_error
 
 
 def test_common_random_numbers_on_grid():
     # three batches, so the per-batch sums are combined across batches
     spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=600_000)
     grid = [1.0, 2.0, 3.0]
-    est = mc.estimate_term(spec, 2, grid)
-    singles = [mc.estimate_term(spec, 2, t) for t in grid]
-    assert len(est.value) == len(est.std_error) == len(grid)
-    for value, std_error, s in zip(est.value, est.std_error, singles):
+    est = mc.estimate_term(spec, [2], grid)
+    singles = [mc.estimate_term(spec, [2], [t]) for t in grid]
+    assert est.mean.shape == (len(grid), 1)
+    for i, s in enumerate(singles):
         # same sample stream reused across the grid
-        assert (value, std_error) == (s.value, s.std_error)
+        assert est.term(0, i, spec.total_mass) == s.term(0, 0, spec.total_mass)
         assert est.proper_fraction == s.proper_fraction
 
 
@@ -118,7 +119,7 @@ def test_engine_matches_serial_reference_loop(monkeypatch):
                 for k in range(N):
                     cross.setdefault((t, j, k), []).append(float((vals[j] * vals[k]).sum()))
     est = mc.estimate_term(spec, range(1, N + 1), grid)
-    single = mc.estimate_term(spec, N, grid)
+    single = mc.estimate_term(spec, [N], grid)
     for i, t in enumerate(grid):
         for j in range(N):
             mean = math.fsum(sums[t, j]) / spec.samples
@@ -130,7 +131,7 @@ def test_engine_matches_serial_reference_loop(monkeypatch):
             assert est.term(j, i, spec.total_mass) == (
                 scale * mean, scale * math.sqrt(var / spec.samples))
         # an order's estimate does not depend on the other orders asked for
-        assert (single.value[i], single.std_error[i]) == est.term(N - 1, i, spec.total_mass)
+        assert single.term(0, i, spec.total_mass) == est.term(N - 1, i, spec.total_mass)
     scale = spec.total_mass ** (N + 1)
     _, density, _ = mc.estimate_length_density(spec, N, 8, 2 * math.pi)
     assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
@@ -287,6 +288,8 @@ def test_length_density_errors_are_binomial():
     counts = np.array([0, 1, 250, 999, 1000])
     scale = spec.total_mass ** (n + 1) / (spec.samples * width)
     want = [scale * math.sqrt(c * (1 - c / spec.samples)) for c in counts]
+    # an empty bin takes the error of one count, not a zero error
+    want[0] = scale * math.sqrt(1 - 1 / spec.samples)
     assert mc.length_density_stderr(spec, n, width, counts) == pytest.approx(want, rel=1e-15)
 
 
@@ -331,6 +334,6 @@ def test_length_density_histogram_matches_closed_form():
 def test_interval_weight_sampler_mass_split():
     space = Interval(0.0, 2.0, "weight")
     spec = mc.SamplerSpec(space, seed=0, samples=200_000)
-    est = mc.estimate_term(spec, 1, 1.0)
-    assert est.std_error > 0
+    est = mc.estimate_term(spec, [1], [1.0])
+    assert est.term(0, 0, spec.total_mass)[1] > 0
     assert 0 < est.proper_fraction <= 1

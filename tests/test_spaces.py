@@ -49,6 +49,12 @@ def test_validation_catches_non_finite_entries(entry):
     assert ("non-finite entry", (2, 0)) in report.violations
 
 
+def test_distances_near_the_float_max_validate():
+    """d(i,j) + d(j,k) overflows to inf, which still bounds d(i,k)."""
+    d = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
+    assert validate_metric(FiniteMetricSpace.from_matrix(d)).valid
+
+
 def reference_violations(d, tol=METRIC_TOL):
     """Every violation, found with an n x n x n triangle test in one array."""
     n = d.shape[0]
