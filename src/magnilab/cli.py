@@ -216,29 +216,24 @@ def _run_finite(args) -> int:
     report = validate_metric(space)
     if not report.valid:
         raise MetricValidationError(str(report))
-    lines = [HEADER]
-    for t in _t_grid(args):
-        exact = finite_mag.classical_magnitude(space, t)
-        if args.method in ("inverse", "all"):
-            lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))
-        if args.method in ("series", "all"):
-            series = finite_mag.neumann_partial(space, t, args.N)
-            lines.append(_row(t, args.N, series.partial_sums[args.N], 0.0, exact,
-                              "series", args.seed))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return _run_exact(args, space.dist)
 
 
 def _run_graph(args) -> int:
     g = load_edge_list(args.edges)
     metric = graph_metric(g)
     counts = graph_mag.count_geodesics(g, metric) if args.gamma == "count" else None
+    return _run_exact(args, metric.dist, counts)
+
+
+def _run_exact(args, dist, counts=None) -> int:
+    """inverse and series rows per t from one Z, counted if counts are given."""
     lines = [HEADER]
     for t in _t_grid(args):
         if counts is None:
-            z = finite_mag.similarity(metric.dist, t)
+            z = finite_mag.similarity(dist, t)
         else:
-            z = graph_mag.counted_similarity(counts, metric.dist, t)
+            z = graph_mag.counted_similarity(counts, dist, t)
         exact = float(finite_mag._solve_ones(z).sum())
         if args.method in ("inverse", "all"):
             lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import closed_forms
 from .finite_mag import chain_series, similarity
-from .spaces import AnalyticSpace, FiniteMetricSpace, MagnitudeSeries, Sphere2
+from .spaces import AnalyticSpace, MagnitudeSeries, Sphere2
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class PointConfiguration:
             np.fill_diagonal(d, 0.0)
             return d
         raise TypeError(f"no configuration metric for {type(self.space).__name__}")
-
-    def metric_space(self) -> FiniteMetricSpace:
-        return FiniteMetricSpace.from_matrix(self.distance_matrix())
 
 
 def weighted_partial_magnitude(

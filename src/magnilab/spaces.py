@@ -116,20 +116,32 @@ def _violations(d: np.ndarray, tol: float):
     offdiag = np.argwhere((d <= 0.0) & ~np.eye(n, dtype=bool))
     for i, j in offdiag[offdiag[:, 0] < offdiag[:, 1]]:
         yield "nonpositive off-diagonal", (int(i), int(j))
-    # d(i,k) <= d(i,j) + d(j,k) for all triples, one row i at a time, with
-    # s[j, k] = d(i,j) + d(j,k).  x -> x + tol is monotone in floating point,
-    # so a row with d(i,k) <= min_j s[j, k] + tol for every k has no violation
-    # and only the rows this screen flags run the exact test.
-    s = np.empty_like(d)
-    for i in range(n):
-        # a sum past the float range is inf, which still bounds d(i,k)
-        with np.errstate(over="ignore"):
-            np.add(d[i, :, None], d, out=s)
-        if not (d[i] > s.min(axis=0) + tol).any():
-            continue
-        for j, k in np.argwhere(d[i] > s + tol):
+    if (d == d.T).all() and next(_screened_rows(d, tol, half=True), None) is None:
+        return
+    for i, s in _screened_rows(d, tol, half=False):
+        for j, k in np.argwhere(d[i] > s.T + tol):
             if i != j and j != k and i != k:
                 yield "triangle inequality", (i, int(j), int(k))
+
+
+def _screened_rows(d: np.ndarray, tol: float, half: bool):
+    """Yield (i, s) for each row i that may break d(i,k) <= d(i,j) + d(j,k).
+
+    s[k, j] = d(i,j) + d(j,k) for k >= lo, in a reused buffer; a row with
+    d(i,k) <= min_j s[k, j] + tol for all k is clean, as x -> x + tol is
+    monotone.  lo is 0, or i in the half screen of an exactly symmetric d:
+    its pair (i, k < i) is the pair (k, i) that row k screened, with the same
+    sums, so the half screen is clean exactly when the full one is.
+    """
+    dt = d if half else np.ascontiguousarray(d.T)  # dt[k, j] = d(j,k)
+    s = np.empty_like(d)
+    for i in range(len(d)):
+        lo = i if half else 0
+        # a sum past the float range is inf, which still bounds d(i,k)
+        with np.errstate(over="ignore"):
+            np.add(d[i], dt[lo:], out=s[lo:])
+        if (d[i, lo:] > s[lo:].min(axis=1) + tol).any():
+            yield i, s
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +273,6 @@ class FlatTorusUnit:
     @property
     def diameter(self) -> float:
         return 1.0 / math.sqrt(2.0)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return 0.5
 
 
 @dataclass(frozen=True)
@@ -412,7 +420,7 @@ def load_distance_csv(path) -> FiniteMetricSpace:
                 f"distance file {path} is not square: line {no} has {len(fields)} "
                 f"fields for {n} rows")
         try:
-            d[r] = [float(x) for x in fields]
+            d[r] = np.array(fields, dtype=float)
         except ValueError as exc:
             raise MetricValidationError(f"line {no} of {path}: {exc}") from None
     if labels is not None and len(labels) != n:

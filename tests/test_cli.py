@@ -7,7 +7,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from magnilab import cli, mc
@@ -189,6 +189,31 @@ def test_graph_count_method_all_matches_numpy(tmp_path):
         terms = [np.linalg.matrix_power(y, k).sum() for k in range(1, n_terms + 1)]
         assert_printed_close(series[2], len(z) + sum(
             (-1) ** k * a for k, a in enumerate(terms, start=1)))
+
+
+def test_finite_method_all_rows_are_the_library_values(tmp_path):
+    """Each t prints classical_magnitude and the N-th Neumann partial sum."""
+    import numpy as np
+
+    from magnilab import finite_mag
+    from magnilab.spaces import load_distance_csv
+    pts = np.random.default_rng(2).uniform(0.0, 3.0, size=(12, 2))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    p = tmp_path / "d.csv"
+    p.write_text("".join(",".join(map(repr, row)) + "\n" for row in d.tolist()))
+    out = tmp_path / "o.csv"
+    argv = ["finite", "--input", str(p), "--method", "all", "--t-grid", "0.5", "4", "4",
+            "--t-spacing", "log", "--N", "6", "--output", str(out)]
+    assert cli.run(argv) == 0
+    space = load_distance_csv(p)
+    grid = cli._t_grid(cli.build_parser().parse_args(argv))
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 2 * len(grid)
+    for i, t in enumerate(grid):
+        inverse, series = lines[2 * i].split(","), lines[2 * i + 1].split(",")
+        exact = cli._fmt(finite_mag.classical_magnitude(space, t))
+        assert inverse[2] == exact and series[4] == exact
+        assert series[2] == cli._fmt(finite_mag.neumann_partial(space, t, 6).partial_sums[6])
 
 
 def test_non_finite_distance_exits_2(tmp_path):
@@ -502,6 +527,8 @@ def edge_list_text(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(text=distance_csv_text(), method=st.sampled_from(["inverse", "series", "all"]))
+# d(i,j) + d(j,k) overflows in the triangle screen
+@example(text="0,1e308,1.7e308\n1e308,0,1e308\n1.7e308,1e308,0", method="all")
 def test_fuzz_distance_csv(text, method):
     run_in_process(["finite", "--input", "FILE", "--t", "1", "--method", method], text)
 
@@ -524,6 +551,12 @@ def test_fuzz_edge_list(text, gamma):
            ["weight-check", "--space", "sphere", "--r", "P", "--t", "P"],
            ["interval-weight", "--L", "P", "--t", "P", "--N", "3"]]),
        params=st.lists(PARAM, min_size=3, max_size=3))
+# t L overflows in the sampler
+@example(case=["manifold", "--space", "circle", "--r", "P", "--t", "P", "--N", "2"],
+         params=["1e300", "1e300", "1"])
+# t y overflows in the interval's leg bound
+@example(case=["interval-weight", "--L", "P", "--t", "P", "--N", "3"],
+         params=["1e300", "1e300", "1"])
 def test_fuzz_space_parameters(case, params):
     values = iter(params)
     run_in_process([next(values) if a == "P" else a for a in case]

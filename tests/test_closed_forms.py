@@ -134,6 +134,12 @@ class TestLines:
         assert cf.laplace_line_first_term_quadrature(t) == pytest.approx(
             cf.laplace_line_first_term(t), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_gaussian_first_term_quadrature(self, t):
+        # the catalog's oracle: Laplace transform of sqrt(2 pi) e^{-l^2/2}
+        assert cf.gaussian_line_first_term_quadrature(t) == pytest.approx(
+            cf.gaussian_line_first_term(t), rel=1e-12, abs=0)
+
     def test_gaussian_first_term_vs_published(self):
         # agreement only at t = 0; strict disagreement for t > 0
         assert cf.gaussian_line_first_term(1e-12) == pytest.approx(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnilab import spaces
 from magnilab.errors import DisconnectedGraphError, MetricValidationError
 from magnilab.spaces import (MAX_VIOLATIONS, METRIC_TOL, Circle,
                              FiniteMetricSpace, GeodesicGraph, Interval,
@@ -94,22 +95,59 @@ def broken_metric(n, kind, seed):
             d[i, j] = d[j, i] = 3.0 * d.max() + 1.0
         elif kind == "nonpositive":
             d[i, j] = d[j, i] = rng.choice([-1.0, 0.0])
+        elif kind == "shortcut":  # exactly symmetric: (i,j,k) and (k,j,i) both fail
+            d[i, j] = d[j, i] = 0.25
+        elif kind == "within tolerance":  # symmetric only up to the tolerance
+            d += np.triu(rng.uniform(-3e-13, 3e-13, size=(n, n)), 1)
         else:  # symmetric noise at the scale of the tolerance
             noise = rng.uniform(-2e-12, 2e-12, size=(n, n))
             d += np.triu(noise, 1) + np.triu(noise, 1).T
     return d
 
 
+def assert_matches_reference(d):
+    ref = reference_violations(d)
+    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    assert report.violations == tuple(ref[:MAX_VIOLATIONS])
+    assert report.truncated == (len(ref) > MAX_VIOLATIONS)
+
+
 @pytest.mark.parametrize("kind", ["asymmetric", "diagonal", "long edge", "nonpositive",
-                                  "near tolerance"])
+                                  "near tolerance", "shortcut", "within tolerance"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
 def test_validate_metric_matches_reference(n, kind):
     for seed in range(4):
-        d = broken_metric(n, kind, seed)
-        ref = reference_violations(d)
-        report = validate_metric(FiniteMetricSpace.from_matrix(d))
-        assert report.violations == tuple(ref[:MAX_VIOLATIONS])
-        assert report.truncated == (len(ref) > MAX_VIOLATIONS)
+        assert_matches_reference(broken_metric(n, kind, seed))
+
+
+@pytest.mark.parametrize("shortcut", [False, True])
+def test_validate_metric_matches_reference_on_200_euclidean_points(shortcut):
+    rng = np.random.default_rng(5)
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(200, 2))).dist.copy()
+    if shortcut:
+        d[3, 150] = d[150, 3] = 0.5 * d[3, 150]
+    assert_matches_reference(d)
+
+
+def test_exactly_symmetric_metric_takes_only_the_half_screen(monkeypatch):
+    halves = []
+    screen = spaces._screened_rows
+
+    def recorded(d, tol, half):
+        halves.append(half)
+        return screen(d, tol, half)
+
+    monkeypatch.setattr(spaces, "_screened_rows", recorded)
+    rng = np.random.default_rng(0)
+    assert validate_metric(euclidean_space(rng.uniform(0.0, 10.0, size=(30, 2)))).valid
+    assert halves == [True]
+    for kind, screens in (("within tolerance", [False]), ("shortcut", [True, False])):
+        halves.clear()
+        report = validate_metric(FiniteMetricSpace.from_matrix(broken_metric(7, kind, 0)))
+        assert halves == screens
+    # the shortcut's violations come in both orientations, (i,j,k) and (k,j,i)
+    found = {idx for name, idx in report.violations if name == "triangle inequality"}
+    assert found and found == {(k, j, i) for i, j, k in found}
 
 
 def test_validate_metric_caps_the_violation_list():
