@@ -422,16 +422,18 @@ def gaussian_line_first_term(t: float) -> float:
 
 
 def gaussian_line_first_term_quadrature(t: float) -> float:
-    """gaussian_line_first_term by quadrature over [0, 40]: the catalog's oracle."""
+    """gaussian_line_first_term by quadrature in l = h x, x in [0, 40], on the
+    integrand's scale h = min(1, 1/t): the catalog's oracle."""
     from scipy import integrate
 
     if t < 0:
         raise ValueError("t must be nonnegative")
+    h = 1.0 / max(1.0, t)
     val, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * math.sqrt(2 * math.pi) * math.exp(-l * l / 2),
+        lambda x: math.exp(-t * h * x) * math.sqrt(2 * math.pi) * math.exp(-(h * x) ** 2 / 2),
         0.0, 40.0, epsabs=1e-12, limit=200,
     )
-    return val
+    return h * val
 
 
 def gaussian_line_first_term_published(t: float) -> float:

@@ -63,7 +63,8 @@ def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeri
     if N < 0:
         raise ValueError("N must be nonnegative")
     n = z.shape[0]
-    y = z - np.eye(n)
+    y = z.copy()
+    y.flat[:: n + 1] -= 1.0  # the bits of z - I, without an n x n identity
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     terms = []
     x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next

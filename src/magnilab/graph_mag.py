@@ -3,7 +3,8 @@
 The modified similarity matrix has entries |Omega_{x,y}| * exp(-t*d_G(x,y)),
 where |Omega_{x,y}| is the number of distinct shortest paths.  For graphs
 where all geodesics are unique this collapses to the classical magnitude of
-the shortest-path metric.
+the shortest-path metric.  Unit-length graphs take metric and counts from
+one sweep, GeodesicGraph.unit_sweep; others count over Dijkstra's DAGs.
 """
 from __future__ import annotations
 
@@ -28,39 +29,19 @@ def count_geodesics(g: GeodesicGraph, metric: FiniteMetricSpace | None = None) -
     Pass the graph's metric when it is already built; the CLI builds the
     metric and the counts once per invocation and reuses them for every t.
 
-    Unit-length graphs count from all sources at once, one breadth-first
-    level per sparse product: with C_0 = I and A the adjacency matrix,
-    C_k = (A C_{k-1}) masked to the pairs at distance k, and the counts are
-    the sum of the C_k.  Weighted graphs run one pass per source over the
+    Unit-length graphs read the counts from g.unit_sweep, the sweep that
+    gave their metric.  Weighted graphs run one pass per source over the
     shortest-path DAG in order of increasing distance, where edges (u, v)
     with dist[u] + w(u,v) == dist[v] (within TIE_TOL relative) are DAG
-    edges.  Both paths raise GeodesicOverflowError once a count exceeds
-    COUNT_LIMIT.
+    edges.  Raises GeodesicOverflowError if a count exceeds COUNT_LIMIT.
     """
     if metric is None:
         metric = graph_metric(g)  # also rejects disconnected graphs
-    counts = _count_levels(g, metric.dist) if g.is_unit else _count_dag(g, metric.dist)
-    counts.setflags(write=False)
-    return counts
-
-
-def _check_limit(c: np.ndarray) -> None:
-    if c.max() > COUNT_LIMIT:
+    counts = g.unit_sweep[1] if g.is_unit else _count_dag(g, metric.dist)
+    if counts.max() > COUNT_LIMIT:
         raise GeodesicOverflowError(
-            f"shortest-path count {c.max():.3e} exceeds exact float64 range")
-
-
-def _count_levels(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
-    n = g.vertex_count
-    adj = g.adjacency()
-    counts = np.zeros((n, n))
-    level = np.eye(n)
-    at_k = np.empty((n, n), dtype=bool)
-    for k in range(1, int(dist.max()) + 1):
-        level = adj @ level
-        level *= np.equal(dist, k, out=at_k)
-        _check_limit(level)
-        counts += level
+            f"shortest-path count {counts.max():.3e} exceeds exact float64 range")
+    counts.setflags(write=False)
     return counts
 
 
@@ -85,7 +66,6 @@ def _count_dag(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
                 if abs(d[u] + w - d[v]) <= TIE_TOL * max(1.0, d[v]):
                     acc += c[u]
             c[v] = acc
-        _check_limit(c)
         counts[s] = c
     counts[np.diag_indices(n)] = 0.0
     return counts

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
@@ -196,25 +197,54 @@ class GeodesicGraph:
         data = np.array(w + w, dtype=float)
         return csr_matrix((data, (rows, cols)), shape=(n, n))
 
+    @cached_property
+    def unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
+        """(metric, read-only counts) of a unit-length graph, from L_0 = I and
+        L_k = A L_{k-1} kept on the pairs not yet reached: they lie at distance
+        k, L_k holds their geodesic counts, and only the frontier L_k is touched.
+        The metric keeps inf for unreachable pairs; graph_metric rejects them.
+        """
+        from scipy.sparse import csr_matrix, identity
+
+        n = self.vertex_count
+        dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
+        flat_dist, flat_counts = dist.reshape(-1), counts.reshape(-1)  # views
+        flat_dist[:: n + 1] = 0.0
+        adj, level, k = self.adjacency(), identity(n, format="csr"), 0
+        while level.nnz:
+            k += 1
+            level = adj @ level
+            rows = np.repeat(np.arange(n), np.diff(level.indptr))
+            keys = rows * n + level.indices
+            new = np.isinf(flat_dist[keys])
+            data, keys = level.data[new], keys[new]
+            flat_dist[keys], flat_counts[keys] = k, data
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n))))
+            level = csr_matrix((data, level.indices[new], indptr), shape=(n, n))
+        counts.setflags(write=False)
+        return FiniteMetricSpace.from_matrix(dist), counts
+
 
 def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
-    """All-pairs shortest-path metric of a connected graph.
-
-    Raises DisconnectedGraphError naming an unreachable pair.
+    """All-pairs shortest-path metric of a connected graph, from g.unit_sweep
+    or Dijkstra.  Raises DisconnectedGraphError or, if the length overflows,
+    OverflowError naming the first unreachable pair in row-major order.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    n = g.vertex_count
-    if n == 1:
-        return FiniteMetricSpace.from_matrix(np.zeros((1, 1)))
-    dist = dijkstra(g.adjacency(), directed=False)
-    unreachable = np.argwhere(np.isinf(dist))
-    if len(unreachable):
-        i, j = unreachable[0]
-        raise DisconnectedGraphError(int(i), int(j))
     if g.is_unit:
-        dist = np.round(dist)  # BFS distances are exact integers
-    return FiniteMetricSpace.from_matrix(dist)
+        metric = g.unit_sweep[0]
+    else:
+        from scipy.sparse.csgraph import connected_components, dijkstra
+
+        metric = FiniteMetricSpace.from_matrix(dijkstra(g.adjacency(), directed=False))
+    unreachable = np.argwhere(np.isinf(metric.dist))
+    if len(unreachable):
+        i, j = (int(x) for x in unreachable[0])
+        if not g.is_unit:
+            labels = connected_components(g.adjacency(), directed=False)[1]
+            if labels[i] == labels[j]:
+                raise OverflowError(f"path length between vertices {i} and {j} overflows")
+        raise DisconnectedGraphError(i, j)
+    return metric
 
 
 # ---------------------------------------------------------------------------

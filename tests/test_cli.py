@@ -153,6 +153,19 @@ def test_bad_edge_list_exits_2(tmp_path, line, named):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("edges, code, message", [
+    ("0 1 1e308\n1 2 1e308\n", 3,
+     "numerical failure: path length between vertices 0 and 2 overflows"),
+    ("0 1 1e308\n2 3 1\n", 2, "error: graph is disconnected: no path between vertices 0 and 2"),
+])
+def test_graph_path_overflow_is_not_disconnection(tmp_path, edges, code, message):
+    p = tmp_path / "g.edges"
+    p.write_text(edges)
+    res = run_cli(["graph", "--edges", str(p), "--t", "1"])
+    assert res.returncode == code
+    assert res.stderr.startswith(message)
+
+
 def assert_printed_close(printed, value):
     """rel 1e-12, plus half a unit in the 12th significant digit the CSV prints."""
     resolution = 0.5 * 10.0 ** (math.floor(math.log10(abs(value))) - 11)
@@ -446,6 +459,19 @@ def test_finite_loads_only_scipy_linalg(distance_csv):
     assert "scipy.linalg" in loaded
     unused = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
     assert not [m for m in loaded if m.startswith(unused)]
+
+
+@pytest.mark.parametrize("edges, csgraph", [("0 1\n1 2\n2 0\n2 3\n", False),
+                                            ("0 1 1\n1 2 2.5\n2 0 1\n", True)])
+def test_graph_count_loads_csgraph_only_for_weighted_edges(tmp_path, edges, csgraph):
+    """Unit graphs take metric and counts from the level sweep, not Dijkstra."""
+    p = tmp_path / "g.edges"
+    p.write_text(edges)
+    loaded = scipy_loaded(
+        f"from magnilab import cli; assert cli.run(['graph', '--edges', {str(p)!r}, "
+        "'--gamma', 'count', '--t', '1', '--method', 'all']) == 0")
+    assert {"scipy.linalg", "scipy.sparse"} <= loaded
+    assert ("scipy.sparse.csgraph" in loaded) == csgraph
 
 
 def test_interval_closed_column_at_small_t(capsys):

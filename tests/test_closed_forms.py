@@ -134,9 +134,11 @@ class TestLines:
         assert cf.laplace_line_first_term_quadrature(t) == pytest.approx(
             cf.laplace_line_first_term(t), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 100.0, 620.0, 1000.0,
+                                   1e4])
     def test_gaussian_first_term_quadrature(self, t):
-        # the catalog's oracle: Laplace transform of sqrt(2 pi) e^{-l^2/2}
+        # the catalog's oracle: Laplace transform of sqrt(2 pi) e^{-l^2/2}; its peak at
+        # l = 0 narrows to width 1/t, which a fixed [0, 40] grid missed past t ~ 620
         assert cf.gaussian_line_first_term_quadrature(t) == pytest.approx(
             cf.gaussian_line_first_term(t), rel=1e-12, abs=0)
 

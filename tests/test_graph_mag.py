@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from magnilab import finite_mag, graph_mag
-from magnilab.errors import GeodesicOverflowError
+from magnilab import cli, finite_mag, graph_mag
+from magnilab.errors import DisconnectedGraphError, GeodesicOverflowError
 from magnilab.spaces import GeodesicGraph, graph_metric
 
 
@@ -126,7 +126,7 @@ def diamond_ladder(stages, length):
 
 
 def test_count_overflow_guard():
-    # 2^60 > 2^53 limit, on the all-sources level path of unit graphs
+    # 2^60 > 2^53 limit, on the level sweep of unit graphs
     with pytest.raises(GeodesicOverflowError):
         graph_mag.count_geodesics(diamond_ladder(60, 1.0))
 
@@ -141,3 +141,117 @@ def test_ladder_below_limit_counts_powers_of_two():
     for length in (1.0, 2.0):
         counts = graph_mag.count_geodesics(diamond_ladder(50, length))
         assert counts[0, -1] == 2.0**50
+
+
+# ---------------------------------------------------------------------------
+# the unit-graph level sweep
+# ---------------------------------------------------------------------------
+
+def unit_graph(n, pairs):
+    return GeodesicGraph(n, tuple((u, v, 1.0) for u, v in pairs))
+
+
+def star(n):
+    return unit_graph(n, [(0, v) for v in range(1, n)])
+
+
+def complete(n):
+    return unit_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def hypercube(d):
+    return unit_graph(2**d, [(v, v | 1 << b) for v in range(2**d) for b in range(d)
+                             if not v & 1 << b])
+
+
+def test_sweep_on_path():
+    n = 9
+    i = np.arange(n)
+    hops = np.abs(i[:, None] - i[None, :]).astype(float)
+    g = path(n)
+    assert np.array_equal(graph_metric(g).dist, hops)
+    assert np.array_equal(graph_mag.count_geodesics(g), (hops > 0).astype(float))
+
+
+def test_sweep_on_star():
+    n = 7
+    g = star(n)
+    expected = np.full((n, n), 2.0)
+    expected[0, :] = expected[:, 0] = 1.0
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(graph_metric(g).dist, expected)
+    assert np.array_equal(graph_mag.count_geodesics(g), (expected > 0).astype(float))
+
+
+def test_sweep_on_complete_graph():
+    n = 6
+    off = 1.0 - np.eye(n)
+    assert np.array_equal(graph_metric(complete(n)).dist, off)
+    assert np.array_equal(graph_mag.count_geodesics(complete(n)), off)
+
+
+def test_sweep_on_hypercube_counts_factorials():
+    """Vertices at Hamming distance k are joined by k! geodesics."""
+    d = 5
+    v = np.arange(2**d)
+    hamming = sum((v[:, None] ^ v[None, :]) >> b & 1 for b in range(d))
+    expected = np.vectorize(math.factorial)(hamming).astype(float)
+    np.fill_diagonal(expected, 0.0)
+    g = hypercube(d)
+    assert np.array_equal(graph_metric(g).dist, hamming.astype(float))
+    assert np.array_equal(graph_mag.count_geodesics(g), expected)
+
+
+@pytest.mark.parametrize("g", [path(9), star(7), complete(6), hypercube(4), cycle(7), grid(4, 5)],
+                         ids=["path", "star", "complete", "hypercube", "cycle", "grid"])
+def test_sweep_equals_dijkstra_and_dag_loop(g):
+    weighted = scaled(g, 2.0)
+    assert np.array_equal(2.0 * graph_metric(g).dist, graph_metric(weighted).dist)
+    assert np.array_equal(graph_mag.count_geodesics(g), graph_mag.count_geodesics(weighted))
+
+
+def test_sweep_is_shared_and_read_only():
+    g = grid(3, 3)
+    metric, counts = g.unit_sweep
+    assert graph_metric(g) is metric  # the cached metric, not a rebuilt one
+    assert graph_mag.count_geodesics(g) is counts
+    assert not metric.dist.flags.writeable and not counts.flags.writeable
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_disconnected_pair_message(factor):
+    """The first unreachable pair in row-major order, on both paths."""
+    g = scaled(unit_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), factor)
+    with pytest.raises(DisconnectedGraphError,
+                       match=r"^graph is disconnected: no path between vertices 0 and 3$"):
+        graph_metric(g)
+
+
+def test_metric_of_ladder_beyond_count_limit():
+    """The overflow check belongs to the counts, not to the sweep."""
+    g = diamond_ladder(60, 1.0)
+    assert graph_metric(g).dist[0, -1] == 120.0
+    with pytest.raises(GeodesicOverflowError):
+        graph_mag.count_geodesics(g)
+
+
+def test_weighted_path_length_overflow_is_not_disconnection():
+    g = GeodesicGraph(3, ((0, 1, 1e308), (1, 2, 1e308)))
+    with pytest.raises(OverflowError, match="vertices 0 and 2"):
+        graph_metric(g)
+
+
+def test_graph_count_cli_sweeps_once(tmp_path, monkeypatch):
+    sweep = GeodesicGraph.unit_sweep.func
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return sweep(g)
+
+    monkeypatch.setattr(GeodesicGraph.unit_sweep, "func", counted)
+    p = tmp_path / "g.edges"
+    p.write_text("0 1\n1 2\n2 3\n3 0\n0 4\n")
+    assert cli.run(["graph", "--edges", str(p), "--gamma", "count", "--method", "all",
+                    "--t-grid", "1", "3", "3", "--output", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 1

@@ -276,3 +276,16 @@ def test_load_edge_list(tmp_path):
     g = load_edge_list(p)
     assert g.vertex_count == 3
     assert (1, 2, 2.5) in g.edges
+
+
+def test_metric_space_copies_its_distances():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = FiniteMetricSpace.from_matrix(d)
+    d[0, 1] = 5.0  # a writable input is copied
+    assert m.dist[0, 1] == 1.0 and not m.dist.flags.writeable
+    base = np.zeros((2, 2))
+    writable = base[:]
+    base.setflags(write=False)  # read-only, but the view taken before can still write
+    m = FiniteMetricSpace.from_matrix(base)
+    writable[0, 1] = 5.0
+    assert m.dist[0, 1] == 0.0
