@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
+from .errors import MagnilabError
 from .finite_mag import chain_series, similarity
 from .spaces import AnalyticSpace, MagnitudeSeries, Sphere2
 
@@ -103,7 +104,8 @@ def minimal_energy_configuration(
     """m points on Sphere2(r) minimizing pairwise logarithmic energy.
 
     Deterministic given the seed; uses an unconstrained parametrization in
-    R^{3m} with the unit projection folded into the objective.
+    R^{3m} with the unit projection folded into the objective.  Raises
+    MagnilabError if L-BFGS-B stops without converging.
     """
     from scipy.optimize import minimize
 
@@ -119,6 +121,8 @@ def minimal_energy_configuration(
         method="L-BFGS-B",
         options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
     )
+    if not res.success:
+        raise MagnilabError(f"L-BFGS-B did not converge for m = {m} points: {res.message}")
     u = res.x.reshape(m, 3)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return PointConfiguration.empirical(Sphere2(r), u)

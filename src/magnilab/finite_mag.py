@@ -2,13 +2,14 @@
 
 The similarity matrix Z has entries exp(-t*d(x,y)); the magnitude is the sum
 of the entries of Z^{-1}, obtained by solving Z v = 1 rather than inverting.
-The Neumann route expands the same quantity as an alternating series over
+Every solve runs on numpy alone: a second solve, with Z^T, bounds the 1-norm
+condition number from below, and Z is refused past COND_LIMIT.  The Neumann
+route expands the same quantity as an alternating series over
 proper chains, computed by matrix-vector powers of Y = Z - I.
 """
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
 #: refuse linear solves beyond this 1-norm condition estimate
 COND_LIMIT = 1e13
 
+#: fixed +-1 probe columns of the condition estimate
+PROBES = 8
+
 
 def similarity(dist: np.ndarray, t: float) -> np.ndarray:
     """Z with entries exp(-t * d(x, y)); symmetric with unit diagonal."""
@@ -26,20 +30,49 @@ def similarity(dist: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-t * dist)
 
 
-def _solve_ones(z: np.ndarray) -> np.ndarray:
-    """Solve Z v = 1 by pivoted LU, guarding against near-singularity."""
-    import scipy.linalg
+def _estimate_columns(n: int) -> np.ndarray:
+    """Right-hand sides of the transposed solve, every entry in [-1, 1].
 
-    with warnings.catch_warnings():
-        # an exactly singular factor also warns; dgecon below reports it
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(z)
-    # LAPACK's 1-norm condition estimate from the same factors
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(z, 1))
-    cond = 1.0 / rcond if rcond > 0 else math.inf
-    if cond > COND_LIMIT:
+    Column 0 is left for the signs of the weighting; column 1 is Higham's
+    alternating vector (-1)^i (1 + i/(n-1)), halved; then PROBES fixed +-1
+    columns, bits of a multiplicative hash of the index, so that few pairs
+    of indices share their sign in every column, adjacent or not.
+    """
+    i = np.arange(n)
+    s = np.empty((n, 2 + PROBES))
+    s[:, 1] = np.where(i & 1, -0.5, 0.5) * (1.0 + i / max(n - 1, 1))
+    bits = (i * 0x9E3779B1) >> np.arange(16, 16 + PROBES)[:, None]
+    s[:, 2:] = np.where(bits.T & 1, -1.0, 1.0)
+    return s
+
+
+def _solve_ones(z: np.ndarray) -> np.ndarray:
+    """Solve Z v = 1, refusing Z whose 1-norm condition exceeds COND_LIMIT.
+
+    Two numpy solves give v and a lower bound on ||Z^{-1}||_1, in the manner
+    of the estimators of Hager (1984) and Higham & Tisseur (2000).  The
+    first solves Z v = 1.  The second solves Z^T Y = S, S the
+    _estimate_columns with column 0 the signs s of v (Hager's step).  Since
+    |e_i^T Z^{-T} c| <= ||Z^{-1} e_i||_1 for any c with entries in [-1, 1],
+    max |Y_ij| <= ||Z^{-1}||_1; and sum_i Y_i0 = s^T v = ||v||_1, so the
+    bound is at least ||v||_1 / n, the first estimate of LAPACK's dlacn2.
+    The condition estimate is ||Z||_1 max |Y_ij|, which never exceeds the
+    exact condition number, up to rounding.  An exactly singular Z raises
+    SingularMatrixError(inf), and a NaN estimate is refused as well.
+    """
+    n = z.shape[0]
+    s = _estimate_columns(n)
+    try:
+        v = np.linalg.solve(z, np.ones(n))
+        s[:, 0] = np.where(v < 0, -1.0, 1.0)
+        y = np.linalg.solve(z.T, s)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(math.inf) from None
+    with np.errstate(over="ignore"):  # an overflowing estimate is refused below
+        cond = float(np.linalg.norm(z, 1) * np.abs(y).max())
+    if not cond <= COND_LIMIT:
         raise SingularMatrixError(cond)
-    return scipy.linalg.lu_solve((lu, piv), np.ones(z.shape[0]))
+    return v
 
 
 def weighting_vector(m: FiniteMetricSpace, t: float) -> np.ndarray:

@@ -74,13 +74,20 @@ class SamplerSpec:
     """What to sample: space, master seed, sample count, measure scaling.
 
     mass_scale rescales the measure by a constant (the sampled distribution
-    is unchanged; every factor of mu(X) in the estimator picks it up).
+    is unchanged; every factor of mu(X) in the estimator picks it up).  A
+    total mass that is not a finite float64 (2 pi r = inf for r = 1e308)
+    raises OverflowError before any sampling, whose lengths would overflow.
     """
 
     space: AnalyticSpace
     seed: int = 0
     samples: int = 1_000_000
     mass_scale: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.total_mass):
+            raise OverflowError(f"total mass {self.total_mass} of the sampled measure "
+                                "is not a finite float64")
 
     @property
     def total_mass(self) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magnilab import empirical, finite_mag
+from magnilab.errors import MagnilabError
 from magnilab.spaces import Sphere2
 
 
@@ -33,6 +34,11 @@ def test_minimal_energy_deterministic():
     a = empirical.minimal_energy_configuration(12, seed=3)
     b = empirical.minimal_energy_configuration(12, seed=3)
     assert np.array_equal(a.points, b.points)
+
+
+def test_minimal_energy_unconverged_raises():
+    with pytest.raises(MagnilabError, match="did not converge"):
+        empirical.minimal_energy_configuration(12, seed=3, maxiter=1)
 
 
 def test_uniform_sphere_partial_alternates():

@@ -80,6 +80,41 @@ def test_condition_estimate_is_lapack_1norm_condition():
     assert exc.value.condition_estimate == pytest.approx(np.linalg.cond(z, 1), rel=1e-9)
 
 
+def near_duplicate_similarities(count, seed):
+    """Seeded Z = e^{-td} of 5..120 points in [0, 3]^dim with 1..3 points
+    moved to within 1e-8..1e-2 of another, t in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, dim = int(rng.integers(5, 121)), int(rng.integers(1, 4))
+        pts = rng.uniform(0.0, 3.0, size=(n, dim))
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = rng.choice(n, 2, replace=False)
+            pts[b] = pts[a] + 10 ** rng.uniform(-8, -2) * rng.normal(size=dim)
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        yield np.exp(-10 ** rng.uniform(-1, 1) * d)
+
+
+def test_condition_estimate_battery(monkeypatch):
+    """The two-solve estimate never exceeds the exact 1-norm condition and is
+    within 10x of it at least as often as LAPACK's dgecon."""
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgecon
+
+    monkeypatch.setattr(finite_mag, "COND_LIMIT", 0.0)  # every solve reports its estimate
+    within, within_lapack = 0, 0
+    for z in near_duplicate_similarities(200, seed=13):
+        norm = np.linalg.norm(z, 1)
+        exact = norm * np.linalg.norm(np.linalg.inv(z), 1)
+        with pytest.raises(SingularMatrixError) as exc:
+            finite_mag._solve_ones(z)
+        estimate = exc.value.condition_estimate
+        assert estimate <= exact * (1 + 1e-8)
+        rcond, _ = dgecon(lu_factor(z)[0], norm)
+        within += exact <= 10 * estimate
+        within_lapack += exact * rcond <= 10
+    assert within >= within_lapack
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 2.0))
 def test_shift_metric_scaling_identity(c):
