@@ -25,16 +25,16 @@ HEADER = "t,N,value,stderr,closed_form,abs_err,method,seed"
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
     return f"{float(x):.12g}"
 
 
 def _row(t, N, value, stderr, closed, method, seed) -> str:
-    abs_err = "" if closed in (None, "") else abs(float(value) - float(closed))
+    if closed is None:
+        closed_cols = ["", ""]
+    else:
+        closed_cols = [_fmt(closed), _fmt(abs(float(value) - float(closed)))]
     cols = [_fmt(t), "" if N is None else str(N), _fmt(value), _fmt(stderr),
-            _fmt(closed) if closed not in (None, "") else "",
-            _fmt(abs_err) if abs_err != "" else "", method, str(seed)]
+            *closed_cols, method, str(seed)]
     return ",".join(cols)
 
 
@@ -230,10 +230,7 @@ def _run_exact(args, dist, counts=None) -> int:
     """inverse and series rows per t from one Z, counted if counts are given."""
     lines = [HEADER]
     for t in _t_grid(args):
-        if counts is None:
-            z = finite_mag.similarity(dist, t)
-        else:
-            z = graph_mag.counted_similarity(counts, dist, t)
+        z = finite_mag.similarity(dist, t, counts)
         exact = float(finite_mag._solve_ones(z).sum())
         if args.method in ("inverse", "all"):
             lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))
@@ -248,8 +245,8 @@ def _run_exact(args, dist, counts=None) -> int:
 def _run_manifold(args) -> int:
     space = _make_space(args)
     grid = _t_grid(args)
+    spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)  # checks the mass
     if args.method in ("mc", "all"):
-        spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
         # one (N+1)-point chain per draw serves every order and the whole grid
         est = mc.estimate_term(spec, range(1, args.N + 1), grid)
     lines = [HEADER]
@@ -283,12 +280,12 @@ def _run_length_spectrum(args) -> int:
     n = args.n
     if args.l_max is not None:
         l_max = args.l_max
-    elif hasattr(space, "diameter"):
-        l_max = n * space.diameter
+        if not _positive(l_max):
+            raise MetricValidationError("--l-max must be finite and strictly positive")
     else:
-        l_max = n * 8.0
-    if not _positive(l_max):
-        raise MetricValidationError("--l-max must be finite and strictly positive")
+        l_max = n * getattr(space, "diameter", 8.0)
+        if not _positive(l_max):
+            raise OverflowError(f"default l_max = n * diameter = {l_max} is not a finite float64")
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
     edges, density, counts = mc.estimate_length_density(spec, n, args.bins, l_max)
     stderr = mc.length_density_stderr(spec, n, edges[1] - edges[0], counts)

@@ -25,8 +25,10 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def circle_leg_integral(r: float, t: float) -> float:
-    """J(t) = int_circle exp(-t*d(x,y)) dvol(x) = 2(1 - exp(-pi*r*t))/t."""
-    return 2.0 * (1.0 - math.exp(-math.pi * r * t)) / t
+    """J(t) = int_circle exp(-t*d(x,y)) dvol(x) = 2(1 - exp(-pi*r*t))/t.
+
+    expm1 keeps every digit of 1 - exp(-pi*r*t) as t -> 0."""
+    return -2.0 * math.expm1(-math.pi * r * t) / t
 
 
 def circle_term(n: int, r: float, t: float) -> float:

@@ -2,10 +2,11 @@
 
 The similarity matrix Z has entries exp(-t*d(x,y)); the magnitude is the sum
 of the entries of Z^{-1}, obtained by solving Z v = 1 rather than inverting.
-Every solve runs on numpy alone: a second solve, with Z^T, bounds the 1-norm
-condition number from below, and Z is refused past COND_LIMIT.  The Neumann
-route expands the same quantity as an alternating series over
-proper chains, computed by matrix-vector powers of Y = Z - I.
+Every solve runs on numpy alone, as one solve against 1 and a few fixed
+columns in [-1, 1]; these bound the infinity-norm condition number from
+below, and Z is refused past COND_LIMIT.  The Neumann route expands the
+same quantity as an alternating series over proper chains, computed by
+matrix-vector powers of Y = Z - I.
 """
 from __future__ import annotations
 
@@ -16,30 +17,36 @@ import numpy as np
 from .errors import MetricValidationError, SingularMatrixError
 from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
 
-#: refuse linear solves beyond this 1-norm condition estimate
+#: refuse linear solves beyond this infinity-norm condition estimate
 COND_LIMIT = 1e13
 
 #: fixed +-1 probe columns of the condition estimate
 PROBES = 8
 
 
-def similarity(dist: np.ndarray, t: float) -> np.ndarray:
-    """Z with entries exp(-t * d(x, y)); symmetric with unit diagonal."""
+def similarity(dist: np.ndarray, t: float, counts: np.ndarray | None = None) -> np.ndarray:
+    """Z with entries exp(-t * d(x, y)), times counts[x, y] off the diagonal
+    if given (the counted similarity); symmetric with unit diagonal."""
     if t <= 0:
         raise ValueError("scale t must be positive")
-    return np.exp(-t * dist)
+    z = np.exp(-t * dist)
+    if counts is not None:
+        z *= counts
+        np.fill_diagonal(z, 1.0)
+    return z
 
 
-def _estimate_columns(n: int) -> np.ndarray:
-    """Right-hand sides of the transposed solve, every entry in [-1, 1].
+def _right_hand_sides(n: int) -> np.ndarray:
+    """[1 | alternating | PROBES hashed +-1 columns], every entry in [-1, 1].
 
-    Column 0 is left for the signs of the weighting; column 1 is Higham's
-    alternating vector (-1)^i (1 + i/(n-1)), halved; then PROBES fixed +-1
-    columns, bits of a multiplicative hash of the index, so that few pairs
-    of indices share their sign in every column, adjacent or not.
+    Column 1 is Higham's alternating vector (-1)^i (1 + i/(n-1)), halved;
+    the probe columns are bits of a multiplicative hash of the index, so
+    that few pairs of indices share their sign in every column, adjacent
+    or not.
     """
     i = np.arange(n)
     s = np.empty((n, 2 + PROBES))
+    s[:, 0] = 1.0
     s[:, 1] = np.where(i & 1, -0.5, 0.5) * (1.0 + i / max(n - 1, 1))
     bits = (i * 0x9E3779B1) >> np.arange(16, 16 + PROBES)[:, None]
     s[:, 2:] = np.where(bits.T & 1, -1.0, 1.0)
@@ -47,32 +54,27 @@ def _estimate_columns(n: int) -> np.ndarray:
 
 
 def _solve_ones(z: np.ndarray) -> np.ndarray:
-    """Solve Z v = 1, refusing Z whose 1-norm condition exceeds COND_LIMIT.
+    """Solve Z v = 1, refusing Z whose condition estimate exceeds COND_LIMIT.
 
-    Two numpy solves give v and a lower bound on ||Z^{-1}||_1, in the manner
-    of the estimators of Hager (1984) and Higham & Tisseur (2000).  The
-    first solves Z v = 1.  The second solves Z^T Y = S, S the
-    _estimate_columns with column 0 the signs s of v (Hager's step).  Since
-    |e_i^T Z^{-T} c| <= ||Z^{-1} e_i||_1 for any c with entries in [-1, 1],
-    max |Y_ij| <= ||Z^{-1}||_1; and sum_i Y_i0 = s^T v = ||v||_1, so the
-    bound is at least ||v||_1 / n, the first estimate of LAPACK's dlacn2.
-    The condition estimate is ||Z||_1 max |Y_ij|, which never exceeds the
-    exact condition number, up to rounding.  An exactly singular Z raises
+    One numpy solve, Z Y = S with S the _right_hand_sides, gives v = Y[:, 0]
+    and a lower bound on ||Z^{-1}||_inf: the fixed-probe half of the block
+    estimator of Higham & Tisseur (2000).  Since |e_i^T Z^{-1} s| <=
+    ||e_i^T Z^{-1}||_1 for any s with entries in [-1, 1], max |Y_ij| <=
+    ||Z^{-1}||_inf; column 0 alone makes the bound at least ||v||_1 / n.
+    The estimate ||Z||_inf max |Y_ij| thus never exceeds the exact
+    infinity-norm condition number, up to rounding; on a symmetric Z that
+    equals the 1-norm one.  An exactly singular Z raises
     SingularMatrixError(inf), and a NaN estimate is refused as well.
     """
-    n = z.shape[0]
-    s = _estimate_columns(n)
     try:
-        v = np.linalg.solve(z, np.ones(n))
-        s[:, 0] = np.where(v < 0, -1.0, 1.0)
-        y = np.linalg.solve(z.T, s)
+        y = np.linalg.solve(z, _right_hand_sides(z.shape[0]))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(math.inf) from None
     with np.errstate(over="ignore"):  # an overflowing estimate is refused below
-        cond = float(np.linalg.norm(z, 1) * np.abs(y).max())
+        cond = float(np.linalg.norm(z, np.inf) * np.abs(y).max())
     if not cond <= COND_LIMIT:
         raise SingularMatrixError(cond)
-    return v
+    return y[:, 0]
 
 
 def weighting_vector(m: FiniteMetricSpace, t: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import GeodesicOverflowError, MetricValidationError
-from .finite_mag import _solve_ones, bisect_threshold, chain_series
+from .finite_mag import _solve_ones, bisect_threshold, chain_series, similarity
 from .spaces import FiniteMetricSpace, GeodesicGraph, MagnitudeSeries, graph_metric
 
 #: relative tolerance for recognizing equal-length paths on weighted graphs
@@ -71,19 +71,10 @@ def _count_dag(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
     return counts
 
 
-def counted_similarity(counts: np.ndarray, dist: np.ndarray, t: float) -> np.ndarray:
-    """Entries |Omega| * exp(-t*d_G) off-diagonal, 1 on the diagonal."""
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    z = counts * np.exp(-t * dist)
-    np.fill_diagonal(z, 1.0)
-    return z
-
-
 def tilde_similarity(g: GeodesicGraph, t: float) -> np.ndarray:
-    """counted_similarity of g, building its metric and counts."""
+    """The counted similarity of g, building its metric and counts."""
     metric = graph_metric(g)
-    return counted_similarity(count_geodesics(g, metric), metric.dist, t)
+    return similarity(metric.dist, t, count_geodesics(g, metric))
 
 
 def tilde_magnitude(g: GeodesicGraph, t: float) -> float:

@@ -285,7 +285,10 @@ class Sphere2:
 
     @property
     def total_mass(self) -> float:
-        return 4.0 * math.pi * self.r**2
+        try:
+            return 4.0 * math.pi * self.r**2
+        except OverflowError:  # r**2 raises where a product would give inf
+            return math.inf
 
     @property
     def diameter(self) -> float:

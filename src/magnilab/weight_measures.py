@@ -106,10 +106,10 @@ def weight_partial_magnitude_check(
     from the normalized measure for every order and t, and each t reads its
     partial sums and their errors with total mass mu_w(X).
     """
+    spec = mc.SamplerSpec(space, seed=seed, samples=samples)  # checks the mass first
     masses = [homogeneous_weight_mass(space, t) for t in grid]
     # the weight identity holds for the metric t*d, so estimate at scale t
-    est = mc.estimate_term(mc.SamplerSpec(space, seed=seed, samples=samples),
-                           range(1, N + 1), grid)
+    est = mc.estimate_term(spec, range(1, N + 1), grid)
     out = []
     for i, mass in enumerate(masses):
         series = est.series(i, mass)

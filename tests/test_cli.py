@@ -300,10 +300,35 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
     ["manifold", "--space", "circle", "--r", "1e308", "--samples", "10", "--t", "1"],
     ["weight-check", "--space", "circle", "--r", "1e308", "--samples", "10", "--t", "1",
      "--N", "1"],
+    # the closed forms check the total mass too; the sphere's r**2 raises
+    ["manifold", "--space", "circle", "--r", "1e308", "--t", "1", "--method", "closed",
+     "--N", "2"],
+    ["manifold", "--space", "interval", "--a=-1e308", "--b", "1e308", "--t", "1",
+     "--method", "closed", "--N", "2"],
+    ["manifold", "--space", "sphere", "--r", "1e200", "--t", "1", "--method", "all",
+     "--N", "1", "--samples", "10"],
+    # a finite mass, but the default l-max n * pi * r overflows
+    ["length-spectrum", "--space", "circle", "--r", "1e307", "--n", "100", "--samples", "10"],
+    ["length-spectrum", "--space", "circle", "--r", "1e308", "--samples", "10"],
 ])
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("args, named", [
+    (["manifold", "--space", "circle", "--r", "1e308", "--t", "1", "--method", "closed"],
+     "total mass inf"),
+    (["manifold", "--space", "sphere", "--r", "1e200", "--t", "1", "--method", "closed"],
+     "total mass inf"),
+    (["weight-check", "--space", "sphere", "--r", "1e200", "--t", "1", "--samples", "10"],
+     "total mass inf"),
+    (["length-spectrum", "--space", "circle", "--r", "1e307", "--n", "100",
+      "--samples", "10"], "default l_max"),
+])
+def test_overflow_message_names_the_quantity(capsys, args, named):
+    assert cli.run(args) == cli.EXIT_NUMERICAL
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnilab import finite_mag
+from magnilab import finite_mag, graph_mag
 from magnilab.errors import SingularMatrixError
-from magnilab.spaces import FiniteMetricSpace
+from magnilab.spaces import FiniteMetricSpace, GeodesicGraph, graph_metric
 
 
 def two_point(d):
@@ -95,7 +95,7 @@ def near_duplicate_similarities(count, seed):
 
 
 def test_condition_estimate_battery(monkeypatch):
-    """The two-solve estimate never exceeds the exact 1-norm condition and is
+    """The estimate never exceeds the exact 1-norm condition and is
     within 10x of it at least as often as LAPACK's dgecon."""
     from scipy.linalg import lu_factor
     from scipy.linalg.lapack import dgecon
@@ -113,6 +113,75 @@ def test_condition_estimate_battery(monkeypatch):
         within += exact <= 10 * estimate
         within_lapack += exact * rcond <= 10
     assert within >= within_lapack
+
+
+def test_solve_ones_factors_z_once(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(30, 2))
+    z = finite_mag.similarity(np.linalg.norm(pts[:, None] - pts[None, :], axis=2), 1.0)
+    v = finite_mag._solve_ones(z)
+    assert len(calls) == 1
+    assert np.allclose(z @ v, 1.0)
+
+
+def worst_counted_similarities(count, seed):
+    """Counted similarities of seeded connected unit graphs on 4..40
+    vertices, each at the t of a 60-point grid in [0.05, 3] where its
+    1-norm condition number is largest."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.05, 3.0, 60)
+    for _ in range(count):
+        n = int(rng.integers(4, 41))
+        edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # a spanning tree
+        for _ in range(int(rng.integers(0, 2 * n))):
+            u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            edges.add((u, v))
+        g = GeodesicGraph(n, tuple(sorted(edges)))
+        metric = graph_metric(g)
+        counts = graph_mag.count_geodesics(g, metric)
+        zs = [finite_mag.similarity(metric.dist, t, counts) for t in grid]
+        yield max(zs, key=lambda z: np.linalg.cond(z, 1))
+
+
+def test_condition_estimate_counted_graph_battery(monkeypatch):
+    """On counted similarities, which are not positive definite, the
+    estimate never exceeds the exact condition number and is within 10x of
+    it at least as often as LAPACK's dgecon."""
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgecon
+
+    monkeypatch.setattr(finite_mag, "COND_LIMIT", 0.0)  # every solve reports its estimate
+    within, within_lapack = 0, 0
+    for z in worst_counted_similarities(150, seed=0):
+        assert (z == z.T).all()  # so the infinity- and 1-norm conditions agree
+        norm = np.linalg.norm(z, 1)
+        exact = norm * np.linalg.norm(np.linalg.inv(z), 1)
+        with pytest.raises(SingularMatrixError) as exc:
+            finite_mag._solve_ones(z)
+        estimate = exc.value.condition_estimate
+        assert estimate <= exact * (1 + 1e-8)
+        rcond, _ = dgecon(lu_factor(z)[0], norm)
+        within += exact <= 10 * estimate
+        within_lapack += exact * rcond <= 10
+    assert within >= within_lapack
+
+
+def test_condition_estimate_of_nonsymmetric_z_is_infinity_norm():
+    # kappa_1 is (1 + 1e7)^2 = 1.0e14 but kappa_inf is (1 + 2e7)^2 = 4.0e14:
+    # row 0 of Z^{-1} is (1, -1e7, -1e7), which a probe column with signs
+    # (+, -, -) reads in full
+    z = np.array([[1.0, 1e7, 1e7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularMatrixError) as exc:
+        finite_mag._solve_ones(z)
+    assert exc.value.condition_estimate == pytest.approx((1 + 2e7) ** 2, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
