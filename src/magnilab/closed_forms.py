@@ -239,13 +239,9 @@ def torus_arccos_bounds(t: float) -> tuple[float, float]:
 
 
 def torus_first_term_identity(t: float) -> float:
-    """Equivalent expression 2 pi/t^2 - 8*(arccos integral) - 2 pi (Rt+1)e^{-tR}/t^2."""
-    R = TORUS_R
-    return (
-        2.0 * math.pi / t**2
-        - 8.0 * torus_arccos_integral(t)
-        - 2.0 * math.pi * (R * t + 1.0) * math.exp(-t * R) / t**2
-    )
+    """Equivalent expression 2 pi/t^2 - 8*(arccos integral) - 2 pi (Rt+1)e^{-tR}/t^2,
+    with the first and last terms as 2 pi P(2, Rt)/t^2, which does not cancel as t -> 0."""
+    return float(2.0 * math.pi * _exp_moment(1, t, TORUS_R) - 8.0 * torus_arccos_integral(t))
 
 
 # ---------------------------------------------------------------------------

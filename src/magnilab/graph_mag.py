@@ -4,7 +4,8 @@ The modified similarity matrix has entries |Omega_{x,y}| * exp(-t*d_G(x,y)),
 where |Omega_{x,y}| is the number of distinct shortest paths.  For graphs
 where all geodesics are unique this collapses to the classical magnitude of
 the shortest-path metric.  Unit-length graphs take metric and counts from
-one sweep, GeodesicGraph.unit_sweep; others count over Dijkstra's DAGs.
+one numpy breadth-first sweep, GeodesicGraph.unit_sweep, which loads no
+scipy; others count over Dijkstra's DAGs.
 """
 from __future__ import annotations
 
@@ -47,10 +48,8 @@ def count_geodesics(g: GeodesicGraph, metric: FiniteMetricSpace | None = None) -
 
 def _count_dag(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
     n = g.vertex_count
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    lengths, nbrs, indptr = (a.tolist() for a in g.csr)
+    adj = [tuple(zip(nbrs[a:b], lengths[a:b])) for a, b in zip(indptr, indptr[1:])]
 
     counts = np.zeros((n, n))
     for s in range(n):

@@ -19,6 +19,8 @@ from .errors import DisconnectedGraphError, MetricValidationError
 METRIC_TOL = 1e-12
 #: most violations validate_metric reports before it stops scanning
 MAX_VIOLATIONS = 100
+#: most keys one level of GeodesicGraph.unit_sweep expands, unless one source alone has more
+SWEEP_KEYS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +186,48 @@ class GeodesicGraph:
     def is_unit(self) -> bool:
         return all(w == 1.0 for _, _, w in self.edges)
 
-    def adjacency(self):
-        """Symmetric weighted adjacency as a scipy.sparse CSR matrix."""
-        from scipy.sparse import csr_matrix
-
-        n = self.vertex_count
-        if not self.edges:
-            return csr_matrix((n, n))
-        u, v, w = zip(*self.edges)
-        rows = np.array(u + v)
-        cols = np.array(v + u)
-        data = np.array(w + w, dtype=float)
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lengths, neighbours, indptr): the symmetric adjacency as scipy's
+        CSR triple, each vertex's neighbours in edge order."""
+        uvw = np.array(self.edges, dtype=float).reshape(-1, 3)
+        heads = uvw[:, :2].astype(np.intp).reshape(-1)  # u0, v0, u1, v1, ...
+        order = np.argsort(heads, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=self.vertex_count))))
+        return uvw[order // 2, 2], heads[order ^ 1], indptr
 
     @cached_property
     def unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
-        """(metric, read-only counts) of a unit-length graph, from L_0 = I and
-        L_k = A L_{k-1} kept on the pairs not yet reached: they lie at distance
-        k, L_k holds their geodesic counts, and only the frontier L_k is touched.
-        The metric keeps inf for unreachable pairs; graph_metric rejects them.
+        """(metric, read-only counts) of a unit-length graph, from a numpy
+        breadth-first sweep over blocks of SWEEP_KEYS // 2|E| sources.  Level k
+        expands each key source*n + vertex by the vertex's neighbours and keeps
+        those still at dist inf.  Duplicates merge with no sort: each writes its
+        position into its dist slot, the one that reads its own back stands for
+        the group, and bincount sums their counts, exactly below 2**53.
+        Unreachable pairs keep inf; graph_metric rejects them.
         """
-        from scipy.sparse import csr_matrix, identity
-
         n = self.vertex_count
+        _, nbrs, indptr = self.csr
         dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
         flat_dist, flat_counts = dist.reshape(-1), counts.reshape(-1)  # views
         flat_dist[:: n + 1] = 0.0
-        adj, level, k = self.adjacency(), identity(n, format="csr"), 0
-        while level.nnz:
-            k += 1
-            level = adj @ level
-            rows = np.repeat(np.arange(n), np.diff(level.indptr))
-            keys = rows * n + level.indices
-            new = np.isinf(flat_dist[keys])
-            data, keys = level.data[new], keys[new]
-            flat_dist[keys], flat_counts[keys] = k, data
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[new], minlength=n))))
-            level = csr_matrix((data, level.indices[new], indptr), shape=(n, n))
+        block = max(1, SWEEP_KEYS // max(1, len(nbrs)))
+        for first in range(0, n, block):
+            keys = np.arange(first, min(n, first + block)) * (n + 1)
+            vals, k = np.ones(len(keys)), 0
+            while len(keys):
+                k += 1
+                vertex = keys % n
+                deg = indptr[vertex + 1] - indptr[vertex]
+                step = np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg)
+                keys = np.repeat(keys - vertex, deg) + nbrs[step]  # step: CSR slots of each key
+                fresh = np.flatnonzero(np.isinf(flat_dist[keys]))
+                keys, vals = keys[fresh], np.repeat(vals, deg)[fresh]
+                flat_dist[keys] = at = np.arange(len(keys))
+                rep = flat_dist[keys].astype(np.intp)
+                own = np.flatnonzero(rep == at)
+                keys, vals = keys[own], np.bincount(rep, weights=vals, minlength=len(keys))[own]
+                flat_dist[keys], flat_counts[keys] = k, vals
         counts.setflags(write=False)
         return FiniteMetricSpace.from_matrix(dist), counts
 
@@ -233,14 +240,16 @@ def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
     if g.is_unit:
         metric = g.unit_sweep[0]
     else:
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components, dijkstra
 
-        metric = FiniteMetricSpace.from_matrix(dijkstra(g.adjacency(), directed=False))
+        adj = csr_matrix(g.csr, shape=(g.vertex_count,) * 2)
+        metric = FiniteMetricSpace.from_matrix(dijkstra(adj, directed=False))
     unreachable = np.argwhere(np.isinf(metric.dist))
     if len(unreachable):
         i, j = (int(x) for x in unreachable[0])
         if not g.is_unit:
-            labels = connected_components(g.adjacency(), directed=False)[1]
+            labels = connected_components(adj, directed=False)[1]
             if labels[i] == labels[j]:
                 raise OverflowError(f"path length between vertices {i} and {j} overflows")
         raise DisconnectedGraphError(i, j)

@@ -486,17 +486,18 @@ def test_import_and_scipy_free_subcommands_load_no_scipy(argv, distance_csv):
 @pytest.mark.parametrize("edges, csgraph", [("0 1\n1 2\n2 0\n2 3\n", False),
                                             ("0 1 1\n1 2 2.5\n2 0 1\n", True)])
 def test_graph_count_loads_csgraph_only_for_weighted_edges(tmp_path, edges, csgraph):
-    """Unit graphs take metric and counts from the level sweep, not Dijkstra,
-    and their solves run on numpy, so they load scipy.sparse alone."""
+    """Unit graphs take metric and counts from the numpy level sweep and solve
+    on numpy, so they load no scipy; weighted graphs load csgraph for Dijkstra."""
     p = tmp_path / "g.edges"
     p.write_text(edges)
-    loaded = scipy_loaded(
-        f"from magnilab import cli; assert cli.run(['graph', '--edges', {str(p)!r}, "
-        "'--gamma', 'count', '--t', '1', '--method', 'all']) == 0")
-    assert "scipy.sparse" in loaded
-    assert ("scipy.sparse.csgraph" in loaded) == csgraph
-    if not csgraph:  # csgraph itself imports scipy.linalg
-        assert "scipy.linalg" not in loaded
+    for gamma in ("count", "triv"):
+        loaded = scipy_loaded(
+            f"from magnilab import cli; assert cli.run(['graph', '--edges', {str(p)!r}, "
+            f"'--gamma', {gamma!r}, '--t', '1', '--method', 'all']) == 0")
+        if csgraph:
+            assert "scipy.sparse.csgraph" in loaded
+        else:
+            assert loaded == set()
 
 
 def test_interval_closed_column_at_small_t(capsys):

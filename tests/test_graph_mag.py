@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from magnilab import cli, finite_mag, graph_mag
 from magnilab.errors import DisconnectedGraphError, GeodesicOverflowError
-from magnilab.spaces import GeodesicGraph, graph_metric
+from magnilab.spaces import SWEEP_KEYS, GeodesicGraph, graph_metric
 
 
 def cycle(n):
@@ -216,6 +217,23 @@ def test_sweep_is_shared_and_read_only():
     assert graph_metric(g) is metric  # the cached metric, not a rebuilt one
     assert graph_mag.count_geodesics(g) is counts
     assert not metric.dist.flags.writeable and not counts.flags.writeable
+
+
+def test_sweep_memory_is_bounded_by_blocks_of_sources():
+    """Unblocked, a level of Q10 expands 1024 * 252 * 10 > SWEEP_KEYS keys.
+    Blocked, the sweep holds dist, counts and the metric's copy of dist,
+    plus a few arrays of at most SWEEP_KEYS entries."""
+    g = hypercube(10)
+    n = g.vertex_count
+    assert n * math.comb(10, 5) * 10 > SWEEP_KEYS
+    g.csr  # O(|E|), built before the trace
+    tracemalloc.start()
+    try:
+        g.unit_sweep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n * n + 8 * 8 * SWEEP_KEYS
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0])
