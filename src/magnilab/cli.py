@@ -336,8 +336,8 @@ def _run_catalog(args) -> int:
     rows = closed_forms.catalog_rows(tuple(_t_grid(args)))
     lines = ["space,n,t,closed_form,oracle,abs_diff,citation"]
     for space, n, t, cf, oracle, diff, cite in rows:
-        lines.append(",".join([space, str(n), _fmt(t), _fmt(cf), _fmt(oracle),
-                               _fmt(diff), f'"{cite}"']))
+        lines.append(",".join([space, str(n), _fmt(t), "" if cf is None else _fmt(cf),
+                               _fmt(oracle), "" if diff is None else _fmt(diff), f'"{cite}"']))
     _emit(lines, args.output)
     return EXIT_OK
 

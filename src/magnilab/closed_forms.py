@@ -283,17 +283,27 @@ def interval_alpha(m: int, k: int, t: float, L: float) -> float:
     return acc
 
 
+#: (least tL, largest n) pairs within which interval_term holds to a relative
+#: 1e-11 against interval_chain_terms; the worst case is a_3 at tL = 0.1,
+#: off by 4.8e-12
+INTERVAL_TERM_RANGE = ((1.0, 8), (0.1, 3), (0.01, 1))
+
+
+def interval_term_in_range(n: int, t: float, L: float) -> bool:
+    """Whether a_n at (t, L) lies in INTERVAL_TERM_RANGE."""
+    return any(t * L >= low and n <= top for low, top in INTERVAL_TERM_RANGE)
+
+
 def interval_term(n: int, t: float, L: float) -> float:
     """a_n for Lebesgue measure on an interval of length L.
 
     a_1 = 2L/t - (2/t^2)(1 - e^{-tL});  a_n = (2/t) a_{n-1} - alpha(n, 0)/t.
 
     Range of validity: the float recursion cancels as tL -> 0, with a
-    relative error of roughly 1e-16 (2/tL)^{n+1}.  Against the exact
-    interval_chain_terms it holds 1e-12 for tL >= 1 up to n = 8, for
-    tL >= 0.1 up to n = 3 and for tL >= 0.01 only at n = 1; at tL = 0.001
-    a_3 is off by 2.4e-4.  It serves as the catalog's closed form for an
-    independent comparison; use interval_chain_terms for values.
+    relative error of roughly 1e-16 (2/tL)^{n+1}.  It holds within
+    INTERVAL_TERM_RANGE; at tL = 0.001 a_3 is off by 2.4e-4.  It serves as
+    the catalog's closed form for an independent comparison; use
+    interval_chain_terms for values.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -507,7 +517,8 @@ def catalog_rows(t_grid=(0.5, 1.0, 2.0, 5.0)):
     for the circle, sphere and Laplace line) or, for the interval, the
     transfer recursion of interval_chain_terms, a different algorithm from
     the interval_alpha recursion; citation names the result family each row
-    instantiates.
+    instantiates.  An interval row outside INTERVAL_TERM_RANGE has None for
+    its closed_form and abs_diff.
     """
     rows = []
     for t in t_grid:
@@ -524,9 +535,9 @@ def catalog_rows(t_grid=(0.5, 1.0, 2.0, 5.0)):
         rows.append(("torus", 1, t, cf, oracle, abs(cf - oracle), "flat torus first term"))
         oracles = interval_chain_terms(3, t, 1.0, 0.0, 1.0)
         for n in (1, 2, 3):
-            cf = interval_term(n, t, 1.0)
-            rows.append(("interval", n, t, cf, oracles[n], abs(cf - oracles[n]),
-                         "interval recursion"))
+            cf = interval_term(n, t, 1.0) if interval_term_in_range(n, t, 1.0) else None
+            rows.append(("interval", n, t, cf, oracles[n],
+                         None if cf is None else abs(cf - oracles[n]), "interval recursion"))
         cf = laplace_line_first_term(t)
         oracle = laplace_line_first_term_quadrature(t)
         rows.append(("line-laplace", 1, t, cf, oracle, abs(cf - oracle), "Laplace-weight line"))

@@ -29,7 +29,8 @@ def similarity(dist: np.ndarray, t: float, counts: np.ndarray | None = None) -> 
     if given (the counted similarity); symmetric with unit diagonal."""
     if t <= 0:
         raise ValueError("scale t must be positive")
-    z = np.exp(-t * dist)
+    z = np.multiply(dist, -t)
+    np.exp(z, out=z)
     if counts is not None:
         z *= counts
         np.fill_diagonal(z, 1.0)

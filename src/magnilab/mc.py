@@ -6,24 +6,26 @@ measure and multiply by mu(X)^{n+1}.  The indicator only matters for measures
 with atoms (interval weight measure); atom identity is tracked by integer
 tags, never by float comparison.
 
-One engine, _map_batches, draws every batch of chains and reduces it.  A
-draw is one (N+1)-point chain, extended a point at a time, and order n reads
-its n-leg prefix: the running total length after leg n, and the running AND
-of the per-leg proper indicators.  A batch reduces to sums of
-v_n = exp(-t L_n) * proper_n and of every product v_i v_j, for each t of a
-grid, or to histogram counts.  The chains do not depend on t, so
+One engine, _map_batches, draws every tile of TILE = 2^16 chains and
+reduces it.  A draw is one (N+1)-point chain, extended a point at a time,
+and order n reads its n-leg prefix: the running total length after leg n,
+and the running AND of the per-leg proper indicators.  A tile reduces to
+sums of v_n = exp(-t L_n) * proper_n and of every product v_i v_j, for each
+t of a grid, or to histogram counts.  The chains do not depend on t, so
 estimate_term(spec, orders, grid) draws them once for all its orders and the
 whole grid; its ChainEstimate gives each term with its error, and its cross
 moments the error of any partial sum of the shared terms.
 
-Each worker of a call keeps one scratch set for the whole call: two point
-slots that the chain's points alternate between, and the prefix lengths and
-indicators.  sample_batch and geodesic_distance write into it through their
-out arguments, and the reduce writes its chain values and products into the
-point slots, which are dead by then; only the sphere distance still takes a
-temporary per leg.  The set lives in a threading.local made per call, so it
-is gone when the call returns.  Draws are rng.random(out=...) followed by
-the in-place affine map, bit-identical to rng.uniform(lo, hi).
+Each worker of a call keeps one scratch set of tile length for the whole
+call: two point slots that the chain's points alternate between, and the
+prefix lengths and indicators.  On the sphere at N = 2 that is nine arrays
+of 2^16 floats, about 4.7 MB per worker.  sample_batch and
+geodesic_distance write into it through their out arguments, and the
+reduce writes its chain values and products into the point slots, which
+are dead by then; only the sphere distance still takes a temporary per
+leg.  The set lives in a threading.local made per call, so it is gone when
+the call returns.  Draws are rng.random(out=...) followed by the in-place
+affine map, bit-identical to rng.uniform(lo, hi).
 
 Sphere points are kept as rows (z, sqrt(1 - z^2), phi), and
 cos(theta) = z1 z2 + s1 s2 cos(phi1 - phi2), with the cosine taken from the
@@ -32,9 +34,11 @@ of np.cos.  NumPy vectorises float64 tan only on AVX512 machines, where
 np.cos runs in scalar libm and costs about ten times more; elsewhere both
 forms cost one libm call per leg.
 
-Determinism contract: a fixed batch size, one random stream per batch index
-derived from the master seed, and reduction in batch order.  Estimates are
-bit-identical for a given seed regardless of worker count.
+Determinism contract: a fixed tile size, one random stream per tile index
+derived from the master seed, and reduction in tile order.  A batch of
+BATCH_SIZE = 4 TILE chains is the unit of thread-pool work and nothing
+else.  Estimates are bit-identical for a given seed regardless of worker
+count and batch size.
 """
 from __future__ import annotations
 
@@ -51,7 +55,8 @@ from .spaces import (AnalyticSpace, Circle, FlatTorusUnit, Interval,
                      LineGaussian, LineLaplace, MagnitudeSeries, SeriesTerm,
                      Sphere2)
 
-BATCH_SIZE = 1 << 18
+TILE = 1 << 16
+BATCH_SIZE = 4 * TILE
 
 
 def worker_count() -> int:
@@ -264,7 +269,7 @@ def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None)
 
 
 class _Scratch:
-    """One worker's arrays for batches of up to `size` chains of N legs."""
+    """One worker's arrays for tiles of up to `size` chains of N legs."""
 
     def __init__(self, space: AnalyticSpace, size: int, N: int):
         self.slots = (_empty_batch(space, size), _empty_batch(space, size))
@@ -274,29 +279,30 @@ class _Scratch:
 
 
 def _map_batches(spec: SamplerSpec, N: int, reduce) -> list:
-    """reduce(totals, propers, spare) on every batch of (N+1)-point chains.
+    """reduce(totals, propers, spare) on every tile of (N+1)-point chains.
 
     Each chain grows one sampled point at a time: totals[n - 1] is the length
     of its n-leg prefix, the order-n chain, and propers[n - 1] the running AND
     of the per-leg proper indicators (None on a space without atoms).  spare
-    lists float arrays of the batch's length that are dead by the reduce;
+    lists float arrays of the tile's length that are dead by the reduce;
     the reduce may write into them and into totals, and must return arrays
-    of its own, because the next batch of the worker reuses all of them.
-    Batch idx draws from the stream with spawn key (1, idx), the key order-1
-    chains have always used, and the results come back in batch order
+    of its own, because the next tile of the worker reuses all of them.
+    Tile j holds chains [j TILE, (j + 1) TILE) and draws from the stream
+    with spawn key (1, j); a pool task runs the tiles of one batch of
+    BATCH_SIZE chains in order, and the results come back in tile order
     whatever the worker count.
     """
-    starts = range(0, spec.samples, BATCH_SIZE)
-    items = [(idx, min(BATCH_SIZE, spec.samples - start)) for idx, start in enumerate(starts)]
-    size = items[0][1] if items else 0  # the first batch is the largest
+    tiles = [(j, min(TILE, spec.samples - start))
+             for j, start in enumerate(range(0, spec.samples, TILE))]
+    per_batch = BATCH_SIZE // TILE
+    batches = [tiles[i:i + per_batch] for i in range(0, len(tiles), per_batch)]
     local = threading.local()  # each worker's scratch set, for this call only
 
-    def work(item):
-        idx, m = item
+    def draw(j, m):
         scratch = getattr(local, "scratch", None)
         if scratch is None:
-            scratch = local.scratch = _Scratch(spec.space, size, N)
-        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, idx))
+            scratch = local.scratch = _Scratch(spec.space, min(TILE, spec.samples), N)
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, j))
         rng = np.random.Generator(np.random.PCG64(ss))
         totals = [row[:m] for row in scratch.totals]
         propers = [None] * N if scratch.propers is None else [row[:m] for row in scratch.propers]
@@ -318,14 +324,17 @@ def _map_batches(spec: SamplerSpec, N: int, reduce) -> list:
                  for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,))]
         return reduce(totals, propers, spare)
 
-    if len(items) > 1 and worker_count() > 1:
+    def work(batch):
+        return [draw(j, m) for j, m in batch]
+
+    if len(batches) > 1 and worker_count() > 1:
         with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-            return list(ex.map(work, items))  # map preserves batch order
-    return [work(it) for it in items]
+            return [r for rs in ex.map(work, batches) for r in rs]  # map keeps batch order
+    return [r for batch in batches for r in work(batch)]
 
 
 def _fsum_batches(parts: list) -> np.ndarray:
-    """Entrywise math.fsum of equally shaped per-batch arrays."""
+    """Entrywise math.fsum of equally shaped per-tile arrays."""
     stacked = np.asarray(parts, dtype=float)
     flat = stacked.reshape(len(parts), -1).T
     return np.array([math.fsum(col) for col in flat]).reshape(stacked.shape[1:])
@@ -336,7 +345,7 @@ def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
     t in grid, from one set of chains.
 
     One (N+1)-point chain per draw, N the largest order, serves every order,
-    and the chains do not depend on t, so each batch is reduced for every t
+    and the chains do not depend on t, so each tile is reduced for every t
     (common random numbers).  An order's estimate depends only on the seed
     and the sample count: it is bit-identical whatever other orders and t
     are asked for.  With shared chains the estimates are strictly decreasing
@@ -377,10 +386,10 @@ def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
         return sums, moments, len(totals[-1]) if proper is None else int(proper.sum())
 
     if K:
-        batches = _map_batches(spec, max(orders), reduce)
-        mean = _fsum_batches([s for s, _, _ in batches]) / count
-        moment = _fsum_batches([q for _, q, _ in batches]) / count
-        proper_fraction = sum(p for _, _, p in batches) / count
+        tiles = _map_batches(spec, max(orders), reduce)
+        mean = _fsum_batches([s for s, _, _ in tiles]) / count
+        moment = _fsum_batches([q for _, q, _ in tiles]) / count
+        proper_fraction = sum(p for _, _, p in tiles) / count
     else:
         mean, moment, proper_fraction = np.empty((T, 0)), np.empty((T, 0, 0)), 1.0
     return ChainEstimate(orders, grid, count, mean, moment, proper_fraction)

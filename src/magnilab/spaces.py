@@ -35,7 +35,9 @@ class FiniteMetricSpace:
     dist: np.ndarray  # (n, n) float64, read-only
 
     def __post_init__(self):
-        d = np.array(self.dist, dtype=float)
+        self._own(np.array(self.dist, dtype=float))
+
+    def _own(self, d: np.ndarray) -> None:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
         if len(self.points) != d.shape[0]:
@@ -52,6 +54,15 @@ class FiniteMetricSpace:
         if points is None:
             points = [str(i) for i in range(d.shape[0])]
         return cls(tuple(points), d)
+
+    @classmethod
+    def _adopt(cls, dist: np.ndarray) -> "FiniteMetricSpace":
+        """The space on a float64 array its caller has just made and holds
+        alone, without from_matrix's copy; the array becomes read-only."""
+        space = cls.__new__(cls)
+        object.__setattr__(space, "points", tuple(str(i) for i in range(dist.shape[0])))
+        space._own(dist)
+        return space
 
     @property
     def size(self) -> int:
@@ -229,7 +240,7 @@ class GeodesicGraph:
                 keys, vals = keys[own], np.bincount(rep, weights=vals, minlength=len(keys))[own]
                 flat_dist[keys], flat_counts[keys] = k, vals
         counts.setflags(write=False)
-        return FiniteMetricSpace.from_matrix(dist), counts
+        return FiniteMetricSpace._adopt(dist), counts
 
 
 def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
@@ -244,7 +255,7 @@ def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
         from scipy.sparse.csgraph import connected_components, dijkstra
 
         adj = csr_matrix(g.csr, shape=(g.vertex_count,) * 2)
-        metric = FiniteMetricSpace.from_matrix(dijkstra(adj, directed=False))
+        metric = FiniteMetricSpace._adopt(dijkstra(adj, directed=False))
     unreachable = np.argwhere(np.isinf(metric.dist))
     if len(unreachable):
         i, j = (int(x) for x in unreachable[0])

@@ -104,6 +104,15 @@ def test_byte_identical_across_thread_env(tmp_path):
         assert a.stdout == b.stdout and a.stdout
 
 
+def test_partial_tile_and_batch_byte_identical_across_thread_env():
+    """Two full batches, one full tile and a 3-chain tile: the pool splits
+    them differently at 1, 2 and 3 workers, and the rows do not move."""
+    args = ["manifold", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
+            "--samples", str(2 * mc.BATCH_SIZE + mc.TILE + 3), "--seed", "5"]
+    outs = [run_cli(args, {"MAGNILAB_THREADS": threads}).stdout for threads in ("1", "2", "3")]
+    assert outs[0] == outs[1] == outs[2] and outs[0]
+
+
 def test_output_file(tmp_path, distance_csv):
     out = tmp_path / "o.csv"
     res = run_cli(["finite", "--input", distance_csv, "--t", "1",
@@ -123,6 +132,14 @@ def test_interval_weight_table_columns():
 def test_catalog_columns():
     res = run_cli(["catalog", "--t", "1"])
     assert res.stdout.splitlines()[0] == "space,n,t,closed_form,oracle,abs_diff,citation"
+
+
+def test_catalog_leaves_out_of_range_interval_cells_empty():
+    res = run_cli(["catalog", "--t-grid", "1e-8", "1", "2"])
+    rows = [line.split(",") for line in res.stdout.splitlines() if line.startswith("interval,")]
+    assert res.returncode == 0 and len(rows) == 6
+    for row in rows:
+        assert (row[3] == row[5] == "") == (row[2] == "1e-08")
 
 
 def test_method_all_multi_seed_agreement():
@@ -391,11 +408,11 @@ def test_manifold_draws_each_order_once(monkeypatch, capsys):
         return sample_batch(spec, rng, m, out=out)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
-    samples, batches = mc.BATCH_SIZE + 1000, 2
+    samples, tiles = mc.BATCH_SIZE + 1000, 5
     assert cli.run(["manifold", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
                     "--samples", str(samples), "--method", "mc"]) == 0
     # one 3-point chain per draw serves both orders and the whole grid
-    assert len(calls) == 3 * batches
+    assert len(calls) == 3 * tiles
     assert sum(calls) == 3 * samples
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2
 
@@ -436,10 +453,10 @@ def test_weight_check_draws_each_order_once(monkeypatch, capsys):
         return sample_batch(spec, rng, m, out=out)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
-    samples, batches = mc.BATCH_SIZE + 1000, 2
+    samples, tiles = mc.BATCH_SIZE + 1000, 5
     assert cli.run(["weight-check", "--space", "sphere", "--t-grid", "1", "3", "3", "--N", "2",
                     "--samples", str(samples)]) == 0
-    assert len(calls) == 3 * batches
+    assert len(calls) == 3 * tiles
     assert sum(calls) == 3 * samples
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
 

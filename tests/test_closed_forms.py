@@ -108,6 +108,15 @@ class TestInterval:
         for n in range(1, 7):
             assert terms[n] == pytest.approx(cf.interval_term(n, t, 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("low, top", cf.INTERVAL_TERM_RANGE)
+    def test_interval_term_holds_in_its_stated_range(self, low, top):
+        for tl in (low * np.logspace(0, 6, 13)).tolist():
+            for L in (1.0, 2.5):
+                terms = cf.interval_chain_terms(top, tl / L, L, 0.0, 1.0)
+                for n in range(1, top + 1):
+                    assert cf.interval_term_in_range(n, tl / L, L)
+                    assert cf.interval_term(n, tl / L, L) == pytest.approx(terms[n], rel=1e-11)
+
     @pytest.mark.parametrize("tl", [1e-3, 1e-6, 1e-20])
     @pytest.mark.parametrize("atom, density", [(0.0, 1.0), (0.5, 0.5)])
     def test_chain_term_precision_suffices(self, monkeypatch, tl, atom, density):
@@ -168,6 +177,19 @@ class TestLines:
                                    epsabs=1e-14, epsrel=1e-13, limit=200)
         assert cf.gaussian_line_second_term(t) == pytest.approx(direct, rel=1e-7)
         assert abs(cf.gaussian_line_second_term_published(t) - direct) > 0.1
+
+
+def test_catalog_prints_no_interval_closed_form_outside_its_range():
+    """At t = 1e-8 the interval_alpha recursion returns a_3 = 8.6e15 for a
+    term near 1; the catalog leaves that cell and its diff empty."""
+    rows = [r for r in cf.catalog_rows((1e-8, 1.0)) if r[0] == "interval"]
+    assert [(r[1], r[2]) for r in rows] == [(n, t) for t in (1e-8, 1.0) for n in (1, 2, 3)]
+    for _, n, t, closed, oracle, diff, _ in rows:
+        assert oracle == pytest.approx(1.0, abs=1e-7) if t == 1e-8 else oracle < 1.0
+        if t == 1e-8:
+            assert closed is None and diff is None
+        else:
+            assert diff == abs(closed - oracle) < 1e-12
 
 
 def test_catalog_rows_have_small_diffs():

@@ -217,12 +217,13 @@ def test_sweep_is_shared_and_read_only():
     assert graph_metric(g) is metric  # the cached metric, not a rebuilt one
     assert graph_mag.count_geodesics(g) is counts
     assert not metric.dist.flags.writeable and not counts.flags.writeable
+    assert not graph_metric(scaled(g, 2.0)).dist.flags.writeable  # the Dijkstra branch
 
 
 def test_sweep_memory_is_bounded_by_blocks_of_sources():
     """Unblocked, a level of Q10 expands 1024 * 252 * 10 > SWEEP_KEYS keys.
-    Blocked, the sweep holds dist, counts and the metric's copy of dist,
-    plus a few arrays of at most SWEEP_KEYS entries."""
+    Blocked, the sweep holds dist and counts, which the metric adopts
+    without a copy, plus a few arrays of at most SWEEP_KEYS entries."""
     g = hypercube(10)
     n = g.vertex_count
     assert n * math.comb(10, 5) * 10 > SWEEP_KEYS
@@ -233,7 +234,39 @@ def test_sweep_memory_is_bounded_by_blocks_of_sources():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n * n + 8 * 8 * SWEEP_KEYS
+    assert peak < 2 * 8 * n * n + 8 * 8 * SWEEP_KEYS
+
+
+def test_sweep_of_a_path_holds_two_square_arrays():
+    """A path's levels hold at most two keys per source, so the peak is dist
+    and counts alone: the metric takes dist without a copy."""
+    g = path(1024)
+    n = g.vertex_count
+    g.csr
+    tracemalloc.start()
+    try:
+        g.unit_sweep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n + (1 << 18)
+
+
+def test_counted_similarity_is_built_in_place():
+    """Z takes one n^2 array: exp(-t d) is computed in the array it returns."""
+    g = hypercube(10)
+    n = g.vertex_count
+    metric, counts = g.unit_sweep
+    tracemalloc.start()
+    try:
+        z = finite_mag.similarity(metric.dist, 0.5, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n + (1 << 16)
+    expected = np.exp(-0.5 * metric.dist) * counts
+    np.fill_diagonal(expected, 1.0)
+    assert np.array_equal(z, expected)
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0])

@@ -70,7 +70,7 @@ def test_first_term_within_four_sigma(space, closed):
 
 
 def test_common_random_numbers_on_grid():
-    # three batches, so the per-batch sums are combined across batches
+    # ten tiles in three batches, so the per-tile sums are combined across batches
     spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=600_000)
     grid = [1.0, 2.0, 3.0]
     est = mc.estimate_term(spec, [2], grid)
@@ -83,11 +83,11 @@ def test_common_random_numbers_on_grid():
 
 
 def _serial_chains(spec, N):
-    """Per batch, (prefix lengths, prefix proper indicators) of the chains:
-    N + 1 points drawn in turn from the batch's stream, then the legs."""
+    """Per tile, (prefix lengths, prefix proper indicators) of the chains:
+    N + 1 points drawn in turn from the tile's stream, then the legs."""
     out = []
-    for idx, start in enumerate(range(0, spec.samples, mc.BATCH_SIZE)):
-        m = min(mc.BATCH_SIZE, spec.samples - start)
+    for idx, start in enumerate(range(0, spec.samples, mc.TILE)):
+        m = min(mc.TILE, spec.samples - start)
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, idx))
         rng = np.random.Generator(np.random.PCG64(ss))
         points = [mc.sample_batch(spec, rng, m) for _ in range(N + 1)]
@@ -104,8 +104,8 @@ def _serial_chains(spec, N):
 
 
 def test_engine_matches_serial_reference_loop(monkeypatch):
-    """Threaded grid, orders and histogram equal a serial loop over the batch
-    streams, with per-batch sums combined by fsum in batch order."""
+    """Threaded grid, orders and histogram equal a serial loop over the tile
+    streams, with per-tile sums combined by fsum in tile order."""
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
     N, grid, edges = 2, [0.5, 2.0], np.linspace(0.0, 2 * math.pi, 9)
     spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE + 1000)
@@ -179,6 +179,20 @@ def test_multi_order_estimate_independent_of_thread_count():
         outs.append(subprocess.run([sys.executable, "-c", code], env=env,
                                    capture_output=True, text=True).stdout)
     assert outs[0] == outs[1] and outs[0].strip()
+
+
+@pytest.mark.parametrize("batch", [mc.TILE, 8 * mc.TILE])
+def test_batch_size_only_schedules_work(monkeypatch, batch):
+    """The batch is the unit of pool work: resized, it moves no bit."""
+    monkeypatch.setenv("MAGNILAB_THREADS", "2")
+    spec = mc.SamplerSpec(Interval(0.0, 1.0, "weight"), seed=6, samples=5 * mc.TILE + 17)
+    args = (spec, range(1, 4), [0.5, 2.0])
+    default = mc.estimate_term(*args)
+    monkeypatch.setattr(mc, "BATCH_SIZE", batch)
+    resized = mc.estimate_term(*args)
+    assert np.array_equal(resized.mean, default.mean)
+    assert np.array_equal(resized.moment, default.moment)
+    assert resized.proper_fraction == default.proper_fraction
 
 
 def test_scratch_sets_are_not_shared_between_workers(monkeypatch):
@@ -265,21 +279,30 @@ def test_half_angle_cosine_matches_np_cos():
     assert np.max(np.abs(got - np.cos(angles))) <= 2 * eps
 
 
-def test_sphere_estimate_memory_stays_at_one_scratch_set(monkeypatch):
-    """Two batches on one worker reuse one scratch set: nine batch-length
-    arrays (two point slots of (z, s, phi), two prefix lengths and the
-    distance's temporary), and the reduce adds none."""
-    monkeypatch.setenv("MAGNILAB_THREADS", "1")
+def _sphere_estimate_peak(monkeypatch, workers):
+    """tracemalloc peak of a two-batch sphere estimate on `workers` threads."""
+    monkeypatch.setenv("MAGNILAB_THREADS", str(workers))
     spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE)
     grid = [0.5, 1.0, 2.0, 3.0, 5.0]
     mc.estimate_term(mc.SamplerSpec(Sphere2(1.0), samples=10), range(1, 3), grid)  # warm-up
     tracemalloc.start()
     try:
         mc.estimate_term(spec, range(1, 3), grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 8 * mc.BATCH_SIZE + (1 << 19)
+
+
+def test_sphere_estimate_memory_stays_at_one_scratch_set(monkeypatch):
+    """Every tile of a worker reuses its one scratch set: nine tile-length
+    arrays (two point slots of (z, s, phi), two prefix lengths and the
+    distance's temporary), and the reduce adds none."""
+    assert _sphere_estimate_peak(monkeypatch, 1) <= 9 * 8 * mc.TILE + (1 << 19)
+
+
+def test_two_workers_hold_two_scratch_sets(monkeypatch):
+    """Two batches on two workers: one tile-length scratch set each."""
+    assert _sphere_estimate_peak(monkeypatch, 2) <= 2 * (9 * 8 * mc.TILE + (1 << 19))
 
 
 def test_length_density_errors_are_binomial():
