@@ -211,7 +211,7 @@ def _closed_form_term(space, n: int, t: float):
     return None
 
 
-def _run_finite(args) -> int:
+def _run_finite(args) -> list[str]:
     space = load_distance_csv(args.input)
     report = validate_metric(space)
     if not report.valid:
@@ -219,14 +219,14 @@ def _run_finite(args) -> int:
     return _run_exact(args, space.dist)
 
 
-def _run_graph(args) -> int:
+def _run_graph(args) -> list[str]:
     g = load_edge_list(args.edges)
     metric = graph_metric(g)
     counts = graph_mag.count_geodesics(g, metric) if args.gamma == "count" else None
     return _run_exact(args, metric.dist, counts)
 
 
-def _run_exact(args, dist, counts=None) -> int:
+def _run_exact(args, dist, counts=None) -> list[str]:
     """inverse and series rows per t from one Z, counted if counts are given."""
     lines = [HEADER]
     for t in _t_grid(args):
@@ -238,11 +238,10 @@ def _run_exact(args, dist, counts=None) -> int:
             series = finite_mag.chain_series(z, t, args.N)
             lines.append(_row(t, args.N, series.partial_sums[args.N], 0.0, exact,
                               "series", args.seed))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_manifold(args) -> int:
+def _run_manifold(args) -> list[str]:
     space = _make_space(args)
     grid = _t_grid(args)
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)  # checks the mass
@@ -258,11 +257,10 @@ def _run_manifold(args) -> int:
             if args.method in ("mc", "all"):
                 value, stderr = est.term(n - 1, i, spec.total_mass)
                 lines.append(_row(t, n, value, stderr, closed, "mc", args.seed))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_weight_check(args) -> int:
+def _run_weight_check(args) -> list[str]:
     space = Circle(args.r) if args.space == "circle" else Sphere2(args.r)
     grid = _t_grid(args)
     checks = weight_measures.weight_partial_magnitude_check(
@@ -271,11 +269,10 @@ def _run_weight_check(args) -> int:
     for t, rows in zip(grid, checks):
         for r in rows:
             lines.append(_row(t, r.N, r.value, r.std_error, r.target, "mc", args.seed))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_length_spectrum(args) -> int:
+def _run_length_spectrum(args) -> list[str]:
     space = _make_space(args)
     n = args.n
     if args.l_max is not None:
@@ -306,40 +303,36 @@ def _run_length_spectrum(args) -> int:
         elif isinstance(space, LineGaussian) and n == 1:
             closed = math.sqrt(2 * math.pi) * math.exp(-center * center / 2)
         lines.append(_row(center, n, density[i], stderr[i], closed, "mc", args.seed))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_interval_weight(args) -> int:
+def _run_interval_weight(args) -> list[str]:
     rows = weight_measures.interval_weight_report(
         args.N, args.L, _checked_t(args.t), samples=args.samples, seed=args.seed)
     lines = ["N,paper_formula,corrected_formula,bruteforce,mc_estimate,mc_stderr"]
     for r in rows:
         lines.append(",".join([str(r.N), _fmt(r.paper_formula), _fmt(r.corrected_formula),
                                _fmt(r.bruteforce), _fmt(r.mc_estimate), _fmt(r.mc_stderr)]))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_fekete(args) -> int:
+def _run_fekete(args) -> list[str]:
     rows = empirical.fekete_convergence_experiment(args.r, args.m_list, args.N, args.seed)
     lines = [f"# limit constant c = {_fmt(empirical.fekete_constant(args.r))}",
              "m,N,empirical,target,abs_dev"]
     for r in rows:
         lines.append(",".join([str(r.m), str(r.N), _fmt(r.empirical), _fmt(r.target),
                                _fmt(r.abs_dev)]))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
-def _run_catalog(args) -> int:
+def _run_catalog(args) -> list[str]:
     rows = closed_forms.catalog_rows(tuple(_t_grid(args)))
     lines = ["space,n,t,closed_form,oracle,abs_diff,citation"]
     for space, n, t, cf, oracle, diff, cite in rows:
         lines.append(",".join([space, str(n), _fmt(t), "" if cf is None else _fmt(cf),
                                _fmt(oracle), "" if diff is None else _fmt(diff), f'"{cite}"']))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines
 
 
 _DISPATCH = {
@@ -361,7 +354,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        _emit(_DISPATCH[args.command](args), args.output)
+        return EXIT_OK
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

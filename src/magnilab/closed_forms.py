@@ -83,11 +83,17 @@ def circle_term_quadrature(n: int, r: float, t: float) -> float:
     For n = 3 this is the constrained-simplex quadrature that freezes the
     catalog prefactor.
     """
+    return _laplace_quadrature(circle_length_density, n, r, t)
+
+
+def _laplace_quadrature(density, n: int, r: float, t: float) -> float:
+    """int_0^{n pi r} exp(-t l) density(n, r, l) dl, split at the multiples
+    of the diameter pi r, where the length densities have kinks."""
     from scipy import integrate
 
     d = math.pi * r
     val, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * float(circle_length_density(n, r, l)),
+        lambda l: math.exp(-t * l) * float(density(n, r, l)),
         0.0, n * d, points=[k * d for k in range(1, n)], limit=200, epsabs=1e-12,
     )
     return val
@@ -165,14 +171,7 @@ def sphere_length_density(n: int, r: float, l) -> np.ndarray:
 
 def sphere_term_quadrature(n: int, r: float, t: float) -> float:
     """Laplace-transform oracle for the sphere catalog."""
-    from scipy import integrate
-
-    d = math.pi * r
-    val, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * float(sphere_length_density(n, r, l)),
-        0.0, n * d, points=[k * d for k in range(1, n)], limit=200, epsabs=1e-12,
-    )
-    return val
+    return _laplace_quadrature(sphere_length_density, n, r, t)
 
 
 # ---------------------------------------------------------------------------

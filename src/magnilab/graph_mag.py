@@ -5,7 +5,8 @@ where |Omega_{x,y}| is the number of distinct shortest paths.  For graphs
 where all geodesics are unique this collapses to the classical magnitude of
 the shortest-path metric.  Unit-length graphs take metric and counts from
 one numpy breadth-first sweep, GeodesicGraph.unit_sweep, which loads no
-scipy; others count over Dijkstra's DAGs.
+scipy; others take Dijkstra's metric and count by one push over all
+sources at once along each source's order of distance.
 """
 from __future__ import annotations
 
@@ -31,10 +32,11 @@ def count_geodesics(g: GeodesicGraph, metric: FiniteMetricSpace | None = None) -
     metric and the counts once per invocation and reuses them for every t.
 
     Unit-length graphs read the counts from g.unit_sweep, the sweep that
-    gave their metric.  Weighted graphs run one pass per source over the
-    shortest-path DAG in order of increasing distance, where edges (u, v)
-    with dist[u] + w(u,v) == dist[v] (within TIE_TOL relative) are DAG
-    edges.  Raises GeodesicOverflowError if a count exceeds COUNT_LIMIT.
+    gave their metric.  Weighted graphs push counts along tight edges (u, v),
+    those with dist[u] + w(u,v) == dist[v] within TIE_TOL relative, for all
+    sources at once: step k takes each source's k-th nearest vertex u and
+    adds counts[s, u] into counts[s, v] over u's tight edges (Brandes'
+    recurrence).  Raises GeodesicOverflowError if a count exceeds COUNT_LIMIT.
     """
     if metric is None:
         metric = graph_metric(g)  # also rejects disconnected graphs
@@ -48,25 +50,17 @@ def count_geodesics(g: GeodesicGraph, metric: FiniteMetricSpace | None = None) -
 
 def _count_dag(g: GeodesicGraph, dist: np.ndarray) -> np.ndarray:
     n = g.vertex_count
-    lengths, nbrs, indptr = (a.tolist() for a in g.csr)
-    adj = [tuple(zip(nbrs[a:b], lengths[a:b])) for a, b in zip(indptr, indptr[1:])]
-
-    counts = np.zeros((n, n))
-    for s in range(n):
-        d = dist[s]
-        c = np.zeros(n)
-        c[s] = 1.0
-        for v in np.argsort(d, kind="stable"):
-            v = int(v)
-            if v == s:
-                continue
-            acc = 0.0
-            for u, w in adj[v]:
-                if abs(d[u] + w - d[v]) <= TIE_TOL * max(1.0, d[v]):
-                    acc += c[u]
-            c[v] = acc
-        counts[s] = c
-    counts[np.diag_indices(n)] = 0.0
+    lengths, nbrs, _ = g.csr
+    rows = np.arange(n)
+    counts = np.eye(n)
+    for u in np.argsort(dist, axis=1, kind="stable").T:  # each source's k-th nearest vertex
+        step, deg = g.slots(u)
+        s, v = np.repeat(rows, deg), nbrs[step]
+        dv = dist[s, v]
+        tight = np.flatnonzero(np.abs(np.repeat(dist[rows, u], deg) + lengths[step] - dv)
+                               <= TIE_TOL * np.maximum(1.0, dv))
+        counts[s[tight], v[tight]] += np.repeat(counts[rows, u], deg)[tight]
+    counts[rows, rows] = 0.0
     return counts
 
 

@@ -207,63 +207,76 @@ class GeodesicGraph:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=self.vertex_count))))
         return uvw[order // 2, 2], heads[order ^ 1], indptr
 
+    def slots(self, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, degrees): the CSR slots of the given vertices' edges, vertex
+        after vertex, and each vertex's degree."""
+        indptr = self.csr[2]
+        deg = indptr[vertex + 1] - indptr[vertex]
+        return np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg), deg
+
     @cached_property
     def unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
-        """(metric, read-only counts) of a unit-length graph, from a numpy
-        breadth-first sweep over blocks of SWEEP_KEYS // 2|E| sources.  Level k
-        expands each key source*n + vertex by the vertex's neighbours and keeps
+        """(metric, read-only counts) of a unit-length graph, from _sweep over
+        blocks of SWEEP_KEYS // 2|E| sources.  Unreachable pairs keep inf.
+        """
+        n = self.vertex_count
+        dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
+        block = max(1, SWEEP_KEYS // max(1, len(self.csr[1])))
+        for first in range(0, n, block):
+            last = min(n, first + block)
+            self._sweep(np.arange(first, last), dist[first:last], counts[first:last])
+        counts.setflags(write=False)
+        return FiniteMetricSpace._adopt(dist), counts
+
+    def _sweep(self, sources: np.ndarray, dist_rows: np.ndarray, count_rows: np.ndarray) -> None:
+        """Numpy breadth-first sweep, in hops, from sources[i] into row i of the
+        contiguous arrays dist_rows (all inf) and count_rows (all zero).  Level
+        k expands each key row*n + vertex by the vertex's neighbours and keeps
         those still at dist inf.  Duplicates merge with no sort: each writes its
         position into its dist slot, the one that reads its own back stands for
         the group, and bincount sums their counts, exactly below 2**53.
-        Unreachable pairs keep inf; graph_metric rejects them.
         """
         n = self.vertex_count
-        _, nbrs, indptr = self.csr
-        dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
-        flat_dist, flat_counts = dist.reshape(-1), counts.reshape(-1)  # views
-        flat_dist[:: n + 1] = 0.0
-        block = max(1, SWEEP_KEYS // max(1, len(nbrs)))
-        for first in range(0, n, block):
-            keys = np.arange(first, min(n, first + block)) * (n + 1)
-            vals, k = np.ones(len(keys)), 0
-            while len(keys):
-                k += 1
-                vertex = keys % n
-                deg = indptr[vertex + 1] - indptr[vertex]
-                step = np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg)
-                keys = np.repeat(keys - vertex, deg) + nbrs[step]  # step: CSR slots of each key
-                fresh = np.flatnonzero(np.isinf(flat_dist[keys]))
-                keys, vals = keys[fresh], np.repeat(vals, deg)[fresh]
-                flat_dist[keys] = at = np.arange(len(keys))
-                rep = flat_dist[keys].astype(np.intp)
-                own = np.flatnonzero(rep == at)
-                keys, vals = keys[own], np.bincount(rep, weights=vals, minlength=len(keys))[own]
-                flat_dist[keys], flat_counts[keys] = k, vals
-        counts.setflags(write=False)
-        return FiniteMetricSpace._adopt(dist), counts
+        nbrs = self.csr[1]
+        flat_dist, flat_counts = dist_rows.reshape(-1), count_rows.reshape(-1)  # views
+        keys = np.arange(len(sources)) * n + sources
+        flat_dist[keys] = 0.0
+        vals, k = np.ones(len(keys)), 0
+        while len(keys):
+            k += 1
+            vertex = keys % n
+            step, deg = self.slots(vertex)
+            keys = np.repeat(keys - vertex, deg) + nbrs[step]
+            fresh = np.flatnonzero(np.isinf(flat_dist[keys]))
+            keys, vals = keys[fresh], np.repeat(vals, deg)[fresh]
+            flat_dist[keys] = at = np.arange(len(keys))
+            rep = flat_dist[keys].astype(np.intp)
+            own = np.flatnonzero(rep == at)
+            keys, vals = keys[own], np.bincount(rep, weights=vals, minlength=len(keys))[own]
+            flat_dist[keys], flat_counts[keys] = k, vals
 
 
 def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
     """All-pairs shortest-path metric of a connected graph, from g.unit_sweep
-    or Dijkstra.  Raises DisconnectedGraphError or, if the length overflows,
-    OverflowError naming the first unreachable pair in row-major order.
+    or Dijkstra.  A sweep from vertex 0 first checks connectivity, in O(n + |E|)
+    memory: it raises DisconnectedGraphError for the first vertex it does not
+    reach, which is the first unreachable pair in row-major order.  Raises
+    OverflowError naming the first pair whose path length is inf.
     """
+    n = g.vertex_count
+    reached = np.full((1, n), np.inf)
+    g._sweep(np.zeros(1, dtype=np.intp), reached, np.zeros((1, n)))
+    if np.isinf(reached).any():  # argmax finds the first inf
+        raise DisconnectedGraphError(0, int(reached.argmax()))
     if g.is_unit:
-        metric = g.unit_sweep[0]
-    else:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components, dijkstra
+        return g.unit_sweep[0]
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
 
-        adj = csr_matrix(g.csr, shape=(g.vertex_count,) * 2)
-        metric = FiniteMetricSpace._adopt(dijkstra(adj, directed=False))
-    unreachable = np.argwhere(np.isinf(metric.dist))
-    if len(unreachable):
-        i, j = (int(x) for x in unreachable[0])
-        if not g.is_unit:
-            labels = connected_components(adj, directed=False)[1]
-            if labels[i] == labels[j]:
-                raise OverflowError(f"path length between vertices {i} and {j} overflows")
-        raise DisconnectedGraphError(i, j)
+    metric = FiniteMetricSpace._adopt(dijkstra(csr_matrix(g.csr, shape=(n, n)), directed=False))
+    if metric.dist.max() == np.inf:  # the graph is connected, so the length overflowed
+        i, j = np.unravel_index(metric.dist.argmax(), (n, n))
+        raise OverflowError(f"path length between vertices {i} and {j} overflows")
     return metric
 
 

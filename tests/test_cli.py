@@ -159,6 +159,12 @@ def test_run_returns_zero_in_process(tmp_path, distance_csv):
     assert cli.run(["finite", "--input", distance_csv, "--t", "1"]) == 0
 
 
+def test_unwritable_output_exits_2(tmp_path, distance_csv, capsys):
+    assert cli.run(["finite", "--input", distance_csv, "--t", "1",
+                    "--output", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("line, named", [("0 1 nan", "(0,1)"), ("0 1 inf", "(0,1)"),
                                          ("0 x", "'0 x'")])
 def test_bad_edge_list_exits_2(tmp_path, line, named):
@@ -174,6 +180,13 @@ def test_bad_edge_list_exits_2(tmp_path, line, named):
     ("0 1 1e308\n1 2 1e308\n", 3,
      "numerical failure: path length between vertices 0 and 2 overflows"),
     ("0 1 1e308\n2 3 1\n", 2, "error: graph is disconnected: no path between vertices 0 and 2"),
+    # disconnection is found before any path length, so it wins over overflow
+    ("0 1 1e308\n1 2 1e308\n3 4 1\n", 2,
+     "error: graph is disconnected: no path between vertices 0 and 3"),
+    # a million vertices: found from vertex 0 before any n x n array exists
+    ("0 1\n1 2\n2 999999\n", 2, "error: graph is disconnected: no path between vertices 0 and 3"),
+    ("0 1 1.5\n1 2 1.5\n2 999999 1.5\n", 2,
+     "error: graph is disconnected: no path between vertices 0 and 3"),
 ])
 def test_graph_path_overflow_is_not_disconnection(tmp_path, edges, code, message):
     p = tmp_path / "g.edges"
@@ -604,6 +617,9 @@ def test_fuzz_distance_csv(text, method):
 
 @settings(max_examples=60, deadline=None)
 @given(text=edge_list_text(), gamma=st.sampled_from(["triv", "count"]))
+# a disconnected million-vertex graph asked for n x n arrays, unit and weighted
+@example(text="0 1\n1 2\n2 999999\n", gamma="count")
+@example(text="0 1 1.5\n1 2 1.5\n2 999999 1.5\n", gamma="count")
 def test_fuzz_edge_list(text, gamma):
     run_in_process(["graph", "--edges", "FILE", "--t", "1", "--gamma", gamma,
                     "--method", "all"], text)

@@ -67,7 +67,8 @@ def scaled(g, factor):
     """Same graph with every edge length multiplied by factor.
 
     Uniform scaling keeps every geodesic, so the counts are unchanged, but a
-    non-unit length sends count_geodesics down the per-source DAG loop.
+    non-unit length sends count_geodesics down the all-sources push over
+    Dijkstra's metric.
     """
     return GeodesicGraph(g.vertex_count, tuple((u, v, w * factor) for u, v, w in g.edges))
 
@@ -87,6 +88,34 @@ def random_connected(rng, n, extra):
     return GeodesicGraph(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
 
 
+def dag_loop_counts(g):
+    """Reference counter: one pass per source over the shortest-path DAG in
+    order of increasing distance, where v sums the counts of its neighbours u
+    with dist[u] + w(u,v) == dist[v] within TIE_TOL relative."""
+    n = g.vertex_count
+    dist = graph_metric(g).dist
+    lengths, nbrs, indptr = (a.tolist() for a in g.csr)
+    adj = [tuple(zip(nbrs[a:b], lengths[a:b])) for a, b in zip(indptr, indptr[1:])]
+
+    counts = np.zeros((n, n))
+    for s in range(n):
+        d = dist[s]
+        c = np.zeros(n)
+        c[s] = 1.0
+        for v in np.argsort(d, kind="stable"):
+            v = int(v)
+            if v == s:
+                continue
+            acc = 0.0
+            for u, w in adj[v]:
+                if abs(d[u] + w - d[v]) <= graph_mag.TIE_TOL * max(1.0, d[v]):
+                    acc += c[u]
+            c[v] = acc
+        counts[s] = c
+    counts[np.diag_indices(n)] = 0.0
+    return counts
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_level_counts_equal_dag_loop_on_random_graphs(seed):
     rng = np.random.default_rng(seed)
@@ -94,7 +123,41 @@ def test_level_counts_equal_dag_loop_on_random_graphs(seed):
     g = random_connected(rng, n, int(rng.integers(0, 2 * n)))
     unit = graph_mag.count_geodesics(g)
     assert np.array_equal(unit, graph_mag.count_geodesics(scaled(g, 2.0)))
+    assert np.array_equal(unit, dag_loop_counts(scaled(g, 2.0)))
     assert not unit.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("lengths", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3)], ids=["int", "tenths"])
+def test_push_counts_equal_dag_loop_with_ties(lengths, seed, monkeypatch):
+    """Random lengths from a small set tie many paths.  In float64
+    0.1 + 0.2 != 0.3, but the two fall within TIE_TOL, so both counters must
+    take them as one length."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 40))
+    unit = random_connected(rng, n, 2 * n)
+    g = GeodesicGraph(n, tuple((u, v, float(rng.choice(lengths))) for u, v, _ in unit.edges))
+    counts = graph_mag.count_geodesics(g)
+    assert (counts > 1).any()
+    assert np.array_equal(counts, dag_loop_counts(g))
+    if lengths[0] == 0.1:  # some of those ties hold only within TIE_TOL
+        monkeypatch.setattr(graph_mag, "TIE_TOL", 0.0)
+        assert not np.array_equal(graph_mag.count_geodesics(g), counts)
+
+
+def test_push_memory_is_counts_plus_distance_order():
+    """The weighted counter holds the counts and the distance order, two n^2
+    arrays, plus one step's edges."""
+    g = scaled(grid(25, 25), 2.0)
+    n = g.vertex_count
+    metric = graph_metric(g)  # dist and the CSR are built before the trace
+    tracemalloc.start()
+    try:
+        graph_mag.count_geodesics(g, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n + (1 << 18)
 
 
 def test_grid_counts_are_binomials():
@@ -133,7 +196,7 @@ def test_count_overflow_guard():
 
 
 def test_count_overflow_guard_weighted():
-    # the same ladder with length 2 runs the per-source DAG loop
+    # the same ladder with length 2 runs the all-sources push
     with pytest.raises(GeodesicOverflowError):
         graph_mag.count_geodesics(diamond_ladder(60, 2.0))
 
@@ -209,6 +272,7 @@ def test_sweep_equals_dijkstra_and_dag_loop(g):
     weighted = scaled(g, 2.0)
     assert np.array_equal(2.0 * graph_metric(g).dist, graph_metric(weighted).dist)
     assert np.array_equal(graph_mag.count_geodesics(g), graph_mag.count_geodesics(weighted))
+    assert np.array_equal(graph_mag.count_geodesics(weighted), dag_loop_counts(weighted))
 
 
 def test_sweep_is_shared_and_read_only():
