@@ -23,6 +23,9 @@ EXIT_NUMERICAL = 3
 
 HEADER = "t,N,value,stderr,closed_form,abs_err,method,seed"
 
+#: most points a --t-grid may ask for
+MAX_T_COUNT = 2**16
+
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
@@ -62,9 +65,10 @@ def _t_grid(args) -> list[float]:
     if args.t is not None:
         return [_checked_t(args.t)]
     start, stop, count = args.t_grid
-    if not (_positive(start) and _positive(stop) and count >= 1
+    if not (_positive(start) and _positive(stop) and 1 <= count <= MAX_T_COUNT
             and float(count).is_integer()):
-        raise MetricValidationError("t grid must be strictly positive with an integer count >= 1")
+        raise MetricValidationError(
+            f"t grid must be strictly positive with an integer count in [1, {MAX_T_COUNT}]")
     count = int(count)
     if count == 1:
         return [start]
@@ -221,9 +225,8 @@ def _run_finite(args) -> list[str]:
 
 def _run_graph(args) -> list[str]:
     g = load_edge_list(args.edges)
-    metric = graph_metric(g)
-    counts = graph_mag.count_geodesics(g, metric) if args.gamma == "count" else None
-    return _run_exact(args, metric.dist, counts)
+    dist = graph_metric(g).dist
+    return _run_exact(args, dist, graph_mag.count_geodesics(g) if args.gamma == "count" else None)
 
 
 def _run_exact(args, dist, counts=None) -> list[str]:
@@ -359,7 +362,7 @@ def run(argv) -> int:
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (MagnilabError, ArithmeticError) as exc:
+    except (MagnilabError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -239,8 +239,12 @@ def torus_arccos_bounds(t: float) -> tuple[float, float]:
 
 def torus_first_term_identity(t: float) -> float:
     """Equivalent expression 2 pi/t^2 - 8*(arccos integral) - 2 pi (Rt+1)e^{-tR}/t^2,
-    with the first and last terms as 2 pi P(2, Rt)/t^2, which does not cancel as t -> 0."""
-    return float(2.0 * math.pi * _exp_moment(1, t, TORUS_R) - 8.0 * torus_arccos_integral(t))
+    with the first and last terms as 2 pi P(2, Rt)/t^2, which does not cancel as t -> 0.
+    Below Rt = 1e-9 the series P(2, x)/x^2 = 1/2 - x/3 + O(x^2) is exact in
+    float64, and it stays so where t^2 and P(2, Rt) underflow."""
+    x = t * TORUS_R
+    head = TORUS_R**2 * (0.5 - x / 3.0) if x < 1e-9 else _exp_moment(1, t, TORUS_R)
+    return float(2.0 * math.pi * head - 8.0 * torus_arccos_integral(t))
 
 
 # ---------------------------------------------------------------------------

@@ -76,18 +76,15 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample: space, master seed, sample count, measure scaling.
+    """What to sample: space, master seed, sample count.
 
-    mass_scale rescales the measure by a constant (the sampled distribution
-    is unchanged; every factor of mu(X) in the estimator picks it up).  A
-    total mass that is not a finite float64 (2 pi r = inf for r = 1e308)
+    A total mass that is not a finite float64 (2 pi r = inf for r = 1e308)
     raises OverflowError before any sampling, whose lengths would overflow.
     """
 
     space: AnalyticSpace
     seed: int = 0
     samples: int = 1_000_000
-    mass_scale: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.total_mass):
@@ -96,7 +93,7 @@ class SamplerSpec:
 
     @property
     def total_mass(self) -> float:
-        return self.mass_scale * self.space.total_mass
+        return self.space.total_mass
 
 
 @dataclass(frozen=True)
@@ -396,40 +393,37 @@ def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
 
 
 def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
-    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x), including the mass scale.
+    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x).
 
     Closed forms for homogeneous spaces and for the two weighted lines, whose
     weights are symmetric and log-concave, so the leg integral (a convolution
-    of two such functions) peaks at y = 0; the interval maximizes over a
-    basepoint grid.
+    of two such functions) peaks at y = 0.  On the interval it is
+    2c/t + (m - c/t) g(y), with c the density, m each endpoint atom's mass and
+    g(y) = exp(-ty) + exp(-t(L-y)) convex and symmetric, so the sup lies at
+    y = 0 or y = L/2; expm1 keeps 2 - g(y) accurate at small tL.
     """
     sp = spec.space
-    s = spec.mass_scale
     if isinstance(sp, Circle):
-        return s * closed_forms.circle_leg_integral(sp.r, t)
+        return closed_forms.circle_leg_integral(sp.r, t)
     if isinstance(sp, Sphere2):
-        return s * closed_forms.sphere_leg_integral(sp.r, t)
+        return closed_forms.sphere_leg_integral(sp.r, t)
     if isinstance(sp, FlatTorusUnit):
-        return s * closed_forms.torus_first_term(t)
+        return closed_forms.torus_first_term(t)
     if isinstance(sp, Interval):
-        L = sp.length
-        ys = np.linspace(0.0, L, 33)
-        best = 0.0
-        for y in ys.tolist():  # Python floats: t * y may overflow to inf, quietly
-            leb = (2.0 - math.exp(-t * y) - math.exp(-t * (L - y))) / t
-            val = sp.continuous_density * leb
-            for loc, mass in sp.atoms:
-                val += mass * math.exp(-t * abs(loc - sp.a - y))
-            best = max(best, val)
-        return s * best
+        L, c = sp.length, sp.continuous_density
+        m = sp.atoms[0][1] if sp.atoms else 0.0
+        # Python floats: t * L may overflow to inf, quietly
+        end = -c * math.expm1(-t * L) / t + m * (1.0 + math.exp(-t * L))
+        mid = -2.0 * c * math.expm1(-t * L / 2.0) / t + 2.0 * m * math.exp(-t * L / 2.0)
+        return max(end, mid)
     if isinstance(sp, LineLaplace):
         # int exp(-t|x| - |x|) dx
-        return s * 2.0 / (1.0 + t)
+        return 2.0 / (1.0 + t)
     if isinstance(sp, LineGaussian):
         # int exp(-t|x| - x^2) dx = sqrt(pi) exp(t^2/4) erfc(t/2)
         from scipy.special import erfcx
 
-        return s * math.sqrt(math.pi) * float(erfcx(t / 2.0))
+        return math.sqrt(math.pi) * float(erfcx(t / 2.0))
     raise TypeError(f"no leg-integral bound for {type(sp).__name__}")
 
 

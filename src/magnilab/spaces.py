@@ -13,14 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, MetricValidationError
+from .errors import DisconnectedGraphError, GeodesicOverflowError, MetricValidationError
 
 #: absolute tolerance for metric-invariant checks on float64 distances
 METRIC_TOL = 1e-12
 #: most violations validate_metric reports before it stops scanning
 MAX_VIOLATIONS = 100
-#: most keys one level of GeodesicGraph.unit_sweep expands, unless one source alone has more
+#: most keys one level of GeodesicGraph._unit_sweep expands, unless one source alone has more
 SWEEP_KEYS = 2**20
+#: relative tolerance for recognizing equal-length paths on weighted graphs
+TIE_TOL = 1e-9
+#: path counts beyond this are not exactly representable in float64
+COUNT_LIMIT = float(2**53)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +219,71 @@ class GeodesicGraph:
         return np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg), deg
 
     @cached_property
-    def unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
-        """(metric, read-only counts) of a unit-length graph, from _sweep over
-        blocks of SWEEP_KEYS // 2|E| sources.  Unreachable pairs keep inf.
+    def metric(self) -> FiniteMetricSpace:
+        """All-pairs shortest-path metric of a connected graph, from the unit
+        sweep or Dijkstra, built once per graph.  A sweep from vertex 0 first
+        checks connectivity, in O(n + |E|) memory: it raises
+        DisconnectedGraphError for the first vertex it does not reach, which
+        is the first unreachable pair in row-major order.  Raises
+        OverflowError naming the first pair whose path length is inf.
+        """
+        n = self.vertex_count
+        reached = np.full((1, n), np.inf)
+        self._sweep(np.zeros(1, dtype=np.intp), reached, np.zeros((1, n)))
+        if np.isinf(reached).any():  # argmax finds the first inf
+            raise DisconnectedGraphError(0, int(reached.argmax()))
+        if self.is_unit:
+            return self._unit_sweep[0]
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        metric = FiniteMetricSpace._adopt(dijkstra(csr_matrix(self.csr, shape=(n, n)),
+                                                   directed=False))
+        if metric.dist.max() == np.inf:  # the graph is connected, so the length overflowed
+            i, j = np.unravel_index(metric.dist.argmax(), (n, n))
+            raise OverflowError(f"path length between vertices {i} and {j} overflows")
+        return metric
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Read-only counts[x, y] = number of shortest x-y paths, diagonal
+        zero, built once per graph.  Unit-length graphs read them from the
+        sweep that gave their metric; weighted graphs from _count_push.
+        Raises GeodesicOverflowError if a count exceeds COUNT_LIMIT.
+        """
+        dist = self.metric.dist  # also rejects disconnected graphs
+        counts = self._unit_sweep[1] if self.is_unit else self._count_push(dist)
+        if counts.max() > COUNT_LIMIT:
+            raise GeodesicOverflowError(
+                f"shortest-path count {counts.max():.3e} exceeds exact float64 range")
+        counts.setflags(write=False)
+        return counts
+
+    def _count_push(self, dist: np.ndarray) -> np.ndarray:
+        """Counts pushed along tight edges (u, v), those with dist[u] + w(u,v)
+        == dist[v] within TIE_TOL relative, for all sources at once: step k
+        takes each source's k-th nearest vertex u and adds counts[s, u] into
+        counts[s, v] over u's tight edges (Brandes' recurrence).  Each step has
+        one u per source, so the fancy-index += has no repeated index.
+        """
+        n = self.vertex_count
+        lengths, nbrs, _ = self.csr
+        rows = np.arange(n)
+        counts = np.eye(n)
+        for u in np.argsort(dist, axis=1, kind="stable").T:  # each source's k-th nearest vertex
+            step, deg = self.slots(u)
+            s, v = np.repeat(rows, deg), nbrs[step]
+            dv = dist[s, v]
+            tight = np.flatnonzero(np.abs(np.repeat(dist[rows, u], deg) + lengths[step] - dv)
+                                   <= TIE_TOL * np.maximum(1.0, dv))
+            counts[s[tight], v[tight]] += np.repeat(counts[rows, u], deg)[tight]
+        counts[rows, rows] = 0.0
+        return counts
+
+    @cached_property
+    def _unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
+        """(metric, counts) of a unit-length graph, from _sweep over blocks
+        of SWEEP_KEYS // 2|E| sources.  Unreachable pairs keep inf.
         """
         n = self.vertex_count
         dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
@@ -225,7 +291,6 @@ class GeodesicGraph:
         for first in range(0, n, block):
             last = min(n, first + block)
             self._sweep(np.arange(first, last), dist[first:last], counts[first:last])
-        counts.setflags(write=False)
         return FiniteMetricSpace._adopt(dist), counts
 
     def _sweep(self, sources: np.ndarray, dist_rows: np.ndarray, count_rows: np.ndarray) -> None:
@@ -257,27 +322,9 @@ class GeodesicGraph:
 
 
 def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
-    """All-pairs shortest-path metric of a connected graph, from g.unit_sweep
-    or Dijkstra.  A sweep from vertex 0 first checks connectivity, in O(n + |E|)
-    memory: it raises DisconnectedGraphError for the first vertex it does not
-    reach, which is the first unreachable pair in row-major order.  Raises
-    OverflowError naming the first pair whose path length is inf.
-    """
-    n = g.vertex_count
-    reached = np.full((1, n), np.inf)
-    g._sweep(np.zeros(1, dtype=np.intp), reached, np.zeros((1, n)))
-    if np.isinf(reached).any():  # argmax finds the first inf
-        raise DisconnectedGraphError(0, int(reached.argmax()))
-    if g.is_unit:
-        return g.unit_sweep[0]
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    metric = FiniteMetricSpace._adopt(dijkstra(csr_matrix(g.csr, shape=(n, n)), directed=False))
-    if metric.dist.max() == np.inf:  # the graph is connected, so the length overflowed
-        i, j = np.unravel_index(metric.dist.argmax(), (n, n))
-        raise OverflowError(f"path length between vertices {i} and {j} overflows")
-    return metric
+    """All-pairs shortest-path metric of a connected graph: g.metric, which
+    the graph builds on the first call and keeps."""
+    return g.metric
 
 
 # ---------------------------------------------------------------------------

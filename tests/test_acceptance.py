@@ -231,9 +231,9 @@ class TestWeightMeasures:
         space, t, c, N = Circle(1.0), 1.0, 0.25, 12
         mass = wm.homogeneous_weight_mass(space, t)
         c_tilde = wm.homogeneous_weight_constant(space, t)
-        spec = mc.SamplerSpec(space, seed=0, samples=200_000,
-                              mass_scale=c * c_tilde)
-        series = mc.estimate_partial_magnitude(spec, t, N)
+        spec = mc.SamplerSpec(space, seed=0, samples=200_000)
+        # the measure c * c_tilde * dvol, of total mass c * mass, samples as dvol does
+        series = mc.estimate_term(spec, range(1, N + 1), [t]).series(0, c * mass)
         # finite geometric sum c mu (1 - (-c)^{N+1})/(1 + c)
         target = c * mass * (1 - (-c) ** (N + 1)) / (1 + c)
         assert wm.scaled_weight_magnitude(space, t, c) == pytest.approx(

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from magnilab import cli, mc
+from magnilab import cli, empirical, mc
+from magnilab.errors import MetricValidationError
 
 
 def run_cli(args, env_extra=None):
@@ -291,6 +292,8 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["manifold", "--space", "circle", "--t", "1", "--method", "quadrature"],
     # a grid has a whole number of points
     ["finite", "--input", "DIST", "--t-grid", "1", "2", "2.7"],
+    # and at most MAX_T_COUNT of them, checked before any list is built
+    ["finite", "--input", "DIST", "--t-grid", "1", "2", "1e20"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])
@@ -344,6 +347,25 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_t_grid_count_bound():
+    args = cli.build_parser().parse_args(
+        ["catalog", "--t-grid", "1", "2", str(cli.MAX_T_COUNT)])
+    assert len(cli._t_grid(args)) == cli.MAX_T_COUNT
+    args.t_grid = (1.0, 2.0, cli.MAX_T_COUNT + 1)
+    with pytest.raises(MetricValidationError, match="count in"):
+        cli._t_grid(args)
+
+
+def test_allocation_failure_exits_3(monkeypatch, capsys):
+    """An array too large for memory ends in exit 3, not a traceback."""
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 224. GiB for an array")
+
+    monkeypatch.setattr(empirical, "fekete_convergence_experiment", too_large)
+    assert cli.run(["fekete-demo", "--m-list", "100000", "--N", "1"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: Unable to allocate 224. GiB for an array\n"
 
 
 @pytest.mark.parametrize("args, named", [

@@ -65,8 +65,9 @@ class TestTorus:
         assert cf.torus_level_volume(cf.TORUS_R) == pytest.approx(0.0, abs=1e-12)
 
     def test_first_term_identity(self):
-        # at t = 1e-8, 2 pi/t^2 - 2 pi (Rt+1) e^{-tR}/t^2 once cancelled to 8
-        for t in (1e-8, 1.0, 5.0, 10.0):
+        # at t = 1e-8, 2 pi/t^2 - 2 pi (Rt+1) e^{-tR}/t^2 once cancelled to 8;
+        # below t = 1e-154, t^2 and P(2, Rt) underflow
+        for t in (1e-300, 1e-200, 1e-154, 1e-8, 1.0, 5.0, 10.0):
             assert cf.torus_first_term(t) == pytest.approx(
                 cf.torus_first_term_identity(t), rel=1e-8)
 

@@ -146,7 +146,7 @@ def worst_counted_similarities(count, seed):
             edges.add((u, v))
         g = GeodesicGraph(n, tuple(sorted(edges)))
         metric = graph_metric(g)
-        counts = graph_mag.count_geodesics(g, metric)
+        counts = graph_mag.count_geodesics(g)
         zs = [finite_mag.similarity(metric.dist, t, counts) for t in grid]
         yield max(zs, key=lambda z: np.linalg.cond(z, 1))
 

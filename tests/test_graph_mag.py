@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magnilab import cli, finite_mag, graph_mag
+from magnilab import cli, finite_mag, graph_mag, spaces
 from magnilab.errors import DisconnectedGraphError, GeodesicOverflowError
 from magnilab.spaces import SWEEP_KEYS, GeodesicGraph, graph_metric
 
@@ -108,7 +108,7 @@ def dag_loop_counts(g):
                 continue
             acc = 0.0
             for u, w in adj[v]:
-                if abs(d[u] + w - d[v]) <= graph_mag.TIE_TOL * max(1.0, d[v]):
+                if abs(d[u] + w - d[v]) <= spaces.TIE_TOL * max(1.0, d[v]):
                     acc += c[u]
             c[v] = acc
         counts[s] = c
@@ -141,8 +141,9 @@ def test_push_counts_equal_dag_loop_with_ties(lengths, seed, monkeypatch):
     assert (counts > 1).any()
     assert np.array_equal(counts, dag_loop_counts(g))
     if lengths[0] == 0.1:  # some of those ties hold only within TIE_TOL
-        monkeypatch.setattr(graph_mag, "TIE_TOL", 0.0)
-        assert not np.array_equal(graph_mag.count_geodesics(g), counts)
+        monkeypatch.setattr(spaces, "TIE_TOL", 0.0)
+        # g keeps the counts it built; a new graph counts under the patched tolerance
+        assert not np.array_equal(graph_mag.count_geodesics(GeodesicGraph(n, g.edges)), counts)
 
 
 def test_push_memory_is_counts_plus_distance_order():
@@ -150,10 +151,10 @@ def test_push_memory_is_counts_plus_distance_order():
     arrays, plus one step's edges."""
     g = scaled(grid(25, 25), 2.0)
     n = g.vertex_count
-    metric = graph_metric(g)  # dist and the CSR are built before the trace
+    graph_metric(g)  # dist and the CSR are built before the trace
     tracemalloc.start()
     try:
-        graph_mag.count_geodesics(g, metric)
+        graph_mag.count_geodesics(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,9 +174,13 @@ def test_grid_counts_are_binomials():
 
 
 def test_count_geodesics_accepts_prebuilt_metric():
-    g = grid(3, 4)
-    assert np.array_equal(graph_mag.count_geodesics(g, graph_metric(g)),
-                          graph_mag.count_geodesics(g))
+    """Counts built after the metric equal those of a graph whose counts
+    build the metric themselves, on the sweep and on the push."""
+    for factor in (1.0, 2.0):
+        g = scaled(grid(3, 4), factor)
+        graph_metric(g)
+        assert np.array_equal(graph_mag.count_geodesics(g),
+                              graph_mag.count_geodesics(scaled(grid(3, 4), factor)))
 
 
 def diamond_ladder(stages, length):
@@ -277,11 +282,39 @@ def test_sweep_equals_dijkstra_and_dag_loop(g):
 
 def test_sweep_is_shared_and_read_only():
     g = grid(3, 3)
-    metric, counts = g.unit_sweep
+    metric, counts = g._unit_sweep
     assert graph_metric(g) is metric  # the cached metric, not a rebuilt one
     assert graph_mag.count_geodesics(g) is counts
     assert not metric.dist.flags.writeable and not counts.flags.writeable
-    assert not graph_metric(scaled(g, 2.0)).dist.flags.writeable  # the Dijkstra branch
+    w = scaled(g, 2.0)  # the Dijkstra branch and the push
+    assert graph_metric(w) is graph_metric(w)
+    assert graph_mag.count_geodesics(w) is graph_mag.count_geodesics(w)
+    assert not graph_metric(w).dist.flags.writeable
+    assert not graph_mag.count_geodesics(w).flags.writeable
+
+
+def test_weighted_graph_runs_dijkstra_and_the_push_once(monkeypatch):
+    """Library calls at several t reuse the metric and counts the first built."""
+    import scipy.sparse.csgraph
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra",
+                        counting("dijkstra", scipy.sparse.csgraph.dijkstra))
+    monkeypatch.setattr(GeodesicGraph, "_count_push",
+                        counting("push", GeodesicGraph._count_push))
+    g = scaled(grid(5, 5), 2.0)
+    values = [graph_mag.tilde_magnitude(g, t) for t in (1.0, 2.0, 3.0)]
+    series = graph_mag.tilde_neumann_partial(g, 3.0, 8)
+    graph_mag.tilde_convergence_threshold(g)
+    assert calls == ["dijkstra", "push"]
+    assert series.partial_sums[-1] == pytest.approx(values[-1], rel=1e-6)
 
 
 def test_sweep_memory_is_bounded_by_blocks_of_sources():
@@ -294,7 +327,7 @@ def test_sweep_memory_is_bounded_by_blocks_of_sources():
     g.csr  # O(|E|), built before the trace
     tracemalloc.start()
     try:
-        g.unit_sweep
+        g._unit_sweep
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,7 +342,7 @@ def test_sweep_of_a_path_holds_two_square_arrays():
     g.csr
     tracemalloc.start()
     try:
-        g.unit_sweep
+        g._unit_sweep
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,7 +353,7 @@ def test_counted_similarity_is_built_in_place():
     """Z takes one n^2 array: exp(-t d) is computed in the array it returns."""
     g = hypercube(10)
     n = g.vertex_count
-    metric, counts = g.unit_sweep
+    metric, counts = graph_metric(g), graph_mag.count_geodesics(g)
     tracemalloc.start()
     try:
         z = finite_mag.similarity(metric.dist, 0.5, counts)
@@ -357,14 +390,14 @@ def test_weighted_path_length_overflow_is_not_disconnection():
 
 
 def test_graph_count_cli_sweeps_once(tmp_path, monkeypatch):
-    sweep = GeodesicGraph.unit_sweep.func
+    sweep = GeodesicGraph._unit_sweep.func
     calls = []
 
     def counted(g):
         calls.append(g)
         return sweep(g)
 
-    monkeypatch.setattr(GeodesicGraph.unit_sweep, "func", counted)
+    monkeypatch.setattr(GeodesicGraph._unit_sweep, "func", counted)
     p = tmp_path / "g.edges"
     p.write_text("0 1\n1 2\n2 3\n3 0\n0 4\n")
     assert cli.run(["graph", "--edges", str(p), "--gamma", "count", "--method", "all",

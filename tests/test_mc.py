@@ -345,6 +345,22 @@ def test_line_leg_bound_is_the_leg_integral_at_zero(space, weight):
         assert max(leg(y, t) for y in np.linspace(-3.0, 3.0, 25)) <= c * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("measure", ["lebesgue", "weight"])
+@pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+def test_interval_leg_bound_is_the_sup_over_basepoints(measure, L):
+    """The closed sup agrees with the leg integral's largest value over a
+    10 001-point basepoint grid, which holds y = 0 and y = L/2."""
+    space = Interval(0.0, L, measure)
+    y = np.linspace(0.0, L, 10_001)
+    for t in np.logspace(-3, 3, 7).tolist():
+        leb = -(np.expm1(-t * y) + np.expm1(-t * (L - y))) / t
+        leg = space.continuous_density * leb
+        for loc, mass in space.atoms:
+            leg += mass * np.exp(-t * np.abs(loc - y))
+        assert mc.leg_integral_bound(mc.SamplerSpec(space), t) == pytest.approx(
+            leg.max(), rel=1e-12)
+
+
 def test_length_density_histogram_matches_closed_form():
     spec = mc.SamplerSpec(Circle(1.0), seed=4, samples=400_000)
     edges, density, _ = mc.estimate_length_density(spec, 1, 16, math.pi)
