@@ -8,6 +8,7 @@ produce byte-identical files regardless of MAGNILAB_THREADS.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -27,18 +28,15 @@ HEADER = "t,N,value,stderr,closed_form,abs_err,method,seed"
 MAX_T_COUNT = 2**16
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _csv(*cols) -> str:
+    """One CSV row: None as empty, str and int as written, floats as .12g."""
+    return ",".join("" if x is None else str(x) if isinstance(x, (str, int))
+                    else f"{float(x):.12g}" for x in cols)
 
 
 def _row(t, N, value, stderr, closed, method, seed) -> str:
-    if closed is None:
-        closed_cols = ["", ""]
-    else:
-        closed_cols = [_fmt(closed), _fmt(abs(float(value) - float(closed)))]
-    cols = [_fmt(t), "" if N is None else str(N), _fmt(value), _fmt(stderr),
-            *closed_cols, method, str(seed)]
-    return ",".join(cols)
+    abs_err = None if closed is None else abs(float(value) - float(closed))
+    return _csv(t, N, value, stderr, closed, abs_err, method, seed)
 
 
 def _emit(lines: list[str], path: str | None):
@@ -74,9 +72,13 @@ def _t_grid(args) -> list[float]:
         return [start]
     if args.t_spacing == "log":
         ratio = (stop / start) ** (1.0 / (count - 1))
-        return [start * ratio**i for i in range(count)]
-    step = (stop - start) / (count - 1)
-    return [start + step * i for i in range(count)]
+        grid = [start * ratio**i for i in range(count)]
+    else:
+        step = (stop - start) / (count - 1)
+        grid = [start + step * i for i in range(count)]
+    if not all(map(_positive, grid)):
+        raise MetricValidationError("every t of the grid must be finite and strictly positive")
+    return grid
 
 
 def _int_in(lo: int, hi: float = math.inf):
@@ -312,30 +314,20 @@ def _run_length_spectrum(args) -> list[str]:
 def _run_interval_weight(args) -> list[str]:
     rows = weight_measures.interval_weight_report(
         args.N, args.L, _checked_t(args.t), samples=args.samples, seed=args.seed)
-    lines = ["N,paper_formula,corrected_formula,bruteforce,mc_estimate,mc_stderr"]
-    for r in rows:
-        lines.append(",".join([str(r.N), _fmt(r.paper_formula), _fmt(r.corrected_formula),
-                               _fmt(r.bruteforce), _fmt(r.mc_estimate), _fmt(r.mc_stderr)]))
-    return lines
+    return ["N,paper_formula,corrected_formula,bruteforce,mc_estimate,mc_stderr",
+            *(_csv(*dataclasses.astuple(r)) for r in rows)]
 
 
 def _run_fekete(args) -> list[str]:
     rows = empirical.fekete_convergence_experiment(args.r, args.m_list, args.N, args.seed)
-    lines = [f"# limit constant c = {_fmt(empirical.fekete_constant(args.r))}",
-             "m,N,empirical,target,abs_dev"]
-    for r in rows:
-        lines.append(",".join([str(r.m), str(r.N), _fmt(r.empirical), _fmt(r.target),
-                               _fmt(r.abs_dev)]))
-    return lines
+    return [f"# limit constant c = {_csv(empirical.fekete_constant(args.r))}",
+            "m,N,empirical,target,abs_dev", *(_csv(*dataclasses.astuple(r)) for r in rows)]
 
 
 def _run_catalog(args) -> list[str]:
     rows = closed_forms.catalog_rows(tuple(_t_grid(args)))
-    lines = ["space,n,t,closed_form,oracle,abs_diff,citation"]
-    for space, n, t, cf, oracle, diff, cite in rows:
-        lines.append(",".join([space, str(n), _fmt(t), "" if cf is None else _fmt(cf),
-                               _fmt(oracle), "" if diff is None else _fmt(diff), f'"{cite}"']))
-    return lines
+    return ["space,n,t,closed_form,oracle,abs_diff,citation",
+            *(_csv(*row[:-1], f'"{row[-1]}"') for row in rows)]
 
 
 _DISPATCH = {

@@ -112,34 +112,13 @@ def sphere_term(n: int, r: float, t: float) -> float:
     """a_n on the 2-sphere for n = 1, 2: 4*pi*r^2 * J(t)^n.
 
     n = 1 equals the published closed form 2(2 pi)^2 r^4 (1+e^{-pi r t}) /
-    (t^2 r^2 + 1).  For n = 2 the factorized value is the catalog entry; see
-    sphere_term_published for the (incorrect) printed alternative.
+    (t^2 r^2 + 1).  For n = 2 the factorized value is the catalog entry; the
+    printed n = 2 formula disagrees with it and with quadrature of the
+    length density, and the test suite keeps it as a reference.
     """
     if n not in (1, 2):
         raise ValueError("sphere catalog covers n = 1, 2 only")
     return 4.0 * math.pi * r**2 * sphere_leg_integral(r, t) ** n
-
-
-def sphere_term_published(n: int, r: float, t: float) -> float:
-    """The n = 2 sphere formula as printed in the literature.
-
-    Kept solely for comparison reporting: it disagrees with both the
-    factorized value and direct quadrature of the length density (the
-    discrepancy is documented in the catalog output).
-    """
-    if n == 1:
-        return 2.0 * (2 * math.pi) ** 2 * r**4 * (1 + math.exp(-math.pi * r * t)) / (t**2 * r**2 + 1)
-    if n == 2:
-        e1 = math.exp(-math.pi * r * t)
-        e2 = math.exp(-2 * math.pi * r * t)
-        pref = 8 * math.pi**3 * r**4 / (1 + r**2 * t**2)
-        inner = (
-            math.pi * r**2 * e1
-            + r**2 * (1 + e1)
-            + (2 * r**3 * t * (1 + e1) + 2 * r**4 * t**2 * (e1 + e2)) / (1 + r**2 * t**2)
-        )
-        return pref * inner
-    raise ValueError("published sphere formulas cover n = 1, 2 only")
 
 
 def sphere_length_density(n: int, r: float, l) -> np.ndarray:
@@ -476,15 +455,6 @@ def _gaussian_reduced_2d(t: float, qa: float, qb: float, c: float) -> float:
     return 4.0 * math.sqrt(math.pi / 3.0) * val
 
 
-GAUSSIAN_SECOND_TERM_NOTE = (
-    "published reduced form carries exponents (7 s1^2 + 4 s2^2)/3 and "
-    "cosh(10 s1 s2/3); integrating the Gaussian in the shared variable for "
-    "all four sign branches gives 2(s1^2 + s2^2)/3 and cosh(2 s1 s2/3), "
-    "which matches direct 3-D quadrature and Monte Carlo; the printed "
-    "variant agrees only at t = 0"
-)
-
-
 def gaussian_line_second_term(t: float) -> float:
     """a_2 for exp(-x^2) via the reduced 2-D integral
 
@@ -492,21 +462,15 @@ def gaussian_line_second_term(t: float) -> float:
                            cosh(2 s1 s2 / 3) ds1 ds2,
 
     obtained by writing s1 = |x-y|, s2 = |y-z| and integrating the common
-    Gaussian variable over each of the four sign branches.  The constants
-    here differ from the published display (see GAUSSIAN_SECOND_TERM_NOTE);
-    this version agrees with direct 3-D quadrature to 1e-10 and with 3-D
-    Monte Carlo within statistical error.
+    Gaussian variable over each of the four sign branches.  The published
+    reduced form carries exponents (7 s1^2 + 4 s2^2)/3 and cosh(10 s1 s2/3)
+    instead, and agrees with this one only at t = 0; this version agrees
+    with direct 3-D quadrature to 1e-10 and with 3-D Monte Carlo within
+    statistical error.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     return _gaussian_reduced_2d(t, 2.0, 2.0, 2.0)
-
-
-def gaussian_line_second_term_published(t: float) -> float:
-    """The reduced integral with the published constants (comparison only)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _gaussian_reduced_2d(t, 7.0, 4.0, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ def weighted_partial_magnitude(
     return chain_series(similarity(dist, t), t, N, weights)
 
 
-def empirical_partial_magnitude(cfg: PointConfiguration, t: float, N: int) -> MagnitudeSeries:
-    return weighted_partial_magnitude(cfg.distance_matrix(), cfg.weights, t, N)
-
-
 # ---------------------------------------------------------------------------
 # minimal-energy configurations on the 2-sphere
 # ---------------------------------------------------------------------------
@@ -163,7 +159,7 @@ def fekete_convergence_experiment(
     rows = []
     for m in m_list:
         cfg = minimal_energy_configuration(m, seed=seed + m, r=r)
-        val = empirical_partial_magnitude(cfg, t, N).partial_sums[N]
+        val = weighted_partial_magnitude(cfg.distance_matrix(), cfg.weights, t, N).partial_sums[N]
         rows.append(FeketeRow(m, N, val, target, abs(val - target)))
     return rows
 

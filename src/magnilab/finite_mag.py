@@ -106,7 +106,7 @@ def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeri
     x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next
     for k in range(1, N + 1):
         v = y @ x
-        terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0, method="exact"))
+        terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0))
         x = w * v
     return MagnitudeSeries(t=t, total_mass=float(w.sum()), terms=tuple(terms))
 
@@ -162,9 +162,3 @@ def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
     d = m.dist + c * (1.0 - np.eye(m.size))
     return FiniteMetricSpace(m.points, d)
 
-
-def restrict(m: FiniteMetricSpace, indices) -> FiniteMetricSpace:
-    """Subspace on the given point indices (order preserved)."""
-    idx = list(indices)
-    pts = tuple(m.points[i] for i in idx)
-    return FiniteMetricSpace(pts, m.dist[np.ix_(idx, idx)])

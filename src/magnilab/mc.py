@@ -120,8 +120,7 @@ class ChainEstimate:
         scale = total_mass ** (self.orders[k] + 1)
         return scale * mean, scale * math.sqrt(var / self.count)
 
-    def series(self, i: int, total_mass: float,
-               tail_bound: float | None = None) -> MagnitudeSeries:
+    def series(self, i: int, total_mass: float) -> MagnitudeSeries:
         """Partial sums at t[i] for orders 1..N, for a measure of total mass
         total_mass.
 
@@ -131,14 +130,13 @@ class ChainEstimate:
         """
         if self.orders != tuple(range(1, len(self.orders) + 1)):
             raise ValueError("a series needs the orders 1..N")
-        terms = tuple(SeriesTerm(n, *self.term(k, i, total_mass), method="montecarlo")
+        terms = tuple(SeriesTerm(n, *self.term(k, i, total_mass))
                       for k, n in enumerate(self.orders))
         c = np.array([(-1.0) ** n * total_mass ** (n + 1) for n in self.orders])
         cov = self.moment[i] - np.outer(self.mean[i], self.mean[i])
         var = np.cumsum(np.cumsum(c[:, None] * cov * c, axis=0), axis=1).diagonal()
         errors = (0.0,) + tuple(math.sqrt(max(float(v), 0.0) / self.count) for v in var)
-        return MagnitudeSeries(t=self.t[i], total_mass=total_mass, terms=terms,
-                               tail_bound=tail_bound, errors=errors)
+        return MagnitudeSeries(t=self.t[i], total_mass=total_mass, terms=terms, errors=errors)
 
 
 @dataclass(frozen=True)
@@ -392,8 +390,8 @@ def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
     return ChainEstimate(orders, grid, count, mean, moment, proper_fraction)
 
 
-def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
-    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x).
+def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
+    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x) on the space.
 
     Closed forms for homogeneous spaces and for the two weighted lines, whose
     weights are symmetric and log-concave, so the leg integral (a convolution
@@ -402,34 +400,34 @@ def leg_integral_bound(spec: SamplerSpec, t: float) -> float:
     g(y) = exp(-ty) + exp(-t(L-y)) convex and symmetric, so the sup lies at
     y = 0 or y = L/2; expm1 keeps 2 - g(y) accurate at small tL.
     """
-    sp = spec.space
-    if isinstance(sp, Circle):
-        return closed_forms.circle_leg_integral(sp.r, t)
-    if isinstance(sp, Sphere2):
-        return closed_forms.sphere_leg_integral(sp.r, t)
-    if isinstance(sp, FlatTorusUnit):
+    if isinstance(space, Circle):
+        return closed_forms.circle_leg_integral(space.r, t)
+    if isinstance(space, Sphere2):
+        return closed_forms.sphere_leg_integral(space.r, t)
+    if isinstance(space, FlatTorusUnit):
         return closed_forms.torus_first_term(t)
-    if isinstance(sp, Interval):
-        L, c = sp.length, sp.continuous_density
-        m = sp.atoms[0][1] if sp.atoms else 0.0
+    if isinstance(space, Interval):
+        L, c = space.length, space.continuous_density
+        m = space.atoms[0][1] if space.atoms else 0.0
         # Python floats: t * L may overflow to inf, quietly
         end = -c * math.expm1(-t * L) / t + m * (1.0 + math.exp(-t * L))
         mid = -2.0 * c * math.expm1(-t * L / 2.0) / t + 2.0 * m * math.exp(-t * L / 2.0)
         return max(end, mid)
-    if isinstance(sp, LineLaplace):
+    if isinstance(space, LineLaplace):
         # int exp(-t|x| - |x|) dx
         return 2.0 / (1.0 + t)
-    if isinstance(sp, LineGaussian):
+    if isinstance(space, LineGaussian):
         # int exp(-t|x| - x^2) dx = sqrt(pi) exp(t^2/4) erfc(t/2)
         from scipy.special import erfcx
 
         return math.sqrt(math.pi) * float(erfcx(t / 2.0))
-    raise TypeError(f"no leg-integral bound for {type(sp).__name__}")
+    raise TypeError(f"no leg-integral bound for {type(space).__name__}")
 
 
 def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:
-    """mu(X) * c^{N+1} / (1 - c) if c(t) < 1, else None ("no bound")."""
-    c = leg_integral_bound(spec, t)
+    """mu(X) * c^{N+1} / (1 - c) if c(t) < 1, else None ("no bound"): a bound
+    on the truncation error of the order-N partial magnitude."""
+    c = leg_integral_bound(spec.space, t)
     if c >= 1.0:
         return None
     return spec.total_mass * c ** (N + 1) / (1.0 - c)
@@ -438,8 +436,7 @@ def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:
 def estimate_partial_magnitude(spec: SamplerSpec, t: float, N: int) -> MagnitudeSeries:
     """mu(X) + sum (-1)^n a_n, every order read from one set of (N+1)-point
     chains, with partial-sum errors from the chains' cross moments."""
-    est = estimate_term(spec, range(1, N + 1), [t])
-    return est.series(0, spec.total_mass, tail_bound(spec, t, N))
+    return estimate_term(spec, range(1, N + 1), [t]).series(0, spec.total_mass)
 
 
 def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):

@@ -460,7 +460,6 @@ class SeriesTerm:
     order: int
     value: float
     std_error: float
-    method: str  # "exact" | "quadrature" | "montecarlo"
 
 
 @dataclass(frozen=True)
@@ -473,7 +472,6 @@ class MagnitudeSeries:
     t: float
     total_mass: float
     terms: tuple[SeriesTerm, ...]
-    tail_bound: float | None = None
     #: std error of each partial sum, from the estimator of sampled terms
     #: (they may share samples); None for exact terms
     errors: tuple[float, ...] | None = None
@@ -485,13 +483,9 @@ class MagnitudeSeries:
             sums.append(sums[-1] + (-1) ** term.order * term.value)
         object.__setattr__(self, "partial_sums", tuple(sums))
 
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
     def partial_sum_errors(self) -> tuple[float, ...]:
         """Std error of each partial sum: errors, or zeros for exact terms."""
-        return self.errors if self.errors is not None else (0.0,) * (self.order + 1)
+        return self.errors if self.errors is not None else (0.0,) * (len(self.terms) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +500,16 @@ def _parses_as_float(text: str) -> bool:
     return True
 
 
+def _text_lines(path):
+    """The lines of a text file; bytes that do not decode raise
+    MetricValidationError naming the file."""
+    with open(path) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise MetricValidationError(f"cannot read {path} as text: {exc}") from None
+
+
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Read an n x n distance matrix from CSV, optional first header row.
 
@@ -513,8 +517,7 @@ def load_distance_csv(path) -> FiniteMetricSpace:
     Blank lines are skipped.  A non-numeric field or a row with other than n
     fields raises MetricValidationError naming its 1-based line.
     """
-    with open(path) as fh:
-        rows = [(no, line.strip()) for no, line in enumerate(fh, 1) if line.strip()]
+    rows = [(no, line.strip()) for no, line in enumerate(_text_lines(path), 1) if line.strip()]
     if not rows:
         raise MetricValidationError(f"empty distance file {path}")
     labels = None
@@ -545,21 +548,20 @@ def load_edge_list(path) -> GeodesicGraph:
     """Read an edge list: 'u v' or 'u v length' per line, '#' comments."""
     edges = []
     maxv = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise MetricValidationError(f"bad edge line {line!r} in {path}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise MetricValidationError(f"bad edge line {line!r} in {path}") from None
-            edges.append((u, v, w))
-            maxv = max(maxv, u, v)
+    for line in _text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise MetricValidationError(f"bad edge line {line!r} in {path}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise MetricValidationError(f"bad edge line {line!r} in {path}") from None
+        edges.append((u, v, w))
+        maxv = max(maxv, u, v)
     if not edges:
         raise MetricValidationError(f"no edges in {path}")
     return GeodesicGraph(maxv + 1, tuple(edges))

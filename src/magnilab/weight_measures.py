@@ -1,4 +1,4 @@
-"""Weight and balanced measures, and the interval boundary-weight measure.
+"""Weight measures, and the interval boundary-weight measure.
 
 A weight measure satisfies int exp(-d(x,y)) dmu_w(x) = 1 for every basepoint
 y, which collapses every chain integral to mu_w(X): even partial sums equal
@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import closed_forms, mc
 from .spaces import AnalyticSpace, Circle, Interval, Sphere2
 
@@ -32,17 +30,15 @@ from .spaces import AnalyticSpace, Circle, Interval, Sphere2
 # ---------------------------------------------------------------------------
 
 def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
-    """c_tilde = 1 / int exp(-t*d(x,y)) dvol for circle and 2-sphere.
+    """c_tilde = 1 / J(t) for circle and 2-sphere, where the leg integral
+    J(t) = int exp(-t*d(x,y)) dvol is the same at every basepoint y.
 
     Circle(r): t / (2(1 - e^{-t pi r}));
     Sphere2(r): (t^2 r^2 + 1) / (2 pi r^2 (1 + e^{-t pi r})).
     """
-    if isinstance(space, Circle):
-        c = 1.0 / closed_forms.circle_leg_integral(space.r, t)
-    elif isinstance(space, Sphere2):
-        c = 1.0 / closed_forms.sphere_leg_integral(space.r, t)
-    else:
+    if not isinstance(space, (Circle, Sphere2)):
         raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
+    c = 1.0 / mc.leg_integral_bound(space, t)
     if not math.isfinite(c):
         raise OverflowError(f"weight constant 1/J(t) overflows at r = {space.r:g}, t = {t:g}")
     return c
@@ -51,41 +47,6 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
 def homogeneous_weight_mass(space: AnalyticSpace, t: float) -> float:
     """mu_w(X) = c_tilde * Vol(X)."""
     return homogeneous_weight_constant(space, t) * space.total_mass
-
-
-def weight_identity_residual(space: AnalyticSpace, t: float) -> float:
-    """max |int exp(-t*d(x,y)) dmu_w - 1| over a basepoint grid.
-
-    Homogeneous cases are checked by independent 1-D quadrature of the polar
-    leg integral (basepoint-independent by symmetry); the interval weight
-    measure is checked pointwise on a 16-point grid with t = 1 being the
-    scale at which the identity holds.
-    """
-    from scipy import integrate
-
-    if isinstance(space, Circle):
-        r = space.r
-        val, _ = integrate.quad(
-            lambda th: math.exp(-t * r * min(th, 2 * math.pi - th)) * r,
-            0.0, 2 * math.pi, points=[math.pi], limit=100, epsabs=1e-12,
-        )
-        return abs(homogeneous_weight_constant(space, t) * val - 1.0)
-    if isinstance(space, Sphere2):
-        r = space.r
-        val, _ = integrate.quad(
-            lambda th: math.exp(-t * r * th) * 2 * math.pi * r**2 * math.sin(th),
-            0.0, math.pi, limit=100, epsabs=1e-12,
-        )
-        return abs(homogeneous_weight_constant(space, t) * val - 1.0)
-    if isinstance(space, Interval) and space.measure == "weight":
-        L = space.length
-        worst = 0.0
-        for y in np.linspace(0.0, L, 16):
-            leb = 0.5 * (2.0 - math.exp(-t * y) - math.exp(-t * (L - y))) / t
-            atoms = 0.5 * (math.exp(-t * y) + math.exp(-t * (L - y)))
-            worst = max(worst, abs(leb + atoms - 1.0))
-        return worst
-    raise TypeError(f"no weight identity check for {type(space).__name__}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +86,6 @@ def scaled_weight_magnitude(space: AnalyticSpace, t: float, c: float) -> float:
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     return c / (1.0 + c) * homogeneous_weight_mass(space, t)
-
-
-def balanced_magnitude(c_b: float) -> float:
-    """Magnitude under a balanced probability measure: 1/(1 + c_b)."""
-    if not 0.0 < c_b < 1.0:
-        raise ValueError("c_b must lie in (0, 1)")
-    return 1.0 / (1.0 + c_b)
 
 
 # ---------------------------------------------------------------------------

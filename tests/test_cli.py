@@ -177,6 +177,19 @@ def test_bad_edge_list_exits_2(tmp_path, line, named):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["finite", "--input"], "0,1\n1,0\n".encode("utf-16")),
+    (["graph", "--edges"], b"\xff\xfe0 1\n1 2\n"),
+], ids=["finite-utf16", "graph-ff-fe"])
+def test_undecodable_input_exits_2(tmp_path, argv, text):
+    p = tmp_path / "input"
+    p.write_bytes(text)
+    res = run_cli([*argv, str(p), "--t", "1"])
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: cannot read {p} as text")
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("edges, code, message", [
     ("0 1 1e308\n1 2 1e308\n", 3,
      "numerical failure: path length between vertices 0 and 2 overflows"),
@@ -255,9 +268,9 @@ def test_finite_method_all_rows_are_the_library_values(tmp_path):
     assert len(lines) == 2 * len(grid)
     for i, t in enumerate(grid):
         inverse, series = lines[2 * i].split(","), lines[2 * i + 1].split(",")
-        exact = cli._fmt(finite_mag.classical_magnitude(space, t))
+        exact = cli._csv(finite_mag.classical_magnitude(space, t))
         assert inverse[2] == exact and series[4] == exact
-        assert series[2] == cli._fmt(finite_mag.neumann_partial(space, t, 6).partial_sums[6])
+        assert series[2] == cli._csv(finite_mag.neumann_partial(space, t, 6).partial_sums[6])
 
 
 def test_non_finite_distance_exits_2(tmp_path):
@@ -294,6 +307,10 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["finite", "--input", "DIST", "--t-grid", "1", "2", "2.7"],
     # and at most MAX_T_COUNT of them, checked before any list is built
     ["finite", "--input", "DIST", "--t-grid", "1", "2", "1e20"],
+    # a log ratio that overflows would put t = inf on the grid
+    ["manifold", "--space", "circle", "--t-grid", "1e-300", "1e300", "3", "--t-spacing", "log",
+     "--samples", "10"],
+    ["catalog", "--t-grid", "1e-300", "1e300", "3", "--t-spacing", "log"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])

@@ -216,10 +216,3 @@ def test_chain_series_counting_measure_is_plain_powers():
     assert [term.value for term in series.terms] == expected
     assert series.total_mass == 7.0
 
-
-def test_restrict():
-    d = np.array([[0, 1, 2.0], [1, 0, 1], [2.0, 1, 0]])
-    m = FiniteMetricSpace.from_matrix(d, points=("a", "b", "c"))
-    sub = finite_mag.restrict(m, [0, 2])
-    assert sub.points == ("a", "c")
-    assert sub.dist[0, 1] == 2.0

@@ -340,7 +340,7 @@ def test_line_leg_bound_is_the_leg_integral_at_zero(space, weight):
         return val
 
     for t in (0.1, 1.0, 3.0, 10.0):
-        c = mc.leg_integral_bound(mc.SamplerSpec(space), t)
+        c = mc.leg_integral_bound(space, t)
         assert c == pytest.approx(leg(0.0, t), rel=1e-8)
         assert max(leg(y, t) for y in np.linspace(-3.0, 3.0, 25)) <= c * (1 + 1e-12)
 
@@ -357,7 +357,7 @@ def test_interval_leg_bound_is_the_sup_over_basepoints(measure, L):
         leg = space.continuous_density * leb
         for loc, mass in space.atoms:
             leg += mass * np.exp(-t * np.abs(loc - y))
-        assert mc.leg_integral_bound(mc.SamplerSpec(space), t) == pytest.approx(
+        assert mc.leg_integral_bound(space, t) == pytest.approx(
             leg.max(), rel=1e-12)
 
 

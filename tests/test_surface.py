@@ -1,0 +1,48 @@
+"""The library keeps only what runs.
+
+Every top-level public function and class of a library module (all of
+src/magnilab but cli and __init__) is read by other package code, is an
+entry point the benchmark traces, or is documented API in the README's
+Library section.  A name that only tests use belongs in tests/.
+"""
+import ast
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(REPO.glob("src/magnilab/*.py"))}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read, as an ast.Name id or an ast.Attribute attr."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+READS = sum((_reads(tree) for tree in TREES.values()), Counter())
+
+
+def _documented() -> set[str]:
+    """Every word of an inline code span in the README's Library section."""
+    library = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    return {word for span in re.findall(r"`([^`]+)`", prose) for word in re.findall(r"\w+", span)}
+
+
+@pytest.mark.parametrize("module", [m for m in TREES if m not in ("cli", "__init__")])
+def test_every_public_name_is_used_traced_or_documented(module):
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        import traced_cli
+    finally:
+        sys.path.remove(str(REPO / "bench"))
+    kept = _documented() | set(traced_cli.ENTRY_POINTS.get(module, {}))
+    unused = [node.name for node in TREES[module].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in kept
+              and READS[node.name] == _reads(node)[node.name]]  # read only by itself
+    assert not unused, f"{module}: {unused} are used only by tests or not at all"
