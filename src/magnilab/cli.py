@@ -291,6 +291,9 @@ def _run_length_spectrum(args) -> list[str]:
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
     edges, density, counts = mc.estimate_length_density(spec, n, args.bins, l_max)
     stderr = mc.length_density_stderr(spec, n, edges[1] - edges[0], counts)
+    if not math.isfinite(max(density.max(), stderr.max())):
+        raise OverflowError(f"bin width {edges[1] - edges[0]:.3g} puts a density or its "
+                            "error past the float range")
     lines = [HEADER]
     for i in range(args.bins):
         center = 0.5 * (edges[i] + edges[i + 1])

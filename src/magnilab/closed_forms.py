@@ -20,6 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
+
+def _power(x: float, k: int) -> float:
+    """x**k, or inf where the float power raises OverflowError.  Each caller
+    divides by it, so the term underflows to 0 as a product would."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # circle of radius r, arc-length metric, dvol measure (total 2*pi*r)
 # ---------------------------------------------------------------------------
@@ -105,7 +115,7 @@ def _laplace_quadrature(density, n: int, r: float, t: float) -> float:
 
 def sphere_leg_integral(r: float, t: float) -> float:
     """J(t) = 2*pi*r^2*(1 + exp(-pi*r*t))/(t^2 r^2 + 1)."""
-    return 2.0 * math.pi * r**2 * (1.0 + math.exp(-math.pi * r * t)) / (t**2 * r**2 + 1.0)
+    return 2.0 * math.pi * r**2 * (1.0 + math.exp(-math.pi * r * t)) / (_power(t, 2) * r**2 + 1.0)
 
 
 def sphere_term(n: int, r: float, t: float) -> float:
@@ -234,7 +244,7 @@ def _exp_moment(j: int, t: float, L: float) -> float:
     """I_j = int_0^L (u^j / j!) exp(-t*u) du = P(j+1, tL) / t^{j+1}."""
     from scipy.special import gammainc
 
-    return gammainc(j + 1, t * L) / t ** (j + 1)
+    return gammainc(j + 1, t * L) / _power(t, j + 1)
 
 
 @lru_cache(maxsize=4096)  # one interval_term(n) call keeps about n^2/2 entries
@@ -289,7 +299,7 @@ def interval_term(n: int, t: float, L: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = 2.0 * L / t - (2.0 / t**2) * (1.0 - math.exp(-t * L))
+    a = 2.0 * L / t - (2.0 / _power(t, 2)) * (1.0 - math.exp(-t * L))
     for m in range(2, n + 1):
         a = (2.0 / t) * a - interval_alpha(m, 0, t, L) / t
     return a
@@ -373,7 +383,10 @@ def laplace_line_first_term(t: float) -> float:
     """a_1 for exp(-|x|) on the line: 2(t+2)/(t+1)^2."""
     if t <= 0:
         raise ValueError("scale t must be positive")
-    return 2.0 * (t + 2.0) / (t + 1.0) ** 2
+    try:
+        return 2.0 * (t + 2.0) / (t + 1.0) ** 2
+    except OverflowError:  # (t+1)^2 is past the float range, but a_1 ~ 2/t is not
+        return 2.0 * ((t + 2.0) / (t + 1.0)) / (t + 1.0)
 
 
 def laplace_line_first_term_quadrature(t: float) -> float:

@@ -5,9 +5,8 @@ where |Omega_{x,y}| is the number of distinct shortest paths.  For graphs
 where all geodesics are unique this collapses to the classical magnitude of
 the shortest-path metric.  The metric and the counts depend on the graph
 alone, so GeodesicGraph builds them once, on first use, and every t reuses
-them: unit-length graphs take both from one numpy breadth-first sweep, which
-loads no scipy; others take Dijkstra's metric and count by one push over
-all sources at once along each source's order of distance.
+them: one numpy sweep over all sources settles keys in order of distance
+and gives both, for any edge lengths, and loads no scipy.
 """
 from __future__ import annotations
 

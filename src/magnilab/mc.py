@@ -460,7 +460,8 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
         return np.histogram(total if proper is None else total[proper], bins=edges)[0]
 
     counts = sum(_map_batches(spec, n, reduce))
-    density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
+    with np.errstate(over="ignore"):  # a subnormal width may put it past the float range
+        density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
     return edges, density, counts
 
 
@@ -475,4 +476,5 @@ def length_density_stderr(spec: SamplerSpec, n: int, width: float,
     """
     S = spec.samples
     c = np.maximum(counts, 1)
-    return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(c * (1.0 - c / S))
+    with np.errstate(over="ignore"):
+        return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(c * (1.0 - c / S))

@@ -19,7 +19,7 @@ from .errors import DisconnectedGraphError, GeodesicOverflowError, MetricValidat
 METRIC_TOL = 1e-12
 #: most violations validate_metric reports before it stops scanning
 MAX_VIOLATIONS = 100
-#: most keys one level of GeodesicGraph._unit_sweep expands, unless one source alone has more
+#: most keys one round of GeodesicGraph._sweep expands, unless one source alone has more
 SWEEP_KEYS = 2**20
 #: relative tolerance for recognizing equal-length paths on weighted graphs
 TIE_TOL = 1e-9
@@ -197,48 +197,28 @@ class GeodesicGraph:
             norm.append((u, v, w))
         object.__setattr__(self, "edges", tuple(norm))
 
-    @property
-    def is_unit(self) -> bool:
-        return all(w == 1.0 for _, _, w in self.edges)
-
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lengths, neighbours, indptr): the symmetric adjacency as scipy's
-        CSR triple, each vertex's neighbours in edge order."""
+        """(lengths, neighbours, indptr): the symmetric adjacency in CSR form,
+        each vertex's neighbours in edge order."""
         uvw = np.array(self.edges, dtype=float).reshape(-1, 3)
         heads = uvw[:, :2].astype(np.intp).reshape(-1)  # u0, v0, u1, v1, ...
         order = np.argsort(heads, kind="stable")
         indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=self.vertex_count))))
         return uvw[order // 2, 2], heads[order ^ 1], indptr
 
-    def slots(self, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, degrees): the CSR slots of the given vertices' edges, vertex
-        after vertex, and each vertex's degree."""
-        indptr = self.csr[2]
-        deg = indptr[vertex + 1] - indptr[vertex]
-        return np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg), deg
-
     @cached_property
     def metric(self) -> FiniteMetricSpace:
-        """All-pairs shortest-path metric of a connected graph, from the unit
-        sweep or Dijkstra, built once per graph.  A sweep from vertex 0 first
-        checks connectivity, in O(n + |E|) memory: it raises
-        DisconnectedGraphError for the first vertex it does not reach, which
+        """All-pairs shortest-path metric of a connected graph, built once per
+        graph.  Connectivity is checked first, in O(|E|) memory:
+        DisconnectedGraphError names the first vertex not joined to 0, which
         is the first unreachable pair in row-major order.  Raises
         OverflowError naming the first pair whose path length is inf.
         """
         n = self.vertex_count
-        reached = np.full((1, n), np.inf)
-        self._sweep(np.zeros(1, dtype=np.intp), reached, np.zeros((1, n)))
-        if np.isinf(reached).any():  # argmax finds the first inf
-            raise DisconnectedGraphError(0, int(reached.argmax()))
-        if self.is_unit:
-            return self._unit_sweep[0]
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        metric = FiniteMetricSpace._adopt(dijkstra(csr_matrix(self.csr, shape=(n, n)),
-                                                   directed=False))
+        if (first := self._first_unjoined()) < n:
+            raise DisconnectedGraphError(0, first)
+        metric = self._all_pairs[0]
         if metric.dist.max() == np.inf:  # the graph is connected, so the length overflowed
             i, j = np.unravel_index(metric.dist.argmax(), (n, n))
             raise OverflowError(f"path length between vertices {i} and {j} overflows")
@@ -247,43 +227,38 @@ class GeodesicGraph:
     @cached_property
     def counts(self) -> np.ndarray:
         """Read-only counts[x, y] = number of shortest x-y paths, diagonal
-        zero, built once per graph.  Unit-length graphs read them from the
-        sweep that gave their metric; weighted graphs from _count_push.
-        Raises GeodesicOverflowError if a count exceeds COUNT_LIMIT.
+        zero, from the sweep that gave the metric.  Raises
+        GeodesicOverflowError if a count exceeds COUNT_LIMIT.
         """
-        dist = self.metric.dist  # also rejects disconnected graphs
-        counts = self._unit_sweep[1] if self.is_unit else self._count_push(dist)
+        self.metric  # rejects disconnected graphs and overflowed lengths
+        counts = self._all_pairs[1]
         if counts.max() > COUNT_LIMIT:
             raise GeodesicOverflowError(
                 f"shortest-path count {counts.max():.3e} exceeds exact float64 range")
         counts.setflags(write=False)
         return counts
 
-    def _count_push(self, dist: np.ndarray) -> np.ndarray:
-        """Counts pushed along tight edges (u, v), those with dist[u] + w(u,v)
-        == dist[v] within TIE_TOL relative, for all sources at once: step k
-        takes each source's k-th nearest vertex u and adds counts[s, u] into
-        counts[s, v] over u's tight edges (Brandes' recurrence).  Each step has
-        one u per source, so the fancy-index += has no repeated index.
-        """
+    def _first_unjoined(self) -> int:
+        """The least vertex that no path joins to vertex 0, or n if there is
+        none.  Vertex 0's component has at most |E| + 1 vertices, so only
+        vertices up to |E| + 1 are tried, and n may exceed any array size."""
+        adjacent = {}
+        for u, v, _ in self.edges:
+            adjacent.setdefault(u, []).append(v)
+            adjacent.setdefault(v, []).append(u)
+        joined, todo = {0}, [0]
+        while todo:
+            fresh = set(adjacent.get(todo.pop(), ())) - joined
+            joined |= fresh
+            todo += fresh
         n = self.vertex_count
-        lengths, nbrs, _ = self.csr
-        rows = np.arange(n)
-        counts = np.eye(n)
-        for u in np.argsort(dist, axis=1, kind="stable").T:  # each source's k-th nearest vertex
-            step, deg = self.slots(u)
-            s, v = np.repeat(rows, deg), nbrs[step]
-            dv = dist[s, v]
-            tight = np.flatnonzero(np.abs(np.repeat(dist[rows, u], deg) + lengths[step] - dv)
-                                   <= TIE_TOL * np.maximum(1.0, dv))
-            counts[s[tight], v[tight]] += np.repeat(counts[rows, u], deg)[tight]
-        counts[rows, rows] = 0.0
-        return counts
+        return next((j for j in range(min(n, len(self.edges) + 2)) if j not in joined), n)
 
     @cached_property
-    def _unit_sweep(self) -> tuple[FiniteMetricSpace, np.ndarray]:
-        """(metric, counts) of a unit-length graph, from _sweep over blocks
-        of SWEEP_KEYS // 2|E| sources.  Unreachable pairs keep inf.
+    def _all_pairs(self) -> tuple[FiniteMetricSpace, np.ndarray]:
+        """(metric, counts) from _sweep over blocks of SWEEP_KEYS // 2|E|
+        sources, with the diagonal of counts set to zero.  A pair whose path
+        length passes the float range keeps inf.
         """
         n = self.vertex_count
         dist, counts = np.full((n, n), np.inf), np.zeros((n, n))
@@ -291,34 +266,83 @@ class GeodesicGraph:
         for first in range(0, n, block):
             last = min(n, first + block)
             self._sweep(np.arange(first, last), dist[first:last], counts[first:last])
+        np.fill_diagonal(counts, 0.0)
         return FiniteMetricSpace._adopt(dist), counts
 
     def _sweep(self, sources: np.ndarray, dist_rows: np.ndarray, count_rows: np.ndarray) -> None:
-        """Numpy breadth-first sweep, in hops, from sources[i] into row i of the
-        contiguous arrays dist_rows (all inf) and count_rows (all zero).  Level
-        k expands each key row*n + vertex by the vertex's neighbours and keeps
-        those still at dist inf.  Duplicates merge with no sort: each writes its
-        position into its dist slot, the one that reads its own back stands for
-        the group, and bincount sums their counts, exactly below 2**53.
+        """Shortest-path distances and counts from sources[i] into row i of
+        the contiguous arrays dist_rows (all inf) and count_rows (all zero).
+        A source counts 1 path to itself.
+
+        Keys row*n + vertex settle in rounds in order of distance (Dial's
+        buckets), and each round expands the keys it settles by their edges
+        (np.repeat over the CSR degrees).  When every edge has one length L
+        the rounds are breadth-first levels at the running sum 0 + L + L + ...,
+        and every candidate ties: a new key's duplicates merge with no sort,
+        each writing its position into its count slot, the one that reads its
+        own back standing for the group, and bincount sums their counts,
+        exactly below 2**53.
+
+        Otherwise an open key keeps its tentative distance in dist_rows and a
+        negative count.  Each source settles its open keys below the least
+        dist[u] + (lightest edge at u) over its open keys u, less twice
+        TIE_TOL relative (Crauser et al.'s OUT criterion), which no later path
+        can reach or tie, and always its least open key, so that lengths
+        1/TIE_TOL apart settle too.  A settling key sums the counts of its
+        settled neighbours u over tight edges, dist[u] + w within TIE_TOL
+        relative of its own distance (Brandes), and offers dist + w to the
+        neighbours not yet settled.  Each distance is the least of the sums
+        Dijkstra takes, bit for bit.  An offer past the float range is not
+        taken, so its key keeps inf and count 0.
         """
         n = self.vertex_count
-        nbrs = self.csr[1]
+        lengths, nbrs, indptr = self.csr
         flat_dist, flat_counts = dist_rows.reshape(-1), count_rows.reshape(-1)  # views
         keys = np.arange(len(sources)) * n + sources
-        flat_dist[keys] = 0.0
-        vals, k = np.ones(len(keys)), 0
+        flat_dist[keys], flat_counts[keys] = 0.0, 1.0
+        hop = float(lengths.max(initial=0.0))
+        one_length = lengths.min(initial=hop) == hop
+        lightest = np.full(n, np.inf)
+        np.minimum.at(lightest, np.repeat(np.arange(n), np.diff(indptr)), lengths)
+        level, vals, waiting = 0.0, np.ones(len(keys)), keys[:0]
         while len(keys):
-            k += 1
             vertex = keys % n
-            step, deg = self.slots(vertex)
-            keys = np.repeat(keys - vertex, deg) + nbrs[step]
-            fresh = np.flatnonzero(np.isinf(flat_dist[keys]))
-            keys, vals = keys[fresh], np.repeat(vals, deg)[fresh]
-            flat_dist[keys] = at = np.arange(len(keys))
-            rep = flat_dist[keys].astype(np.intp)
-            own = np.flatnonzero(rep == at)
-            keys, vals = keys[own], np.bincount(rep, weights=vals, minlength=len(keys))[own]
-            flat_dist[keys], flat_counts[keys] = k, vals
+            deg = indptr[vertex + 1] - indptr[vertex]
+            step = np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg)
+            near = np.repeat(keys - vertex, deg) + nbrs[step]
+            if one_length:
+                level += hop  # a float sum, so 1e308 + 1e308 is inf without a warning
+                fresh = np.flatnonzero(flat_counts[near] == 0)
+                near, vals = near[fresh], np.repeat(vals, deg)[fresh]
+                flat_counts[near] = at = np.arange(len(near))
+                rep = flat_counts[near].astype(np.intp)
+                own = np.flatnonzero(rep == at)
+                keys, vals = near[own], np.bincount(rep, weights=vals, minlength=len(near))[own]
+                flat_dist[keys], flat_counts[keys] = level, vals
+                continue
+            w, dv = lengths[step], np.repeat(flat_dist[keys], deg)
+            du, cu = flat_dist[near], flat_counts[near]
+            with np.errstate(over="ignore"):
+                offer = dv + w
+                tight = np.flatnonzero(
+                    (cu > 0) & (np.abs(du + w - dv) <= TIE_TOL * np.maximum(1.0, dv)))
+            # the settling keys hold their negative mark, or a source its count 1
+            flat_counts[keys] = np.maximum(flat_counts[keys], 0.0) + np.bincount(
+                np.repeat(np.arange(len(keys)), deg)[tight], weights=cu[tight],
+                minlength=len(keys))
+            ahead = np.flatnonzero((cu <= 0) & (offer < du))  # du is inf where cu is 0
+            np.minimum.at(flat_dist, near[ahead], offer[ahead])
+            new = near[ahead[cu[ahead] == 0]]
+            flat_counts[new] = at = -1.0 - np.arange(len(new))
+            waiting = np.concatenate((waiting, new[flat_counts[new] == at]))
+            rows, d = waiting // n, flat_dist[waiting]
+            least, soon = np.full((2, len(sources)), np.inf)
+            np.minimum.at(least, rows, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: nothing below
+                np.minimum.at(soon, rows, d + lightest[waiting % n])
+                limit = soon - 2 * TIE_TOL * np.maximum(1.0, soon)
+            settle = (d < limit[rows]) | (d == least[rows])
+            keys, waiting = waiting[settle], waiting[~settle]
 
 
 def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:

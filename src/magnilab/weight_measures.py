@@ -38,7 +38,8 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
     """
     if not isinstance(space, (Circle, Sphere2)):
         raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
-    c = 1.0 / mc.leg_integral_bound(space, t)
+    leg = mc.leg_integral_bound(space, t)
+    c = 1.0 / leg if leg > 0 else math.inf  # J(t) underflows to 0 at large t
     if not math.isfinite(c):
         raise OverflowError(f"weight constant 1/J(t) overflows at r = {space.r:g}, t = {t:g}")
     return c
@@ -46,7 +47,10 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
 
 def homogeneous_weight_mass(space: AnalyticSpace, t: float) -> float:
     """mu_w(X) = c_tilde * Vol(X)."""
-    return homogeneous_weight_constant(space, t) * space.total_mass
+    mass = homogeneous_weight_constant(space, t) * space.total_mass
+    if not math.isfinite(mass):
+        raise OverflowError(f"weight mass c_tilde * Vol(X) overflows at r = {space.r:g}, t = {t:g}")
+    return mass
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,17 @@ def test_undecodable_input_exits_2(tmp_path, argv, text):
     # disconnection is found before any path length, so it wins over overflow
     ("0 1 1e308\n1 2 1e308\n3 4 1\n", 2,
      "error: graph is disconnected: no path between vertices 0 and 3"),
+    # lengths 1e308 and 1: each round settles at least its least open key
+    ("0 1 1e308\n1 2 1e308\n2 3 1\n3 4 1\n", 3,
+     "numerical failure: path length between vertices 0 and 2 overflows"),
     # a million vertices: found from vertex 0 before any n x n array exists
     ("0 1\n1 2\n2 999999\n", 2, "error: graph is disconnected: no path between vertices 0 and 3"),
     ("0 1 1.5\n1 2 1.5\n2 999999 1.5\n", 2,
+     "error: graph is disconnected: no path between vertices 0 and 3"),
+    # more vertices than an array can hold: too few edges to join them
+    ("0 1\n1 2\n2 99999999999999999999\n", 2,
+     "error: graph is disconnected: no path between vertices 0 and 3"),
+    (f"0 1\n1 2\n2 {2**62}\n", 2,
      "error: graph is disconnected: no path between vertices 0 and 3"),
 ])
 def test_graph_path_overflow_is_not_disconnection(tmp_path, edges, code, message):
@@ -360,10 +368,24 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
     # a finite mass, but the default l-max n * pi * r overflows
     ["length-spectrum", "--space", "circle", "--r", "1e307", "--n", "100", "--samples", "10"],
     ["length-spectrum", "--space", "circle", "--r", "1e308", "--samples", "10"],
+    # c_tilde and Vol(X) are finite, but their product is not
+    ["weight-check", "--space", "circle", "--r", "1e300", "--t", "1e300", "--samples", "10"],
 ])
 def test_arithmetic_failure_exits_3(capsys, args):
     assert cli.run(args) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("args", [
+    ["catalog", "--t", "1e300"],
+    ["manifold", "--space", "sphere", "--t", "1e300", "--samples", "1000"],
+])
+def test_terms_at_huge_t_are_finite(capsys, args):
+    """Past t = 1.34e154, t^2 is past the float range; the terms it divides
+    underflow to 0, as the Monte-Carlo rows do."""
+    assert cli.run(args) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "inf" not in out and "nan" not in out
 
 
 def test_t_grid_count_bound():
@@ -394,6 +416,11 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
      "total mass inf"),
     (["length-spectrum", "--space", "circle", "--r", "1e307", "--n", "100",
       "--samples", "10"], "default l_max"),
+    (["weight-check", "--space", "circle", "--r", "1e300", "--t", "1e300", "--samples", "10"],
+     "weight mass"),
+    # t^2 passes the float range, so J(t) underflows to 0
+    (["weight-check", "--space", "sphere", "--t", "1e300", "--samples", "10"],
+     "weight constant 1/J(t) overflows"),
 ])
 def test_overflow_message_names_the_quantity(capsys, args, named):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -448,6 +475,12 @@ def test_length_spectrum_bin_width_underflow(capsys):
     out, err = capsys.readouterr()
     assert "nan" not in out
     assert err.startswith("numerical failure: bin width underflows to 0")
+    # a subnormal width is not 0, but mu(X)^3 / (S width) is past the float range
+    assert cli.run(["length-spectrum", "--space", "sphere", "--n", "2", "--bins", "3",
+                    "--samples", "10", "--l-max", "1e-320"]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: bin width 3.33e-321")
 
 
 def test_manifold_draws_each_order_once(monkeypatch, capsys):
@@ -552,21 +585,16 @@ def test_import_and_scipy_free_subcommands_load_no_scipy(argv, distance_csv):
     assert scipy_loaded(code) == set()
 
 
-@pytest.mark.parametrize("edges, csgraph", [("0 1\n1 2\n2 0\n2 3\n", False),
-                                            ("0 1 1\n1 2 2.5\n2 0 1\n", True)])
-def test_graph_count_loads_csgraph_only_for_weighted_edges(tmp_path, edges, csgraph):
-    """Unit graphs take metric and counts from the numpy level sweep and solve
-    on numpy, so they load no scipy; weighted graphs load csgraph for Dijkstra."""
+@pytest.mark.parametrize("edges", ["0 1\n1 2\n2 0\n2 3\n", "0 1 1\n1 2 2.5\n2 0 1\n"])
+def test_graph_loads_no_scipy(tmp_path, edges):
+    """Every graph takes metric and counts from the numpy sweep and solves on
+    numpy, so neither gamma loads scipy, whatever the edge lengths."""
     p = tmp_path / "g.edges"
     p.write_text(edges)
     for gamma in ("count", "triv"):
-        loaded = scipy_loaded(
+        assert scipy_loaded(
             f"from magnilab import cli; assert cli.run(['graph', '--edges', {str(p)!r}, "
-            f"'--gamma', {gamma!r}, '--t', '1', '--method', 'all']) == 0")
-        if csgraph:
-            assert "scipy.sparse.csgraph" in loaded
-        else:
-            assert loaded == set()
+            f"'--gamma', {gamma!r}, '--t', '1', '--method', 'all']) == 0") == set()
 
 
 def test_interval_closed_column_at_small_t(capsys):
@@ -659,6 +687,8 @@ def test_fuzz_distance_csv(text, method):
 # a disconnected million-vertex graph asked for n x n arrays, unit and weighted
 @example(text="0 1\n1 2\n2 999999\n", gamma="count")
 @example(text="0 1 1.5\n1 2 1.5\n2 999999 1.5\n", gamma="count")
+# a vertex id past any array size
+@example(text="0 1\n1 2\n2 99999999999999999999\n", gamma="triv")
 def test_fuzz_edge_list(text, gamma):
     run_in_process(["graph", "--edges", "FILE", "--t", "1", "--gamma", gamma,
                     "--method", "all"], text)

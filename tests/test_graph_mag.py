@@ -66,11 +66,14 @@ def test_tilde_neumann_converges():
 def scaled(g, factor):
     """Same graph with every edge length multiplied by factor.
 
-    Uniform scaling keeps every geodesic, so the counts are unchanged, but a
-    non-unit length sends count_geodesics down the all-sources push over
-    Dijkstra's metric.
+    Uniform scaling keeps every geodesic, so the counts are unchanged.
     """
     return GeodesicGraph(g.vertex_count, tuple((u, v, w * factor) for u, v, w in g.edges))
+
+
+def relength(g):
+    """g with lengths 1, 2 and 3, so that its sweep takes weighted rounds."""
+    return GeodesicGraph(g.vertex_count, tuple((u, v, 1.0 + (u + v) % 3) for u, v, _ in g.edges))
 
 
 def grid(rows, cols):
@@ -86,6 +89,15 @@ def random_connected(rng, n, extra):
         u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
         edges.add((u, v))
     return GeodesicGraph(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
+
+
+def dijkstra_metric(g):
+    """Reference metric: scipy's Dijkstra on the graph's CSR arrays."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = g.vertex_count
+    return dijkstra(csr_matrix(g.csr, shape=(n, n)), directed=False)
 
 
 def dag_loop_counts(g):
@@ -146,21 +158,6 @@ def test_push_counts_equal_dag_loop_with_ties(lengths, seed, monkeypatch):
         assert not np.array_equal(graph_mag.count_geodesics(GeodesicGraph(n, g.edges)), counts)
 
 
-def test_push_memory_is_counts_plus_distance_order():
-    """The weighted counter holds the counts and the distance order, two n^2
-    arrays, plus one step's edges."""
-    g = scaled(grid(25, 25), 2.0)
-    n = g.vertex_count
-    graph_metric(g)  # dist and the CSR are built before the trace
-    tracemalloc.start()
-    try:
-        graph_mag.count_geodesics(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * n * n + (1 << 18)
-
-
 def test_grid_counts_are_binomials():
     side = 6
     g = grid(side, side)
@@ -175,7 +172,7 @@ def test_grid_counts_are_binomials():
 
 def test_count_geodesics_accepts_prebuilt_metric():
     """Counts built after the metric equal those of a graph whose counts
-    build the metric themselves, on the sweep and on the push."""
+    build the metric themselves, on one length and on the weighted rounds."""
     for factor in (1.0, 2.0):
         g = scaled(grid(3, 4), factor)
         graph_metric(g)
@@ -183,13 +180,15 @@ def test_count_geodesics_accepts_prebuilt_metric():
                               graph_mag.count_geodesics(scaled(grid(3, 4), factor)))
 
 
-def diamond_ladder(stages, length):
-    """Stacked parallel routes: the count doubles per stage."""
+def diamond_ladder(stages, length, cross=None):
+    """Stacked parallel routes, each of length + cross: the count doubles per
+    stage."""
+    cross = length if cross is None else cross
     edges = []
     v = 0
     for stage in range(stages):
         a, b1, b2, c = v, v + 1, v + 2, v + 3
-        edges += [(a, b1, length), (a, b2, length), (b1, c, length), (b2, c, length)]
+        edges += [(a, b1, length), (a, b2, cross), (b1, c, cross), (b2, c, length)]
         v = c
     return GeodesicGraph(v + 1, tuple(edges))
 
@@ -201,19 +200,46 @@ def test_count_overflow_guard():
 
 
 def test_count_overflow_guard_weighted():
-    # the same ladder with length 2 runs the all-sources push
+    # the same ladder with lengths 2 and 3 runs the weighted rounds
     with pytest.raises(GeodesicOverflowError):
-        graph_mag.count_geodesics(diamond_ladder(60, 2.0))
+        graph_mag.count_geodesics(diamond_ladder(60, 2.0, 3.0))
 
 
 def test_ladder_below_limit_counts_powers_of_two():
-    for length in (1.0, 2.0):
-        counts = graph_mag.count_geodesics(diamond_ladder(50, length))
+    for lengths in ((1.0,), (2.0,), (2.0, 3.0)):
+        counts = graph_mag.count_geodesics(diamond_ladder(50, *lengths))
         assert counts[0, -1] == 2.0**50
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("draw", ["uniform", "tenths", "spread"])
+def test_weighted_sweep_equals_dijkstra_and_dag_loop(draw, seed):
+    """Random graphs with lengths uniform(1e-3, 1), from {0.1, 0.2, 0.3} or
+    from {1e-6, 1}, plus one chord of length 1e308: the metric is Dijkstra's
+    bit for bit, and the counts are the DAG loop's."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 60))
+    unit = random_connected(rng, n, 2 * n)
+    lengths = {"uniform": lambda: rng.uniform(1e-3, 1.0),
+               "tenths": lambda: rng.choice([0.1, 0.2, 0.3]),
+               "spread": lambda: rng.choice([1e-6, 1.0])}[draw]
+    pairs = {(u, v) for u, v, _ in unit.edges}
+    chord = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs)
+    g = GeodesicGraph(n, tuple((u, v, float(lengths())) for u, v, _ in unit.edges)
+                      + (chord + (1e308,),))
+    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
+    assert np.array_equal(graph_mag.count_geodesics(g), dag_loop_counts(g))
+
+
+def test_lengths_beyond_the_tie_tolerance_settle():
+    """Past 1e308, adding 1 changes no float, so no key lies below a round's
+    limit; each source still settles its least open key."""
+    g = GeodesicGraph(4, ((0, 1, 1e308), (1, 2, 1.0), (2, 3, 1.0)))
+    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
+
+
 # ---------------------------------------------------------------------------
-# the unit-graph level sweep
+# the sweep on graphs of one length
 # ---------------------------------------------------------------------------
 
 def unit_graph(n, pairs):
@@ -275,63 +301,57 @@ def test_sweep_on_hypercube_counts_factorials():
                          ids=["path", "star", "complete", "hypercube", "cycle", "grid"])
 def test_sweep_equals_dijkstra_and_dag_loop(g):
     weighted = scaled(g, 2.0)
-    assert np.array_equal(2.0 * graph_metric(g).dist, graph_metric(weighted).dist)
+    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
+    assert np.array_equal(graph_metric(weighted).dist, dijkstra_metric(weighted))
     assert np.array_equal(graph_mag.count_geodesics(g), graph_mag.count_geodesics(weighted))
     assert np.array_equal(graph_mag.count_geodesics(weighted), dag_loop_counts(weighted))
 
 
 def test_sweep_is_shared_and_read_only():
     g = grid(3, 3)
-    metric, counts = g._unit_sweep
-    assert graph_metric(g) is metric  # the cached metric, not a rebuilt one
-    assert graph_mag.count_geodesics(g) is counts
-    assert not metric.dist.flags.writeable and not counts.flags.writeable
-    w = scaled(g, 2.0)  # the Dijkstra branch and the push
-    assert graph_metric(w) is graph_metric(w)
-    assert graph_mag.count_geodesics(w) is graph_mag.count_geodesics(w)
-    assert not graph_metric(w).dist.flags.writeable
-    assert not graph_mag.count_geodesics(w).flags.writeable
+    w = relength(g)
+    for h in (g, w):
+        metric, counts = h._all_pairs
+        assert graph_metric(h) is metric  # the cached metric, not a rebuilt one
+        assert graph_mag.count_geodesics(h) is counts
+        assert not metric.dist.flags.writeable and not counts.flags.writeable
 
 
-def test_weighted_graph_runs_dijkstra_and_the_push_once(monkeypatch):
-    """Library calls at several t reuse the metric and counts the first built."""
-    import scipy.sparse.csgraph
+def test_weighted_graph_sweeps_once(monkeypatch):
+    """Library calls at several t reuse the metric and counts that one
+    sweep from all sources built."""
+    sweep, calls = GeodesicGraph._sweep, []
 
-    calls = []
+    def counted(g, sources, dist_rows, count_rows):
+        calls.append(len(sources))
+        return sweep(g, sources, dist_rows, count_rows)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra",
-                        counting("dijkstra", scipy.sparse.csgraph.dijkstra))
-    monkeypatch.setattr(GeodesicGraph, "_count_push",
-                        counting("push", GeodesicGraph._count_push))
-    g = scaled(grid(5, 5), 2.0)
+    monkeypatch.setattr(GeodesicGraph, "_sweep", counted)
+    g = relength(grid(5, 5))
     values = [graph_mag.tilde_magnitude(g, t) for t in (1.0, 2.0, 3.0)]
     series = graph_mag.tilde_neumann_partial(g, 3.0, 8)
     graph_mag.tilde_convergence_threshold(g)
-    assert calls == ["dijkstra", "push"]
+    assert calls == [25]
     assert series.partial_sums[-1] == pytest.approx(values[-1], rel=1e-6)
 
 
 def test_sweep_memory_is_bounded_by_blocks_of_sources():
     """Unblocked, a level of Q10 expands 1024 * 252 * 10 > SWEEP_KEYS keys.
     Blocked, the sweep holds dist and counts, which the metric adopts
-    without a copy, plus a few arrays of at most SWEEP_KEYS entries."""
-    g = hypercube(10)
-    n = g.vertex_count
-    assert n * math.comb(10, 5) * 10 > SWEEP_KEYS
-    g.csr  # O(|E|), built before the trace
-    tracemalloc.start()
-    try:
-        g._unit_sweep
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * n * n + 8 * 8 * SWEEP_KEYS
+    without a copy, plus a few arrays of at most SWEEP_KEYS entries.  So does
+    the grid with every length 2, and with lengths 1, 2 and 3, which holds
+    no n x n distance order."""
+    assert 1024 * math.comb(10, 5) * 10 > SWEEP_KEYS
+    for g in (hypercube(10), scaled(grid(25, 25), 2.0), relength(grid(25, 25))):
+        n = g.vertex_count
+        g.csr  # O(|E|), built before the trace
+        tracemalloc.start()
+        try:
+            g._all_pairs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n + 8 * 8 * SWEEP_KEYS
 
 
 def test_sweep_of_a_path_holds_two_square_arrays():
@@ -342,7 +362,7 @@ def test_sweep_of_a_path_holds_two_square_arrays():
     g.csr
     tracemalloc.start()
     try:
-        g._unit_sweep
+        g._all_pairs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,14 +410,14 @@ def test_weighted_path_length_overflow_is_not_disconnection():
 
 
 def test_graph_count_cli_sweeps_once(tmp_path, monkeypatch):
-    sweep = GeodesicGraph._unit_sweep.func
+    sweep = GeodesicGraph._all_pairs.func
     calls = []
 
     def counted(g):
         calls.append(g)
         return sweep(g)
 
-    monkeypatch.setattr(GeodesicGraph._unit_sweep, "func", counted)
+    monkeypatch.setattr(GeodesicGraph._all_pairs, "func", counted)
     p = tmp_path / "g.edges"
     p.write_text("0 1\n1 2\n2 3\n3 0\n0 4\n")
     assert cli.run(["graph", "--edges", str(p), "--gamma", "count", "--method", "all",

@@ -3,7 +3,8 @@
 Every top-level public function and class of a library module (all of
 src/magnilab but cli and __init__) is read by other package code, is an
 entry point the benchmark traces, or is documented API in the README's
-Library section.  A name that only tests use belongs in tests/.
+Library section.  A name that only tests use belongs in tests/.  And no
+library module imports scipy.sparse: graphs need numpy alone.
 """
 import ast
 import re
@@ -46,3 +47,18 @@ def test_every_public_name_is_used_traced_or_documented(module):
               and not node.name.startswith("_") and node.name not in kept
               and READS[node.name] == _reads(node)[node.name]]  # read only by itself
     assert not unused, f"{module}: {unused} are used only by tests or not at all"
+
+
+def _imports(tree: ast.AST):
+    """Every module an import in tree names, 'from a import b' as a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_sparse():
+    found = [(module, name) for module, tree in TREES.items() for name in _imports(tree)
+             if (name + ".").startswith("scipy.sparse.")]
+    assert not found, f"scipy.sparse imported by {found}"

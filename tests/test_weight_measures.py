@@ -47,11 +47,6 @@ def weight_identity_residual(space, t: float) -> float:
     return abs(wm.homogeneous_weight_constant(space, t) * leg - 1.0)
 
 
-def balanced_magnitude(c_b: float) -> float:
-    """Magnitude under a balanced probability measure: 1/(1 + c_b)."""
-    return 1.0 / (1.0 + c_b)
-
-
 class TestHomogeneousWeights:
     def test_circle_constant(self):
         r, t = 1.0, 1.0
@@ -80,7 +75,6 @@ class TestHomogeneousWeights:
         c = 0.25
         assert wm.scaled_weight_magnitude(space, 1.0, c) == pytest.approx(
             c / (1 + c) * mass, rel=1e-12)
-        assert balanced_magnitude(0.5) == pytest.approx(1.0 / 1.5)
 
 
 class TestPartitions:
