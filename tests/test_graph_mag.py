@@ -158,6 +158,22 @@ def test_push_counts_equal_dag_loop_with_ties(lengths, seed, monkeypatch):
         assert not np.array_equal(graph_mag.count_geodesics(GeodesicGraph(n, g.edges)), counts)
 
 
+def test_push_memory_is_counts_plus_distance_order():
+    """Once the metric of a weighted graph is built, its counts cost less than
+    two n^2 arrays plus one step's edges: the sweep that built the metric
+    already holds them."""
+    for g in (scaled(grid(25, 25), 2.0), relength(grid(25, 25))):
+        n = g.vertex_count
+        graph_metric(g)  # dist and the CSR are built before the trace
+        tracemalloc.start()
+        try:
+            graph_mag.count_geodesics(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n + (1 << 18)
+
+
 def test_grid_counts_are_binomials():
     side = 6
     g = grid(side, side)
