@@ -232,10 +232,11 @@ def _run_graph(args) -> list[str]:
 
 
 def _run_exact(args, dist, counts=None) -> list[str]:
-    """inverse and series rows per t from one Z, counted if counts are given."""
-    lines = [HEADER]
+    """inverse and series rows per t, counted if counts are given; every t
+    refills the one Z buffer, which the series reads in place."""
+    lines, z = [HEADER], None
     for t in _t_grid(args):
-        z = finite_mag.similarity(dist, t, counts)
+        z = finite_mag.similarity(dist, t, counts, out=z)
         exact = float(finite_mag._solve_ones(z).sum())
         if args.method in ("inverse", "all"):
             lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))

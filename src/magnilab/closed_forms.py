@@ -96,15 +96,33 @@ def circle_term_quadrature(n: int, r: float, t: float) -> float:
     return _laplace_quadrature(circle_length_density, n, r, t)
 
 
+#: past PEAK_SPAN / t, e^{-tl} is below e^{-PEAK_SPAN} of its value at 0
+PEAK_SPAN = 64.0
+
+
+def _peak_points(t: float, scale: float) -> list[float]:
+    """Split points 1/t, 2/t, 4/t, ..., PEAK_SPAN/t for a Laplace transform
+    int e^{-tl} f(l) dl from l = 0, or none when PEAK_SPAN/t >= scale, the
+    integrand's own length scale.  Past that t the mass lies within a few
+    1/t of 0, where quad on the whole range places no node and returns about
+    0; on [c/t, 2c/t] e^{-tl} falls by e^{-c}, which one Gauss-Kronrod rule
+    resolves."""
+    if PEAK_SPAN / t >= scale:
+        return []
+    return [2.0**k / t for k in range(int(math.log2(PEAK_SPAN)) + 1)]
+
+
 def _laplace_quadrature(density, n: int, r: float, t: float) -> float:
     """int_0^{n pi r} exp(-t l) density(n, r, l) dl, split at the multiples
-    of the diameter pi r, where the length densities have kinks."""
+    of the diameter pi r, where the length densities have kinks, and at
+    _peak_points below the first of them."""
     from scipy import integrate
 
     d = math.pi * r
     val, _ = integrate.quad(
         lambda l: math.exp(-t * l) * float(density(n, r, l)),
-        0.0, n * d, points=[k * d for k in range(1, n)], limit=200, epsabs=1e-12,
+        0.0, n * d, points=_peak_points(t, d) + [k * d for k in range(1, n)], limit=200,
+        epsabs=1e-12,
     )
     return val
 
@@ -149,13 +167,23 @@ def sphere_length_density(n: int, r: float, l) -> np.ndarray:
     elif n == 2:
         out = np.zeros_like(l)
         m = (l >= 0) & (l <= d)
-        out[m] = (2 * math.pi) ** 3 * r**4 * (r * np.sin(l[m] / r) - l[m] * np.cos(l[m] / r))
+        x = l[m] / r
+        out[m] = (2 * math.pi) ** 3 * r**4 * np.where(
+            x < 0.1, r * _sin_minus_x_cos_series(x), r * np.sin(x) - l[m] * np.cos(x))
         m = (l > d) & (l <= 2 * d)
         rest = 2 * d - l[m]
         out[m] = (2 * math.pi) ** 3 * r**4 * (r * np.sin(rest / r) - rest * np.cos(l[m] / r))
     else:
         raise ValueError("sphere length density implemented for n = 1, 2")
     return out[0] if scalar else out
+
+
+def _sin_minus_x_cos_series(x: np.ndarray) -> np.ndarray:
+    """sin x - x cos x = x^3/3 - x^5/30 + x^7/840 - ..., to five terms, which
+    hold it to 1e-17 relative for x < 0.1; there the two products cancel in
+    up to 2 log10(1/x) leading digits, all of them at x = 1e-8."""
+    x2 = x * x
+    return x * x2 * (1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 * (1 / 45360 - x2 / 3991680))))
 
 
 def sphere_term_quadrature(n: int, r: float, t: float) -> float:
@@ -191,7 +219,8 @@ def torus_first_term(t: float) -> float:
     if t <= 0:
         raise ValueError("scale t must be positive")
     part1, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * 2.0 * math.pi * l, 0.0, TORUS_RHO, epsabs=1e-12
+        lambda l: math.exp(-t * l) * 2.0 * math.pi * l, 0.0, TORUS_RHO, epsabs=1e-12,
+        points=_peak_points(t, TORUS_RHO) or None,  # below t = 128, quad's unsplit rule
     )
     part2, _ = integrate.quad(
         lambda l: math.exp(-t * l) * torus_level_volume(l), TORUS_RHO, TORUS_R,
@@ -394,9 +423,15 @@ def laplace_line_first_term_quadrature(t: float) -> float:
     transform of the order-1 length density 2(1 + l) e^{-l}."""
     from scipy import integrate
 
-    val, _ = integrate.quad(lambda l: math.exp(-t * l) * 2.0 * (1.0 + l) * math.exp(-l),
-                            0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    def f(l):
+        return math.exp(-t * l) * 2.0 * (1.0 + l) * math.exp(-l)
+
+    points = _peak_points(t, 1.0)  # the density's own scale is 1
+    cut = points.pop() if points else 0.0  # quad takes no points on [cut, inf)
+    head, _ = integrate.quad(f, 0.0, cut, points=points or None, epsabs=1e-13, epsrel=1e-13,
+                             limit=200)
+    tail, _ = integrate.quad(f, cut, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return head + tail
 
 
 def laplace_line_first_partial(t: float) -> float:

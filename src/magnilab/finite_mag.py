@@ -24,12 +24,17 @@ COND_LIMIT = 1e13
 PROBES = 8
 
 
-def similarity(dist: np.ndarray, t: float, counts: np.ndarray | None = None) -> np.ndarray:
+def similarity(dist: np.ndarray, t: float, counts: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Z with entries exp(-t * d(x, y)), times counts[x, y] off the diagonal
-    if given (the counted similarity); symmetric with unit diagonal."""
+    if given (the counted similarity); symmetric with unit diagonal.
+
+    Z is written into out when given (a float64 array shaped like dist), so
+    that a t grid can refill one buffer instead of allocating n^2 per t.
+    """
     if t <= 0:
         raise ValueError("scale t must be positive")
-    z = np.multiply(dist, -t)
+    z = np.multiply(dist, -t, out=out)
     np.exp(z, out=z)
     if counts is not None:
         z *= counts
@@ -95,19 +100,27 @@ def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeri
     w_{x_0} ... w_{x_k} exp(-t * chain length) over proper chains
     x_0 != x_1 != ... != x_k.  weights defaults to the counting measure;
     Z may also be the counted similarity.
+
+    Y is Z itself, with I subtracted from its diagonal for the duration of
+    the call and the saved diagonal written back before it returns, so no
+    n x n copy is made and the caller's Z keeps its bits.  Z must therefore
+    be writable and not read by another thread during the call.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     n = z.shape[0]
-    y = z.copy()
-    y.flat[:: n + 1] -= 1.0  # the bits of z - I, without an n x n identity
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    terms = []
-    x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next
-    for k in range(1, N + 1):
-        v = y @ x
-        terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0))
-        x = w * v
+    diagonal = z.diagonal().copy()
+    z.flat[:: n + 1] = diagonal - 1.0  # the bits of z - I, without an n x n identity
+    try:
+        terms = []
+        x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next
+        for k in range(1, N + 1):
+            v = z @ x
+            terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0))
+            x = w * v
+    finally:
+        z.flat[:: n + 1] = diagonal
     return MagnitudeSeries(t=t, total_mass=float(w.sum()), terms=tuple(terms))
 
 

@@ -6,6 +6,7 @@ threads; all operations are pure functions.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -60,11 +61,14 @@ class FiniteMetricSpace:
         return cls(tuple(points), d)
 
     @classmethod
-    def _adopt(cls, dist: np.ndarray) -> "FiniteMetricSpace":
+    def _adopt(cls, dist: np.ndarray, points: Sequence[str] | None = None) -> "FiniteMetricSpace":
         """The space on a float64 array its caller has just made and holds
-        alone, without from_matrix's copy; the array becomes read-only."""
+        alone, without from_matrix's copy; the array becomes read-only.
+        points default to the labels "0", "1", ..."""
         space = cls.__new__(cls)
-        object.__setattr__(space, "points", tuple(str(i) for i in range(dist.shape[0])))
+        if points is None:
+            points = [str(i) for i in range(dist.shape[0])]
+        object.__setattr__(space, "points", points)
         space._own(dist)
         return space
 
@@ -125,16 +129,18 @@ def _violations(d: np.ndarray, tol: float):
         for i, j in nonfinite:
             yield "non-finite entry", (int(i), int(j))
         return
-    asym = np.argwhere(np.abs(d - d.T) > tol)
-    for i, j in asym[asym[:, 0] < asym[:, 1]]:
-        yield "asymmetric", (int(i), int(j))
+    symmetric = bool((d == d.T).all())
+    if not symmetric:  # |d - d^T| costs two n^2 arrays, so only when it can find something
+        asym = np.argwhere(np.abs(d - d.T) > tol)
+        for i, j in asym[asym[:, 0] < asym[:, 1]]:
+            yield "asymmetric", (int(i), int(j))
     for i in range(n):
         if abs(d[i, i]) > tol:
             yield "nonzero diagonal", (i,)
     offdiag = np.argwhere((d <= 0.0) & ~np.eye(n, dtype=bool))
     for i, j in offdiag[offdiag[:, 0] < offdiag[:, 1]]:
         yield "nonpositive off-diagonal", (int(i), int(j))
-    if (d == d.T).all() and next(_screened_rows(d, tol, half=True), None) is None:
+    if symmetric and next(_screened_rows(d, tol, half=True), None) is None:
         return
     for i, s in _screened_rows(d, tol, half=False):
         for j, k in np.argwhere(d[i] > s.T + tol):
@@ -229,8 +235,23 @@ class GeodesicGraph:
         """Read-only counts[x, y] = number of shortest x-y paths, diagonal
         zero, from the sweep that gave the metric.  Raises
         GeodesicOverflowError if a count exceeds COUNT_LIMIT.
+
+        Paths tie within TIE_TOL * max(1, d), so an edge of length w is tight
+        in both directions only if 2w <= TIE_TOL * (max(1, d_u) + max(1, d_v)),
+        hence w <= TIE_TOL * max(1, longest distance).  Its counts would then
+        depend on the order of settling, not on the graph; when the lengths
+        differ and the lightest edge is within twice that bound (a margin
+        for rounding), MetricValidationError names it.  Graphs of one length
+        tie exactly and are never refused.
         """
-        self.metric  # rejects disconnected graphs and overflowed lengths
+        dist = self.metric.dist  # rejects disconnected graphs and overflowed lengths
+        lengths = self.csr[0]
+        if len(lengths) and lengths.min() < lengths.max() and (
+                lengths.min() <= 2 * TIE_TOL * max(1.0, dist.max())):
+            u, v, w = min(self.edges, key=lambda e: e[2])
+            raise MetricValidationError(
+                f"edge ({u},{v}) of length {w:.3g} may tie both ways on paths up to "
+                f"{dist.max():.3g} long, so geodesic counts are not defined")
         counts = self._all_pairs[1]
         if counts.max() > COUNT_LIMIT:
             raise GeodesicOverflowError(
@@ -297,42 +318,65 @@ class GeodesicGraph:
         """
         n = self.vertex_count
         lengths, nbrs, indptr = self.csr
+        degree = np.diff(indptr)
         flat_dist, flat_counts = dist_rows.reshape(-1), count_rows.reshape(-1)  # views
         keys = np.arange(len(sources)) * n + sources
         flat_dist[keys], flat_counts[keys] = 0.0, 1.0
         hop = float(lengths.max(initial=0.0))
         one_length = lengths.min(initial=hop) == hop
         lightest = np.full(n, np.inf)
-        np.minimum.at(lightest, np.repeat(np.arange(n), np.diff(indptr)), lengths)
+        np.minimum.at(lightest, np.repeat(np.arange(n), degree), lengths)
         level, vals, waiting = 0.0, np.ones(len(keys)), keys[:0]
+        # A round's expanded edges dominate its memory, so each array of one
+        # entry per edge is updated in place where it can be and dropped as
+        # soon as it is dead: a round of one length peaks at about two of
+        # them, a weighted round at five.
         while len(keys):
             vertex = keys % n
-            deg = indptr[vertex + 1] - indptr[vertex]
-            step = np.arange(deg.sum()) + np.repeat(indptr[vertex] - np.cumsum(deg) + deg, deg)
-            near = np.repeat(keys - vertex, deg) + nbrs[step]
+            deg = degree[vertex]
+            ends = np.cumsum(deg)
+            step = np.repeat(indptr[vertex] - ends + deg, deg)  # each edge's CSR slot
+            step += np.arange(len(step))
+            base = np.subtract(keys, vertex, out=vertex)  # row * n
+            w = None if one_length else lengths[step]
+            near = np.repeat(base, deg)
+            near += np.take(nbrs, step, out=step, mode="clip")  # every slot is in range
+            del step, base
             if one_length:
                 level += hop  # a float sum, so 1e308 + 1e308 is inf without a warning
-                fresh = np.flatnonzero(flat_counts[near] == 0)
-                near, vals = near[fresh], np.repeat(vals, deg)[fresh]
-                flat_counts[near] = at = np.arange(len(near))
-                rep = flat_counts[near].astype(np.intp)
-                own = np.flatnonzero(rep == at)
-                keys, vals = near[own], np.bincount(rep, weights=vals, minlength=len(near))[own]
+                fresh = flat_counts[near] == 0
+                near = near[fresh]
+                vals = np.repeat(vals, deg)[fresh]
+                del fresh
+                flat_counts[near] = np.arange(len(near))
+                rep = flat_counts[near]
+                own = np.flatnonzero(rep == np.arange(len(near)))
+                keys = near[own]
+                del near
+                vals = np.bincount(rep.astype(np.intp), weights=vals, minlength=len(rep))[own]
+                del rep, own
                 flat_dist[keys], flat_counts[keys] = level, vals
                 continue
-            w, dv = lengths[step], np.repeat(flat_dist[keys], deg)
-            du, cu = flat_dist[near], flat_counts[near]
+            dv = np.repeat(flat_dist[keys], deg)
+            du = flat_dist[near]
             with np.errstate(over="ignore"):
-                offer = dv + w
-                tight = np.flatnonzero(
-                    (cu > 0) & (np.abs(du + w - dv) <= TIE_TOL * np.maximum(1.0, dv)))
+                slack = du + w
+                slack -= dv
+                offer = np.add(dv, w, out=w)
+                tie = np.maximum(1.0, dv, out=dv)
+                tie *= TIE_TOL
+                tight = np.abs(slack, out=slack) <= tie
+            del slack, tie, dv, w  # offer keeps w's buffer
+            cu = flat_counts[near]
+            tight = np.flatnonzero(tight & (cu > 0))
             # the settling keys hold their negative mark, or a source its count 1
             flat_counts[keys] = np.maximum(flat_counts[keys], 0.0) + np.bincount(
-                np.repeat(np.arange(len(keys)), deg)[tight], weights=cu[tight],
+                np.searchsorted(ends, tight, side="right"), weights=cu[tight],
                 minlength=len(keys))
             ahead = np.flatnonzero((cu <= 0) & (offer < du))  # du is inf where cu is 0
             np.minimum.at(flat_dist, near[ahead], offer[ahead])
             new = near[ahead[cu[ahead] == 0]]
+            del near, offer, cu, du, ahead
             flat_counts[new] = at = -1.0 - np.arange(len(new))
             waiting = np.concatenate((waiting, new[flat_counts[new] == at]))
             rows, d = waiting // n, flat_dist[waiting]
@@ -534,38 +578,57 @@ def _text_lines(path):
             raise MetricValidationError(f"cannot read {path} as text: {exc}") from None
 
 
+def _data_lines(path):
+    """(1-based line number, stripped line) for each non-blank line of a
+    text file."""
+    for no, line in enumerate(_text_lines(path), 1):
+        if line := line.strip():
+            yield no, line
+
+
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Read an n x n distance matrix from CSV, optional first header row.
 
     The first row is a header of labels when none of its fields is a number.
     Blank lines are skipped.  A non-numeric field or a row with other than n
-    fields raises MetricValidationError naming its 1-based line.
+    fields raises MetricValidationError naming its 1-based line.  The file is
+    read twice, once to count its rows and once to parse each row into the
+    n x n array that the space keeps, so no copy of the text is held; a file
+    whose rows change between the reads, such as a pipe, is refused.
     """
-    rows = [(no, line.strip()) for no, line in enumerate(_text_lines(path), 1) if line.strip()]
-    if not rows:
+    first, n = None, 0
+    for _, line in _data_lines(path):
+        if first is None:
+            first = line
+        n += 1
+    if first is None:
         raise MetricValidationError(f"empty distance file {path}")
     labels = None
-    first = rows[0][1].split(",")
-    if not any(_parses_as_float(x) for x in first):
-        labels = [x.strip() for x in first]
-        rows = rows[1:]
-    n = len(rows)
+    fields = first.split(",")
+    if not any(_parses_as_float(x) for x in fields):
+        labels = [x.strip() for x in fields]
+        n -= 1
     if n == 0:
         raise MetricValidationError(f"no distance rows in {path}")
-    d = np.empty((n, n))
-    for r, (no, line) in enumerate(rows):
-        fields = line.split(",")
-        if len(fields) != n:
-            raise MetricValidationError(
-                f"distance file {path} is not square: line {no} has {len(fields)} "
-                f"fields for {n} rows")
-        try:
-            d[r] = np.array(fields, dtype=float)
-        except ValueError as exc:
-            raise MetricValidationError(f"line {no} of {path}: {exc}") from None
+    d, r = np.empty((n, n)), -1
+    with closing(_data_lines(path)) as rows:
+        data = islice(rows, labels is not None, None)
+        for r, (no, line) in zip(range(n), data):
+            fields = line.split(",")
+            if len(fields) != n:
+                raise MetricValidationError(
+                    f"distance file {path} is not square: line {no} has {len(fields)} "
+                    f"fields for {n} rows")
+            try:
+                d[r] = np.array(fields, dtype=float)
+            except ValueError as exc:
+                raise MetricValidationError(f"line {no} of {path}: {exc}") from None
+        if r != n - 1 or next(data, None) is not None:
+            raise MetricValidationError(f"distance file {path} changed between its two reads "
+                                        "(a pipe cannot be read twice)")
     if labels is not None and len(labels) != n:
         raise MetricValidationError(f"{len(labels)} labels for {n} rows in {path}")
-    return FiniteMetricSpace.from_matrix(d, labels)
+    return FiniteMetricSpace._adopt(d, labels)
 
 
 def load_edge_list(path) -> GeodesicGraph:

@@ -218,6 +218,22 @@ def test_graph_path_overflow_is_not_disconnection(tmp_path, edges, code, message
     assert res.stderr.startswith(message)
 
 
+def test_graph_count_refuses_ties_that_depend_on_settling_order(tmp_path):
+    """Beside paths of length 1e308 a unit edge lies within TIE_TOL of both
+    of its directions, so its geodesic counts are not defined: --gamma count
+    exits 2 naming the edge, --gamma triv runs, and an overflowed length
+    still exits 3 first."""
+    p = tmp_path / "g.edges"
+    p.write_text("0 1 1e308\n1 2 1\n2 3 1\n1 3 1\n")
+    res = run_cli(["graph", "--edges", str(p), "--t", "1", "--gamma", "count"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: edge (1,2) of length 1 may tie both ways")
+    assert run_cli(["graph", "--edges", str(p), "--t", "1", "--gamma", "triv"]).returncode == 0
+    p.write_text("0 1 1e308\n1 2 1e308\n2 3 1\n")
+    res = run_cli(["graph", "--edges", str(p), "--t", "1", "--gamma", "count"])
+    assert res.returncode == 3 and "overflows" in res.stderr
+
+
 def assert_printed_close(printed, value):
     """rel 1e-12, plus half a unit in the 12th significant digit the CSV prints."""
     resolution = 0.5 * 10.0 ** (math.floor(math.log10(abs(value))) - 11)
@@ -254,6 +270,46 @@ def test_graph_count_method_all_matches_numpy(tmp_path):
         terms = [np.linalg.matrix_power(y, k).sum() for k in range(1, n_terms + 1)]
         assert_printed_close(series[2], len(z) + sum(
             (-1) ** k * a for k, a in enumerate(terms, start=1)))
+
+
+@pytest.mark.parametrize("command", ["finite", "graph"])
+def test_exact_grid_refills_one_z(tmp_path, monkeypatch, command):
+    """A 5-point grid prints the rows of five single-t runs, and the solve
+    and the series read the same Z buffer at every t."""
+    import numpy as np
+    from magnilab import finite_mag
+
+    if command == "finite":
+        pts = np.random.default_rng(4).uniform(0.0, 5.0, size=(30, 2))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        p = tmp_path / "d.csv"
+        p.write_text("".join(",".join(map(repr, row)) + "\n" for row in d.tolist()))
+        base = ["finite", "--input", str(p)]
+    else:
+        p = tmp_path / "g.edges"
+        p.write_text("".join(f"{v} {v + 1}\n" for v in range(30) if v % 6 < 5)
+                     + "".join(f"{v} {v + 6}\n" for v in range(24)))  # a 5 x 6 grid
+        base = ["graph", "--edges", str(p), "--gamma", "count"]
+    buffers = []
+
+    def spy(real):
+        def call(z, *args):
+            buffers.append(z.__array_interface__["data"][0])
+            return real(z, *args)
+        return call
+
+    monkeypatch.setattr(finite_mag, "_solve_ones", spy(finite_mag._solve_ones))
+    monkeypatch.setattr(finite_mag, "chain_series", spy(finite_mag.chain_series))
+
+    def rows(*t_args):
+        out = tmp_path / "o.csv"
+        assert cli.run([*base, *t_args, "--method", "all", "--N", "6",
+                        "--output", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    grid = rows("--t-grid", "1", "5", "5")
+    assert len(buffers) == 10 and len(set(buffers)) == 1
+    assert grid == [row for t in range(1, 6) for row in rows("--t", str(t))]
 
 
 def test_finite_method_all_rows_are_the_library_values(tmp_path):

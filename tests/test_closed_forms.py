@@ -215,3 +215,28 @@ def test_catalog_rows_have_small_diffs():
         if space == "line-gauss" and n == 1:
             continue  # documented discrepancy carried in the table
         assert diff < 1e-6, (space, n, t)
+
+
+@pytest.mark.parametrize("t", [10.0**k for k in range(3, 13)])
+def test_catalog_oracles_resolve_large_t(t):
+    """Past t ~ 1e3 the Laplace transforms behind the catalog keep their mass
+    within a few 1/t of l = 0; every oracle and closed form still agree, and
+    the line-gauss oracle matches its erfcx form."""
+    for space, n, _, closed, oracle, _, _ in cf.catalog_rows((t,)):
+        if space == "line-gauss":
+            closed = cf.gaussian_line_first_term(t)
+        if closed is not None:
+            assert oracle == pytest.approx(closed, rel=1e-9, abs=0), (space, n)
+
+
+def test_sphere_density_near_zero_keeps_its_digits():
+    """sin x - x cos x cancels as a difference of products near x = 0; the
+    n = 2 density there matches eight terms of its Taylor series
+    sum_k (-1)^(k+1) 2k x^(2k+1) / (2k+1)!."""
+    def series(x):
+        return math.fsum((-1) ** (k + 1) * 2 * k * x ** (2 * k + 1) / math.factorial(2 * k + 1)
+                         for k in range(1, 9))
+
+    for r, l in ((1.0, 1e-8), (1.0, 1e-3), (1.0, 0.05), (1.0, 0.0999), (2.0, 0.1)):
+        assert cf.sphere_length_density(2, r, l) == pytest.approx(
+            (2 * math.pi) ** 3 * r**5 * series(l / r), rel=1e-15, abs=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -216,3 +217,31 @@ def test_chain_series_counting_measure_is_plain_powers():
     assert [term.value for term in series.terms] == expected
     assert series.total_mass == 7.0
 
+
+@pytest.mark.parametrize("weights", [None, [0.5, 1.0, 2.0] * 100])
+@pytest.mark.parametrize("diagonal", [1.0, 0.75])
+def test_chain_series_runs_in_place_and_restores_z(weights, diagonal):
+    """The series reads Y = Z - I inside Z itself, allocating far less than one
+    n^2 array, and hands Z back bit for bit, whatever its diagonal; its terms
+    are those of an explicit copy of Z - I."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 10.0, size=(300, 2))
+    z = finite_mag.similarity(np.linalg.norm(pts[:, None] - pts[None, :], axis=2), 0.7)
+    np.fill_diagonal(z, diagonal)
+    before = z.copy()
+    y = z - np.eye(300)
+    w = np.ones(300) if weights is None else np.asarray(weights)
+    x, expected = w, []
+    for _ in range(6):
+        v = y @ x
+        expected.append(float(w @ v))
+        x = w * v
+    tracemalloc.start()
+    try:
+        series = finite_mag.chain_series(z, 0.7, 6, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 300 * 300
+    assert [term.value for term in series.terms] == expected
+    assert z.tobytes() == before.tobytes()

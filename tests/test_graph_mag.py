@@ -1,3 +1,4 @@
+import argparse
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from magnilab import cli, finite_mag, graph_mag, spaces
-from magnilab.errors import DisconnectedGraphError, GeodesicOverflowError
+from magnilab.errors import DisconnectedGraphError, GeodesicOverflowError, MetricValidationError
 from magnilab.spaces import SWEEP_KEYS, GeodesicGraph, graph_metric
 
 
@@ -156,6 +157,30 @@ def test_push_counts_equal_dag_loop_with_ties(lengths, seed, monkeypatch):
         monkeypatch.setattr(spaces, "TIE_TOL", 0.0)
         # g keeps the counts it built; a new graph counts under the patched tolerance
         assert not np.array_equal(graph_mag.count_geodesics(GeodesicGraph(n, g.edges)), counts)
+
+
+@pytest.mark.parametrize("lengths, refused", [
+    ((1e308, 1.0, 1.0, 1.0), True),  # unit edges against paths of 1e308
+    ((1e-10, 2e-10, 1e-10, 3e-10), True),  # every length below TIE_TOL, distances below 1
+    ((1e-10,) * 4, False),  # one length: every tie is exact
+    ((1e-8, 1.0, 1.0, 1.0), False),  # beyond 2 TIE_TOL of the longest distance
+])
+def test_counts_refuse_edges_that_tie_both_ways(lengths, refused):
+    """A triangle 1-2-3 with a tail 0-1; where counts are defined they are
+    those of unit lengths."""
+    pairs = ((0, 1), (1, 2), (2, 3), (1, 3))
+    g = GeodesicGraph(4, tuple((u, v, w) for (u, v), w in zip(pairs, lengths)))
+    graph_metric(g)  # the metric is defined either way
+    if refused:
+        with pytest.raises(MetricValidationError, match=r"^edge \(\d,\d\) of length"):
+            graph_mag.count_geodesics(g)
+    else:
+        assert np.array_equal(graph_mag.count_geodesics(g),
+                              graph_mag.count_geodesics(unit_graph(4, pairs)))
+
+
+def test_singleton_graph_has_no_edge_to_refuse():
+    assert np.array_equal(graph_mag.count_geodesics(GeodesicGraph(1, ())), [[0.0]])
 
 
 def test_push_memory_is_counts_plus_distance_order():
@@ -354,11 +379,13 @@ def test_weighted_graph_sweeps_once(monkeypatch):
 def test_sweep_memory_is_bounded_by_blocks_of_sources():
     """Unblocked, a level of Q10 expands 1024 * 252 * 10 > SWEEP_KEYS keys.
     Blocked, the sweep holds dist and counts, which the metric adopts
-    without a copy, plus a few arrays of at most SWEEP_KEYS entries.  So does
-    the grid with every length 2, and with lengths 1, 2 and 3, which holds
-    no n x n distance order."""
+    without a copy, plus about two arrays of one entry per expanded edge:
+    0.25 * 8n^2 each on Q10, 0.13 * 8n^2 on the 25 x 25 grid.  So does the
+    grid with every length 2, and with lengths 1, 2 and 3, whose weighted
+    rounds hold a few more."""
     assert 1024 * math.comb(10, 5) * 10 > SWEEP_KEYS
-    for g in (hypercube(10), scaled(grid(25, 25), 2.0), relength(grid(25, 25))):
+    for g, bound in ((hypercube(10), 2.8), (scaled(grid(25, 25), 2.0), 2.5),
+                     (relength(grid(25, 25)), 2.8)):
         n = g.vertex_count
         g.csr  # O(|E|), built before the trace
         tracemalloc.start()
@@ -367,7 +394,7 @@ def test_sweep_memory_is_bounded_by_blocks_of_sources():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * n * n + 8 * 8 * SWEEP_KEYS
+        assert peak < bound * 8 * n * n
 
 
 def test_sweep_of_a_path_holds_two_square_arrays():
@@ -400,6 +427,23 @@ def test_counted_similarity_is_built_in_place():
     expected = np.exp(-0.5 * metric.dist) * counts
     np.fill_diagonal(expected, 1.0)
     assert np.array_equal(z, expected)
+
+
+def test_exact_grid_holds_one_z_and_the_solve_copy():
+    """Over a 5-point grid the inverse and series rows hold Z and the copy
+    np.linalg.solve factors, whatever the number of t."""
+    g = grid(25, 25)
+    n = g.vertex_count
+    dist, counts = graph_metric(g).dist, graph_mag.count_geodesics(g)
+    args = argparse.Namespace(t=None, t_grid=(0.5, 5.0, 5), t_spacing="linear",
+                              method="all", N=10, seed=0)
+    tracemalloc.start()
+    try:
+        cli._run_exact(args, dist, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * 8 * n * n
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0])

@@ -162,15 +162,19 @@ def test_validate_metric_caps_the_violation_list():
 
 
 def test_validate_metric_memory_is_quadratic():
+    """On an exactly symmetric d the check holds the triangle screen's one
+    n^2 buffer and never builds |d - d^T|."""
     rng = np.random.default_rng(0)
-    space = euclidean_space(rng.uniform(0.0, 10.0, size=(400, 2)))
+    n = 400
+    space = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
+    assert (space.dist == space.dist.T).all()
     tracemalloc.start()
     try:
         assert validate_metric(space).valid
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 1.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("make", [lambda: Circle(-1.0), lambda: Circle(math.nan),
@@ -256,6 +260,38 @@ def test_load_distance_csv_matches_list_parse(tmp_path):
     m = load_distance_csv(p)
     assert m.points == ("a", "b", "c", "d", "e")
     assert m.dist.tobytes() == expected.tobytes()
+
+
+def test_load_distance_csv_parses_into_the_kept_array(tmp_path):
+    """The loader holds no copy of the text and no second n^2 array: it
+    counts the rows, then parses each one into the matrix the space keeps."""
+    n = 1000
+    rng = np.random.default_rng(1)
+    p = tmp_path / "d.csv"
+    with open(p, "w") as fh:
+        fh.write(",".join(f"p{i}" for i in range(n)) + "\n")
+        for _ in range(n):
+            fh.write(",".join(map(repr, rng.uniform(0.0, 10.0, size=n).tolist())) + "\n\n")
+    tracemalloc.start()
+    try:
+        m = load_distance_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.size == n and m.points[-1] == f"p{n - 1}"
+    assert peak < 1.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("second", [["0,1\n"], ["0,1\n", "1,0\n", "2,2\n"], []])
+def test_load_distance_csv_refuses_rows_that_change_between_reads(tmp_path, monkeypatch,
+                                                                   second):
+    """The loader counts the rows, then parses them in a second read; a file
+    that reads differently the second time, as a drained pipe reads empty,
+    is refused rather than left partly unparsed."""
+    reads = iter([["0,1\n", "1,0\n"], second])
+    monkeypatch.setattr(spaces, "_text_lines", lambda path: iter(next(reads)))
+    with pytest.raises(MetricValidationError, match="changed between its two reads"):
+        load_distance_csv(tmp_path / "d.csv")
 
 
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
