@@ -165,17 +165,27 @@ def sphere_length_density(n: int, r: float, l) -> np.ndarray:
     if n == 1:
         out = 2 * (2 * math.pi) ** 2 * r**3 * np.sin(l / r) * ((l >= 0) & (l <= d))
     elif n == 2:
+        from fractions import Fraction
+
         out = np.zeros_like(l)
         m = (l >= 0) & (l <= d)
         x = l[m] / r
         out[m] = (2 * math.pi) ** 3 * r**4 * np.where(
             x < 0.1, r * _sin_minus_x_cos_series(x), r * np.sin(x) - l[m] * np.cos(x))
         m = (l > d) & (l <= 2 * d)
-        rest = 2 * d - l[m]
-        out[m] = (2 * math.pi) ** 3 * r**4 * (r * np.sin(rest / r) - rest * np.cos(l[m] / r))
+        # cos(l/r) = cos y for y = (2 pi r - l)/r, so this is the first
+        # branch's function of y.  2 pi r = 2d + lo to twice the precision,
+        # and 2d - l is exact, so y keeps its digits as l -> 2 pi r
+        lo = float(Fraction(2 * math.pi) * Fraction(r) - Fraction(2 * d)) + _TWO_PI_LOW * r
+        y = np.maximum((2 * d - l[m] + lo) / r, 0.0)
+        out[m] = (2 * math.pi) ** 3 * r**4 * np.where(
+            y < 0.1, r * _sin_minus_x_cos_series(y), r * (np.sin(y) - y * np.cos(y)))
     else:
         raise ValueError("sphere length density implemented for n = 1, 2")
     return out[0] if scalar else out
+
+
+_TWO_PI_LOW = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 
 
 def _sin_minus_x_cos_series(x: np.ndarray) -> np.ndarray:

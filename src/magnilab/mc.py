@@ -18,16 +18,19 @@ moments the error of any partial sum of the shared terms.
 
 Each worker of a call keeps one scratch set of tile length for the whole
 call: two point slots that the chain's points alternate between, and the
-prefix lengths and indicators.  On the sphere at N = 2 that is nine arrays
-of 2^16 floats, about 4.7 MB per worker.  sample_batch and
+prefix lengths and indicators.  On the sphere at N = 2 that is six arrays
+of 2^16 floats, about 3.1 MB per worker.  sample_batch and
 geodesic_distance write into it through their out arguments, and the
 reduce writes its chain values and products into the point slots, which
-are dead by then; only the sphere distance still takes a temporary per
-leg.  The set lives in a threading.local made per call, so it is gone when
-the call returns.  Draws are rng.random(out=...) followed by the in-place
+are dead by then.  On the sphere and the weighted interval, drawing a tile
+allocates no float array: a sphere leg's temporary is the phi of the point
+the chain leaves, dead once phi1 - phi2 is taken, and the atom placement
+writes its products into the prefix row that the next leg writes (spare).
+The set lives in a threading.local made per call, so it is gone when the
+call returns.  Draws are rng.random(out=...) followed by the in-place
 affine map, bit-identical to rng.uniform(lo, hi).
 
-Sphere points are kept as rows (z, sqrt(1 - z^2), phi), and
+Sphere points are kept as rows (z, phi), and with s = sqrt(1 - z^2)
 cos(theta) = z1 z2 + s1 s2 cos(phi1 - phi2), with the cosine taken from the
 half angle: cos(d) = (1 - u^2) / (1 + u^2), u = tan(d / 2), within 4.4e-16
 of np.cos.  NumPy vectorises float64 tan only on AVX512 machines, where
@@ -150,7 +153,7 @@ class Batch:
 def _empty_batch(space: AnalyticSpace, m: int) -> Batch:
     """Uninitialised arrays for m points of the space, as sample_batch fills them."""
     if isinstance(space, Sphere2):
-        return Batch((np.empty(m), np.empty(m), np.empty(m)))
+        return Batch((np.empty(m), np.empty(m)))
     if isinstance(space, FlatTorusUnit):
         return Batch(np.empty((m, 2)))
     atoms = isinstance(space, Interval) and space.measure != "lebesgue"
@@ -158,20 +161,25 @@ def _empty_batch(space: AnalyticSpace, m: int) -> Batch:
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
-    """rng.uniform(lo, hi) drawn into out: lo + (hi - lo) * u, bit for bit."""
+    """rng.uniform(lo, hi) drawn into out: lo + (hi - lo) * u, bit for bit.
+    A factor 1 or a shift 0 changes no bit of u >= 0, so it is skipped."""
     rng.random(out=out)
-    out *= hi - lo
-    out += lo
+    if hi - lo != 1.0:
+        out *= hi - lo
+    if lo:
+        out += lo
     return out
 
 
 def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int,
-                 out: Batch | None = None) -> Batch:
+                 out: Batch | None = None, spare: np.ndarray | None = None) -> Batch:
     """Draw m points from the normalized measure of the space.
 
     out, a Batch from a call on the same space with at least m points, takes
     the draws in its first m entries; the result views them.  Without it
-    the arrays are new.  Both give the same bits.
+    the arrays are new.  spare, a float array of at least m entries that the
+    call may overwrite, holds the atom placement's products (new if None).
+    All give the same bits.
     """
     sp = spec.space
     if out is None:
@@ -184,27 +192,32 @@ def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int,
     if isinstance(sp, Circle):
         _uniform(rng, 0.0, 2.0 * math.pi, coords)
     elif isinstance(sp, Sphere2):
-        z, s, phi = coords
+        z, phi = coords
         _uniform(rng, -1.0, 1.0, z)
         _uniform(rng, 0.0, 2.0 * math.pi, phi)
-        np.multiply(z, z, out=s)
-        np.subtract(1.0, s, out=s)
-        np.sqrt(s, out=s)
     elif isinstance(sp, FlatTorusUnit):
         _uniform(rng, 0.0, 1.0, coords)
     elif isinstance(sp, Interval) and sp.measure == "lebesgue":
         _uniform(rng, sp.a, sp.b, coords)
     elif isinstance(sp, Interval):
-        # atoms a, b each carry probability (1/2)/(1 + L/2); the selector u
-        # is drawn first, into the array the positions overwrite next
+        # atoms a, b each carry probability p = (1/2)/(1 + L/2); the selector
+        # u is drawn first, into the array the positions overwrite next, and
+        # tags 2 [u < 2p] - [u < p] are 1 below p and 2 in [p, 2p).  Masked
+        # products place the atoms: x [tag 0] + a [tag 1] + b [tag 2]; each
+        # mask is cast into spare first, since a ufunc fed the bool mask
+        # casts it through buffers of its own
         p_atom = 0.5 / sp.total_mass
+        spare = np.empty(m) if spare is None else spare[:m]
         u = _uniform(rng, 0.0, 1.0, coords)
-        tags.fill(0)
-        tags[u < p_atom] = 1
-        tags[(u >= p_atom) & (u < 2 * p_atom)] = 2
+        np.less(u, 2 * p_atom, out=tags.view(bool))
+        tags += tags
+        tags -= u < p_atom
         x = _uniform(rng, sp.a, sp.b, coords)
-        x[tags == 1] = sp.a
-        x[tags == 2] = sp.b
+        np.copyto(spare, tags == 0)
+        x *= spare
+        for tag, at in ((1, sp.a), (2, sp.b)):
+            np.copyto(spare, tags == tag)
+            x += np.multiply(spare, at, out=spare)
     elif isinstance(sp, LineGaussian):
         # density proportional to exp(-x^2) -> normal with sigma = 1/sqrt(2),
         # drawn as rng.normal(0, sigma) draws it: 0 + sigma * z
@@ -233,14 +246,17 @@ def _half_angle_cos(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized intrinsic distance between sampled point arrays, written
-    into out (new if None) and returned."""
+    into out and returned.  Given out, the call may also use p's arrays as
+    scratch, as the chain leaves p behind; without it, it allocates and
+    leaves both inputs as they were."""
     if isinstance(space, Sphere2):
-        (z1, s1, phi1), (z2, s2, phi2) = p, q
+        (z1, phi1), (z2, phi2) = p, q
         cosang = np.subtract(phi1, phi2, out=out)
-        tmp = np.empty_like(cosang)
+        tmp = np.empty_like(cosang) if out is None else phi1  # phi1 is dead now
         _half_angle_cos(cosang, tmp)
-        cosang *= s1
-        cosang *= s2
+        for z in (z1, z2):  # s = sqrt(1 - z^2), the sine of the polar angle
+            np.subtract(1.0, np.multiply(z, z, out=tmp), out=tmp)
+            cosang *= np.sqrt(tmp, out=tmp)
         cosang += np.multiply(z1, z2, out=tmp)
         np.clip(cosang, -1.0, 1.0, out=cosang)
         np.arccos(cosang, out=cosang)
@@ -253,10 +269,11 @@ def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None)
         delta *= space.r
         return delta
     if isinstance(space, FlatTorusUnit):
-        delta = np.abs(p - q)
+        delta = np.subtract(p, q, out=None if out is None else p)
+        np.abs(delta, out=delta)
         np.minimum(delta, 1.0 - delta, out=delta)
         delta *= delta
-        return np.sqrt(delta.sum(axis=1), out=out)
+        return np.sqrt(delta.sum(axis=1, out=out), out=out)
     if isinstance(space, (Interval, LineGaussian, LineLaplace)):
         delta = np.subtract(p, q, out=out)
         return np.abs(delta, out=delta)
@@ -301,9 +318,10 @@ def _map_batches(spec: SamplerSpec, N: int, reduce) -> list:
         rng = np.random.Generator(np.random.PCG64(ss))
         totals = [row[:m] for row in scratch.totals]
         propers = [None] * N if scratch.propers is None else [row[:m] for row in scratch.propers]
-        prev = sample_batch(spec, rng, m, out=scratch.slots[0])
+        # a draw's spare is the prefix row its leg writes next
+        prev = sample_batch(spec, rng, m, out=scratch.slots[0], spare=totals[0])
         for n in range(N):
-            point = sample_batch(spec, rng, m, out=scratch.slots[(n + 1) % 2])
+            point = sample_batch(spec, rng, m, out=scratch.slots[(n + 1) % 2], spare=totals[n])
             geodesic_distance(spec.space, prev.coords, point.coords, out=totals[n])
             if n:
                 totals[n] += totals[n - 1]

@@ -544,9 +544,9 @@ def test_manifold_draws_each_order_once(monkeypatch, capsys):
     calls = []
     sample_batch = mc.sample_batch
 
-    def counted(spec, rng, m, out=None):
+    def counted(spec, rng, m, **kwargs):
         calls.append(m)
-        return sample_batch(spec, rng, m, out=out)
+        return sample_batch(spec, rng, m, **kwargs)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
     samples, tiles = mc.BATCH_SIZE + 1000, 5
@@ -589,9 +589,9 @@ def test_weight_check_draws_each_order_once(monkeypatch, capsys):
     calls = []
     sample_batch = mc.sample_batch
 
-    def counted(spec, rng, m, out=None):
+    def counted(spec, rng, m, **kwargs):
         calls.append(m)
-        return sample_batch(spec, rng, m, out=out)
+        return sample_batch(spec, rng, m, **kwargs)
 
     monkeypatch.setattr(mc, "sample_batch", counted)
     samples, tiles = mc.BATCH_SIZE + 1000, 5

@@ -240,3 +240,18 @@ def test_sphere_density_near_zero_keeps_its_digits():
     for r, l in ((1.0, 1e-8), (1.0, 1e-3), (1.0, 0.05), (1.0, 0.0999), (2.0, 0.1)):
         assert cf.sphere_length_density(2, r, l) == pytest.approx(
             (2 * math.pi) ** 3 * r**5 * series(l / r), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5, 0.3])
+def test_sphere_density_near_its_far_end_keeps_its_digits(r):
+    """On (pi r, 2 pi r] the n = 2 density cancels as l -> 2 pi r; against
+    40-digit arithmetic at the same double l it keeps 14 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for gap in (1e-5, 1e-3, 0.049):
+            l = float(2 * mpmath.pi * r - gap)
+            rest = 2 * mpmath.pi * r - mpmath.mpf(l)
+            want = (2 * mpmath.pi) ** 3 * r**4 * (
+                r * mpmath.sin(rest / r) - rest * mpmath.cos(mpmath.mpf(l) / r))
+            got = cf.sphere_length_density(2, r, l)
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0)

@@ -82,25 +82,97 @@ def test_common_random_numbers_on_grid():
         assert est.proper_fraction == s.proper_fraction
 
 
+def _reference_points(space, rng, m):
+    """(coords, tags) of m points drawn with rng.uniform and boolean masks,
+    without the package's sampler: sphere rows (z, sqrt(1 - z^2), phi), and
+    on the weighted interval a selector u that tags the atoms a (u < p) and
+    b (p <= u < 2p) before the positions are drawn."""
+    if isinstance(space, Sphere2):
+        z = rng.uniform(-1.0, 1.0, m)
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        return (z, np.sqrt(1.0 - z * z), phi), None
+    if isinstance(space, Interval) and space.measure == "weight":
+        p = 0.5 / space.total_mass
+        u = rng.uniform(0.0, 1.0, m)
+        tags = np.zeros(m, dtype=np.int8)
+        tags[u < p] = 1
+        tags[(u >= p) & (u < 2 * p)] = 2
+        x = rng.uniform(space.a, space.b, m)
+        x[tags == 1] = space.a
+        x[tags == 2] = space.b
+        return x, tags
+    raise TypeError(type(space).__name__)
+
+
+def _reference_distance(space, p, q):
+    """The leg between reference points: on the sphere the half-angle cosine
+    (1 - u^2) / (1 + u^2), u = tan(dphi / 2), times s1 s2, plus z1 z2."""
+    if isinstance(space, Sphere2):
+        (z1, s1, phi1), (z2, s2, phi2) = p, q
+        u = np.tan((phi1 - phi2) * 0.5)
+        u = u * u
+        cosang = (1.0 - u) / (u + 1.0) * s1 * s2 + z1 * z2
+        return np.arccos(np.clip(cosang, -1.0, 1.0)) * space.r
+    return np.abs(p - q)
+
+
 def _serial_chains(spec, N):
     """Per tile, (prefix lengths, prefix proper indicators) of the chains:
-    N + 1 points drawn in turn from the tile's stream, then the legs."""
+    N + 1 reference points drawn in turn from the tile's stream, then the
+    reference legs."""
     out = []
     for idx, start in enumerate(range(0, spec.samples, mc.TILE)):
         m = min(mc.TILE, spec.samples - start)
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, idx))
         rng = np.random.Generator(np.random.PCG64(ss))
-        points = [mc.sample_batch(spec, rng, m) for _ in range(N + 1)]
+        points = [_reference_points(spec.space, rng, m) for _ in range(N + 1)]
         total, proper = np.zeros(m), np.ones(m, dtype=bool)
         lengths, propers = [], []
-        for a, b in zip(points, points[1:]):
-            total = total + mc.geodesic_distance(spec.space, a.coords, b.coords)
-            if a.tags is not None:
-                proper = proper & ~((a.tags > 0) & (a.tags == b.tags))
+        for (a, a_tags), (b, b_tags) in zip(points, points[1:]):
+            total = total + _reference_distance(spec.space, a, b)
+            if a_tags is not None:
+                proper = proper & ~((a_tags > 0) & (a_tags == b_tags))
             lengths.append(total)
             propers.append(proper)
         out.append((lengths, propers))
     return out
+
+
+@pytest.mark.parametrize("space", [Sphere2(2.5), Interval(0.5, 2.0, "weight"),
+                                   Interval(-1.5, 0.0, "weight")])
+def test_sampler_and_leg_match_the_references_bit_for_bit(space):
+    """Points and legs have the bits of the rng.uniform and boolean-mask
+    references, both as fresh arrays and in the engine's form: drawn into
+    dirty slots with a dirty spare row, and measured into out."""
+    spec, m = mc.SamplerSpec(space), 150_000
+    rng = np.random.default_rng(12)
+    ref = [_reference_points(space, rng, m) for _ in range(2)]
+    rng = np.random.default_rng(12)
+    fresh = [mc.sample_batch(spec, rng, m) for _ in range(2)]
+    slots, spare = [mc._empty_batch(space, m + 5) for _ in range(2)], np.full(m + 5, np.nan)
+    for slot in slots:
+        for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,)):
+            c.fill(np.nan)
+        if slot.tags is not None:
+            slot.tags.fill(7)
+    rng = np.random.default_rng(12)
+    drawn = [mc.sample_batch(spec, rng, m, out=slot, spare=spare) for slot in slots]
+
+    def bits(coords):
+        coords = coords if isinstance(coords, tuple) else (coords,)
+        return [c.view(np.int64).tolist() for c in coords]
+
+    ref_coords = [c[::2] if isinstance(space, Sphere2) else c for c, _ in ref]  # (z, phi)
+    for (_, tags), a, b in zip(ref, fresh, drawn):
+        assert bits(a.coords) == bits(b.coords)
+        assert np.array_equal(a.tags, tags) and np.array_equal(b.tags, tags)
+    assert [bits(a.coords) for a in fresh] == [bits(c) for c in ref_coords]
+    want = _reference_distance(space, ref[0][0], ref[1][0]).view(np.int64)
+    got = mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords)
+    assert np.array_equal(got.view(np.int64), want)
+    out = np.full(m, np.nan)
+    got = mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out)
+    assert got is out and np.array_equal(got.view(np.int64), want)
 
 
 def test_engine_matches_serial_reference_loop(monkeypatch):
@@ -221,7 +293,8 @@ def test_sphere_distance_matches_three_vector_reference():
     dist = mc.geodesic_distance(spec.space, p, q)
 
     def unit_vectors(rows):
-        z, s, phi = rows
+        z, phi = rows
+        s = np.sqrt(1.0 - z * z)
         return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
     cos_ref = np.clip(np.einsum("ij,ij->i", unit_vectors(p), unit_vectors(q)), -1.0, 1.0)
@@ -242,7 +315,8 @@ def test_in_place_uniform_is_rng_uniform(lo, hi):
                                    LineGaussian(), LineLaplace()])
 def test_sample_batch_into_out_equals_the_allocating_call(space):
     """Drawn into the head of a larger, dirty out batch, the points have the
-    bits of a fresh call, and so do the distances written into out."""
+    bits of a fresh call, and so do the distances written into out.  Without
+    out the distance leaves its inputs as they were."""
     spec, m = mc.SamplerSpec(space), 10_000
     slots = [mc._empty_batch(space, m + 7) for _ in range(2)]
     for slot in slots:
@@ -262,10 +336,12 @@ def test_sample_batch_into_out_equals_the_allocating_call(space):
 
     for a, b in zip(drawn, fresh):
         assert bits(a) == bits(b)
+    dist = mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords)
+    for a, b in zip(drawn, fresh):
+        assert bits(a) == bits(b)
     out = np.full(m, np.nan)
-    dist = mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out)
-    assert dist is out
-    assert np.array_equal(dist, mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords))
+    assert mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out) is out
+    assert np.array_equal(out, dist)
 
 
 def test_half_angle_cosine_matches_np_cos():
@@ -279,30 +355,43 @@ def test_half_angle_cosine_matches_np_cos():
     assert np.max(np.abs(got - np.cos(angles))) <= 2 * eps
 
 
-def _sphere_estimate_peak(monkeypatch, workers):
-    """tracemalloc peak of a two-batch sphere estimate on `workers` threads."""
+def _estimate_peak(monkeypatch, space, N, grid, workers):
+    """tracemalloc peak of a two-batch estimate of orders 1..N on `workers`
+    threads."""
     monkeypatch.setenv("MAGNILAB_THREADS", str(workers))
-    spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE)
-    grid = [0.5, 1.0, 2.0, 3.0, 5.0]
-    mc.estimate_term(mc.SamplerSpec(Sphere2(1.0), samples=10), range(1, 3), grid)  # warm-up
+    spec = mc.SamplerSpec(space, seed=4, samples=2 * mc.BATCH_SIZE)
+    mc.estimate_term(mc.SamplerSpec(space, samples=10), range(1, N + 1), grid)  # warm-up
     tracemalloc.start()
     try:
-        mc.estimate_term(spec, range(1, 3), grid)
+        mc.estimate_term(spec, range(1, N + 1), grid)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+SPHERE_GRID = [0.5, 1.0, 2.0, 3.0, 5.0]
+
+
 def test_sphere_estimate_memory_stays_at_one_scratch_set(monkeypatch):
-    """Every tile of a worker reuses its one scratch set: nine tile-length
-    arrays (two point slots of (z, s, phi), two prefix lengths and the
-    distance's temporary), and the reduce adds none."""
-    assert _sphere_estimate_peak(monkeypatch, 1) <= 9 * 8 * mc.TILE + (1 << 19)
+    """Every tile of a worker reuses its one scratch set: six tile-length
+    arrays (two point slots of (z, phi) and two prefix lengths).  The leg's
+    temporary is the phi of the point it leaves, and the reduce adds none."""
+    peak = _estimate_peak(monkeypatch, Sphere2(1.0), 2, SPHERE_GRID, 1)
+    assert peak <= 6 * 8 * mc.TILE + (1 << 19)
 
 
 def test_two_workers_hold_two_scratch_sets(monkeypatch):
     """Two batches on two workers: one tile-length scratch set each."""
-    assert _sphere_estimate_peak(monkeypatch, 2) <= 2 * (9 * 8 * mc.TILE + (1 << 19))
+    peak = _estimate_peak(monkeypatch, Sphere2(1.0), 2, SPHERE_GRID, 2)
+    assert peak <= 2 * (6 * 8 * mc.TILE + (1 << 19))
+
+
+def test_weighted_interval_estimate_memory_stays_at_one_scratch_set(monkeypatch):
+    """At N = 4 a worker holds two slots of positions and int8 tags, four
+    prefix lengths and four bool prefix indicators; the atom sampler writes
+    its products into the prefix row its leg writes next."""
+    peak = _estimate_peak(monkeypatch, Interval(0.5, 2.0, "weight"), 4, [1.0], 1)
+    assert peak <= (2 * (8 + 1) + 4 * 8 + 4) * mc.TILE + (1 << 19)
 
 
 def test_length_density_errors_are_binomial():
