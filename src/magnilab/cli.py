@@ -11,6 +11,8 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 from . import closed_forms, empirical, finite_mag, graph_mag, mc, weight_measures
 from .errors import MagnilabError, MetricValidationError
@@ -218,11 +220,35 @@ def _closed_form_term(space, n: int, t: float):
 
 
 def _run_finite(args) -> list[str]:
+    """Rows of a valid metric only: a validation error wins over any error of
+    the solves, as if validation ran first.  With more than one worker the
+    O(n^3) triangle screen runs on a worker thread while this thread, which
+    keeps BLAS, solves the t grid; the solves' warnings and error are held
+    until the report is in, then re-issued, or dropped with the report's
+    error."""
     space = load_distance_csv(args.input)
-    report = validate_metric(space)
+    if mc.worker_count() < 2:
+        _require_valid(validate_metric(space))
+        return _run_exact(args, space.dist)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        report = pool.submit(validate_metric, space)
+        # the catch holds every thread's warnings, and validate_metric raises none
+        with warnings.catch_warnings(record=True) as held:
+            try:
+                lines, failure = _run_exact(args, space.dist), None
+            except Exception as exc:  # raised below once the metric is valid
+                lines, failure = None, exc
+        _require_valid(report.result())
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if failure is not None:
+        raise failure
+    return lines
+
+
+def _require_valid(report) -> None:
     if not report.valid:
         raise MetricValidationError(str(report))
-    return _run_exact(args, space.dist)
 
 
 def _run_graph(args) -> list[str]:

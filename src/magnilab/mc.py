@@ -22,10 +22,11 @@ prefix lengths and indicators.  On the sphere at N = 2 that is six arrays
 of 2^16 floats, about 3.1 MB per worker.  sample_batch and
 geodesic_distance write into it through their out arguments, and the
 reduce writes its chain values and products into the point slots, which
-are dead by then.  On the sphere and the weighted interval, drawing a tile
-allocates no float array: a sphere leg's temporary is the phi of the point
-the chain leaves, dead once phi1 - phi2 is taken, and the atom placement
-writes its products into the prefix row that the next leg writes (spare).
+are dead by then.  On the sphere, the circle and the weighted interval,
+drawing a tile allocates no float array: a sphere leg's temporary is the phi
+of the point the chain leaves, dead once phi1 - phi2 is taken, a circle leg
+writes 2 pi - delta over the point it leaves, and the atom placement writes
+its products into the prefix row that the next leg writes (spare).
 The set lives in a threading.local made per call, so it is gone when the
 call returns.  Draws are rng.random(out=...) followed by the in-place
 affine map, bit-identical to rng.uniform(lo, hi).
@@ -265,7 +266,8 @@ def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None)
     if isinstance(space, Circle):
         delta = np.subtract(p, q, out=out)
         np.abs(delta, out=delta)
-        np.minimum(delta, 2.0 * math.pi - delta, out=delta)
+        other = np.subtract(2.0 * math.pi, delta, out=None if out is None else p)  # p is dead
+        np.minimum(delta, other, out=delta)
         delta *= space.r
         return delta
     if isinstance(space, FlatTorusUnit):

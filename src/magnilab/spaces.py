@@ -20,6 +20,8 @@ from .errors import DisconnectedGraphError, GeodesicOverflowError, MetricValidat
 METRIC_TOL = 1e-12
 #: most violations validate_metric reports before it stops scanning
 MAX_VIOLATIONS = 100
+#: rows k per block of the triangle screen of an exactly symmetric matrix
+SCREEN_BLOCK = 128
 #: most keys one round of GeodesicGraph._sweep expands, unless one source alone has more
 SWEEP_KEYS = 2**20
 #: relative tolerance for recognizing equal-length paths on weighted graphs
@@ -131,40 +133,60 @@ def _violations(d: np.ndarray, tol: float):
         return
     symmetric = bool((d == d.T).all())
     if not symmetric:  # |d - d^T| costs two n^2 arrays, so only when it can find something
-        asym = np.argwhere(np.abs(d - d.T) > tol)
+        # a difference past the float range is inf > tol, an asymmetry
+        with np.errstate(over="ignore"):
+            asym = np.argwhere(np.abs(d - d.T) > tol)
         for i, j in asym[asym[:, 0] < asym[:, 1]]:
             yield "asymmetric", (int(i), int(j))
     for i in range(n):
         if abs(d[i, i]) > tol:
             yield "nonzero diagonal", (i,)
-    offdiag = np.argwhere((d <= 0.0) & ~np.eye(n, dtype=bool))
+    offdiag = np.argwhere(d <= 0.0)  # i < j leaves out the diagonal
     for i, j in offdiag[offdiag[:, 0] < offdiag[:, 1]]:
         yield "nonpositive off-diagonal", (int(i), int(j))
-    if symmetric and next(_screened_rows(d, tol, half=True), None) is None:
+    if symmetric and _half_screen_clean(d, tol):
         return
-    for i, s in _screened_rows(d, tol, half=False):
+    for i, s in _screened_rows(d, tol):
         for j, k in np.argwhere(d[i] > s.T + tol):
             if i != j and j != k and i != k:
                 yield "triangle inequality", (i, int(j), int(k))
 
 
-def _screened_rows(d: np.ndarray, tol: float, half: bool):
+def _half_screen_clean(d: np.ndarray, tol: float) -> bool:
+    """True if the exactly symmetric d has d(i,k) <= min_j d(i,j) + d(j,k) + tol
+    for every k >= i.
+
+    The pair (i, k < i) is the pair (k, i) that row k screened, with the same
+    sums, so this holds exactly when the full screen finds no row.  The sums
+    d(i,j) + d(k,j) of SCREEN_BLOCK rows k at a time go into one reused block.
+    """
+    n = len(d)
+    s = np.empty((min(SCREEN_BLOCK, n), n))
+    # a sum past the float range is inf, which still bounds d(i,k)
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for lo in range(i, n, SCREEN_BLOCK):
+                rows = d[lo:lo + SCREEN_BLOCK]
+                block = np.add(d[i], rows, out=s[:len(rows)])
+                if (d[i, lo:lo + len(rows)] > block.min(axis=1) + tol).any():
+                    return False
+    return True
+
+
+def _screened_rows(d: np.ndarray, tol: float):
     """Yield (i, s) for each row i that may break d(i,k) <= d(i,j) + d(j,k).
 
-    s[k, j] = d(i,j) + d(j,k) for k >= lo, in a reused buffer; a row with
+    s[k, j] = d(i,j) + d(j,k), in a reused n x n buffer; a row with
     d(i,k) <= min_j s[k, j] + tol for all k is clean, as x -> x + tol is
-    monotone.  lo is 0, or i in the half screen of an exactly symmetric d:
-    its pair (i, k < i) is the pair (k, i) that row k screened, with the same
-    sums, so the half screen is clean exactly when the full one is.
+    monotone.
     """
-    dt = d if half else np.ascontiguousarray(d.T)  # dt[k, j] = d(j,k)
+    dt = np.ascontiguousarray(d.T)  # dt[k, j] = d(j,k)
     s = np.empty_like(d)
     for i in range(len(d)):
-        lo = i if half else 0
         # a sum past the float range is inf, which still bounds d(i,k)
         with np.errstate(over="ignore"):
-            np.add(d[i], dt[lo:], out=s[lo:])
-        if (d[i, lo:] > s[lo:].min(axis=1) + tol).any():
+            np.add(d[i], dt, out=s)
+        if (d[i] > s.min(axis=1) + tol).any():
             yield i, s
 
 

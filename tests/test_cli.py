@@ -95,14 +95,48 @@ def test_t_grid_ordering_and_log_spacing(distance_csv):
 
 
 def test_byte_identical_across_thread_env(tmp_path):
+    # finite screens the metric on a worker while the main thread solves
+    p = tmp_path / "d.csv"
+    p.write_text("".join(",".join(repr(abs(i - j) ** 0.5) for j in range(40)) + "\n"
+                         for i in range(40)))
     # 600000 samples is three batches, so the thread pool runs
     for args in (["manifold", "--space", "circle", "--t-grid", "1", "3", "3", "--N", "2",
                   "--samples", "600000", "--seed", "7", "--method", "mc"],
                  ["length-spectrum", "--space", "circle", "--n", "2", "--bins", "16",
-                  "--samples", "600000", "--seed", "7"]):
+                  "--samples", "600000", "--seed", "7"],
+                 ["finite", "--input", str(p), "--t-grid", "0.5", "8", "6", "--t-spacing",
+                  "log", "--method", "all", "--N", "5"]):
         a = run_cli(args, {"MAGNILAB_THREADS": "1"})
         b = run_cli(args, {"MAGNILAB_THREADS": "4"})
         assert a.stdout == b.stdout and a.stdout
+
+
+def test_finite_validation_error_comes_before_any_solve_failure(tmp_path, monkeypatch, capsys):
+    """d(0,0) = -1e-13 is within the tolerance, and exp(1e-13 * 1e16)
+    overflows.  With a triangle violation as well, only the validation error
+    prints, whether or not the solves ran beside the screen; without one, the
+    overflow warning and the numerical failure print as they do on one
+    thread.  In process the suite turns the warning into an exception, which
+    the validation error wins over too."""
+    p = tmp_path / "d.csv"
+    argv = ["finite", "--input", str(p), "--t", "1e16"]
+    p.write_text("-1e-13,1,3\n1,0,1\n3,1,0\n")
+    error = "error: triangle inequality at (0, 1, 2); triangle inequality at (2, 1, 0)\n"
+    for threads in ("1", "2"):
+        res = run_cli(argv, {"MAGNILAB_THREADS": threads})
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", error)
+        monkeypatch.setenv("MAGNILAB_THREADS", threads)
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == ("", error)
+
+    p.write_text("-1e-13,1,1\n1,0,1\n1,1,0\n")
+    one, two = (run_cli(argv, {"MAGNILAB_THREADS": threads}) for threads in ("1", "2"))
+    assert (one.returncode, one.stdout, one.stderr) == (two.returncode, two.stdout, two.stderr)
+    warning, _, failure = two.stderr.splitlines()
+    assert (two.returncode, two.stdout) == (3, "")
+    assert warning.endswith("RuntimeWarning: overflow encountered in exp")
+    assert failure == ("numerical failure: similarity matrix numerically singular "
+                       "(condition estimate inf)")
 
 
 def test_partial_tile_and_batch_byte_identical_across_thread_env():

@@ -177,12 +177,19 @@ def test_sampler_and_leg_match_the_references_bit_for_bit(space):
 
 def test_engine_matches_serial_reference_loop(monkeypatch):
     """Threaded grid, orders and histogram equal a serial loop over the tile
-    streams, with per-tile sums combined by fsum in tile order."""
+    streams, with per-tile sums combined by fsum in tile order; the engine's
+    per-tile prefix lengths equal the loop's bit for bit, which the fsum-ed
+    sums alone would not show for a leg one ulp off."""
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
     N, grid, edges = 2, [0.5, 2.0], np.linspace(0.0, 2 * math.pi, 9)
     spec = mc.SamplerSpec(Sphere2(1.0), seed=4, samples=2 * mc.BATCH_SIZE + 1000)
+    serial = _serial_chains(spec, N)
+    engine = mc._map_batches(spec, N, lambda totals, propers, spare: [t.copy() for t in totals])
+    assert len(engine) == len(serial)
+    for tile, (lengths, _) in zip(engine, serial):
+        assert all(np.array_equal(a, b) for a, b in zip(tile, lengths, strict=True))
     sums, cross, counts = {}, {}, 0
-    for lengths, propers in _serial_chains(spec, N):
+    for lengths, propers in serial:
         counts = counts + np.histogram(lengths[N - 1][propers[N - 1]], bins=edges)[0]
         for t in grid:
             vals = [np.exp(-t * total) * proper for total, proper in zip(lengths, propers)]
@@ -384,6 +391,14 @@ def test_two_workers_hold_two_scratch_sets(monkeypatch):
     """Two batches on two workers: one tile-length scratch set each."""
     peak = _estimate_peak(monkeypatch, Sphere2(1.0), 2, SPHERE_GRID, 2)
     assert peak <= 2 * (6 * 8 * mc.TILE + (1 << 19))
+
+
+def test_circle_estimate_memory_stays_at_one_scratch_set(monkeypatch):
+    """On the circle at N = 2 a worker holds four tile-length arrays: two
+    point slots and two prefix lengths.  A leg writes 2 pi - delta over the
+    point it leaves, and at one t the reduce writes into the slots."""
+    peak = _estimate_peak(monkeypatch, Circle(1.0), 2, [1.0], 1)
+    assert peak <= 4 * 8 * mc.TILE + (1 << 18)
 
 
 def test_weighted_interval_estimate_memory_stays_at_one_scratch_set(monkeypatch):

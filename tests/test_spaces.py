@@ -56,6 +56,14 @@ def test_distances_near_the_float_max_validate():
     assert validate_metric(FiniteMetricSpace.from_matrix(d)).valid
 
 
+def test_asymmetry_past_the_float_max_is_reported_without_a_warning():
+    """d(0,1) - d(1,0) overflows to inf > tol: an asymmetry, and no warning,
+    which the suite would turn into an error."""
+    d = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    assert report.violations == (("asymmetric", (0, 1)),)
+
+
 def reference_violations(d, tol=METRIC_TOL):
     """Every violation, found with an n x n x n triangle test in one array."""
     n = d.shape[0]
@@ -130,21 +138,26 @@ def test_validate_metric_matches_reference_on_200_euclidean_points(shortcut):
 
 
 def test_exactly_symmetric_metric_takes_only_the_half_screen(monkeypatch):
-    halves = []
-    screen = spaces._screened_rows
+    screens_run = []
+    half, full = spaces._half_screen_clean, spaces._screened_rows
 
-    def recorded(d, tol, half):
-        halves.append(half)
-        return screen(d, tol, half)
+    def recorded_half(d, tol):
+        screens_run.append("half")
+        return half(d, tol)
 
-    monkeypatch.setattr(spaces, "_screened_rows", recorded)
+    def recorded_full(d, tol):
+        screens_run.append("full")
+        return full(d, tol)
+
+    monkeypatch.setattr(spaces, "_half_screen_clean", recorded_half)
+    monkeypatch.setattr(spaces, "_screened_rows", recorded_full)
     rng = np.random.default_rng(0)
     assert validate_metric(euclidean_space(rng.uniform(0.0, 10.0, size=(30, 2)))).valid
-    assert halves == [True]
-    for kind, screens in (("within tolerance", [False]), ("shortcut", [True, False])):
-        halves.clear()
+    assert screens_run == ["half"]
+    for kind, screens in (("within tolerance", ["full"]), ("shortcut", ["half", "full"])):
+        screens_run.clear()
         report = validate_metric(FiniteMetricSpace.from_matrix(broken_metric(7, kind, 0)))
-        assert halves == screens
+        assert screens_run == screens
     # the shortcut's violations come in both orientations, (i,j,k) and (k,j,i)
     found = {idx for name, idx in report.violations if name == "triangle inequality"}
     assert found and found == {(k, j, i) for i, j, k in found}
@@ -162,8 +175,9 @@ def test_validate_metric_caps_the_violation_list():
 
 
 def test_validate_metric_memory_is_quadratic():
-    """On an exactly symmetric d the check holds the triangle screen's one
-    n^2 buffer and never builds |d - d^T|."""
+    """On an exactly symmetric d the check holds the half screen's block of
+    SCREEN_BLOCK rows of sums and at most one n^2 bool mask, and never builds
+    |d - d^T|."""
     rng = np.random.default_rng(0)
     n = 400
     space = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
@@ -174,7 +188,7 @@ def test_validate_metric_memory_is_quadratic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * n * n
+    assert peak < spaces.SCREEN_BLOCK * 8 * n + n * n
 
 
 @pytest.mark.parametrize("make", [lambda: Circle(-1.0), lambda: Circle(math.nan),

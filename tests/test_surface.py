@@ -4,10 +4,14 @@ Every top-level public function and class of a library module (all of
 src/magnilab but cli and __init__) is read by other package code, is an
 entry point the benchmark traces, or is documented API in the README's
 Library section.  A name that only tests use belongs in tests/.  And no
-library module imports scipy.sparse: graphs need numpy alone.
+library module imports scipy.sparse: graphs need numpy alone.  Importing
+the command line loads neither scipy nor numpy.random, which every
+subcommand's start-up would pay for.
 """
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -62,3 +66,14 @@ def test_no_module_imports_scipy_sparse():
     found = [(module, name) for module, tree in TREES.items() for name in _imports(tree)
              if (name + ".").startswith("scipy.sparse.")]
     assert not found, f"scipy.sparse imported by {found}"
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_numpy_random():
+    code = ("import sys, magnilab.cli; print(*sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
