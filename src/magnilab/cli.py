@@ -254,7 +254,9 @@ def _require_valid(report) -> None:
 def _run_graph(args) -> list[str]:
     g = load_edge_list(args.edges)
     dist = graph_metric(g).dist
-    return _run_exact(args, dist, graph_mag.count_geodesics(g) if args.gamma == "count" else None)
+    counts = graph_mag.count_geodesics(g) if args.gamma == "count" else None
+    del g  # its cached sweep holds counts, which a --gamma triv run never reads
+    return _run_exact(args, dist, counts)
 
 
 def _run_exact(args, dist, counts=None) -> list[str]:
@@ -322,8 +324,10 @@ def _run_length_spectrum(args) -> list[str]:
         raise OverflowError(f"bin width {edges[1] - edges[0]:.3g} puts a density or its "
                             "error past the float range")
     lines = [HEADER]
-    for i in range(args.bins):
-        center = 0.5 * (edges[i] + edges[i + 1])
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        # edges past 2**1022 may sum past the float max; their halves are exact,
+        # so they sum to the same centre without overflow
+        center = 0.5 * (a + b) if b < 2.0**1022 else 0.5 * a + 0.5 * b
         closed = None
         if isinstance(space, Circle):
             try:

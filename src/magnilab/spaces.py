@@ -20,7 +20,7 @@ from .errors import DisconnectedGraphError, GeodesicOverflowError, MetricValidat
 METRIC_TOL = 1e-12
 #: most violations validate_metric reports before it stops scanning
 MAX_VIOLATIONS = 100
-#: rows k per block of the triangle screen of an exactly symmetric matrix
+#: rows k per block of sums in the triangle screen
 SCREEN_BLOCK = 128
 #: most keys one round of GeodesicGraph._sweep expands, unless one source alone has more
 SWEEP_KEYS = 2**20
@@ -82,8 +82,9 @@ class FiniteMetricSpace:
         n = self.size
         if n < 2:
             raise MetricValidationError("no positive distances in a singleton space")
-        off = self.dist[~np.eye(n, dtype=bool)]
-        return float(off.min())
+        # the n^2 - 1 entries after d(0,0) as n - 1 rows of n + 1, each
+        # ending on the next diagonal entry
+        return float(self.dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,20 @@ class ValidationReport:
         return text
 
 
-def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
+def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     """Check finiteness, symmetry, zero diagonal, positivity, and the triangle
-    inequality.
+    inequality, each within METRIC_TOL.
 
     Returns a report listing violated invariants with offending indices, in
     the order the checks run, and stops scanning after MAX_VIOLATIONS of
     them; the report is empty iff the space is a valid metric space.  Takes
     O(n^3) time and O(n^2) memory.
     """
-    found = tuple(islice(_violations(m.dist, tol), MAX_VIOLATIONS + 1))
+    found = tuple(islice(_violations(m.dist), MAX_VIOLATIONS + 1))
     return ValidationReport(found[:MAX_VIOLATIONS], truncated=len(found) > MAX_VIOLATIONS)
 
 
-def _violations(d: np.ndarray, tol: float):
+def _violations(d: np.ndarray):
     """Yield every violated invariant of the distance matrix d in report order."""
     n = d.shape[0]
     nonfinite = np.argwhere(~np.isfinite(d))
@@ -135,59 +136,56 @@ def _violations(d: np.ndarray, tol: float):
     if not symmetric:  # |d - d^T| costs two n^2 arrays, so only when it can find something
         # a difference past the float range is inf > tol, an asymmetry
         with np.errstate(over="ignore"):
-            asym = np.argwhere(np.abs(d - d.T) > tol)
+            asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL)
         for i, j in asym[asym[:, 0] < asym[:, 1]]:
             yield "asymmetric", (int(i), int(j))
     for i in range(n):
-        if abs(d[i, i]) > tol:
+        if abs(d[i, i]) > METRIC_TOL:
             yield "nonzero diagonal", (i,)
     offdiag = np.argwhere(d <= 0.0)  # i < j leaves out the diagonal
     for i, j in offdiag[offdiag[:, 0] < offdiag[:, 1]]:
         yield "nonpositive off-diagonal", (int(i), int(j))
-    if symmetric and _half_screen_clean(d, tol):
-        return
-    for i, s in _screened_rows(d, tol):
-        for j, k in np.argwhere(d[i] > s.T + tol):
-            if i != j and j != k and i != k:
-                yield "triangle inequality", (i, int(j), int(k))
+    for ijk in _triangle_screen(d, symmetric):
+        yield "triangle inequality", ijk
 
 
-def _half_screen_clean(d: np.ndarray, tol: float) -> bool:
-    """True if the exactly symmetric d has d(i,k) <= min_j d(i,j) + d(j,k) + tol
-    for every k >= i.
+def _triangle_screen(d: np.ndarray, symmetric: bool):
+    """Yield each (i, j, k) of distinct indices with d(i,k) > d(i,j) + d(j,k)
+    + METRIC_TOL, in order of i, then j, then k.
 
-    The pair (i, k < i) is the pair (k, i) that row k screened, with the same
-    sums, so this holds exactly when the full screen finds no row.  The sums
-    d(i,j) + d(k,j) of SCREEN_BLOCK rows k at a time go into one reused block.
+    Row i puts the sums d(i,j) + d(j,k) of SCREEN_BLOCK rows k at a time into
+    one reused block and tests entry by entry only the blocks whose row
+    minima flag some k, as x -> x + METRIC_TOL is monotone.  An exactly
+    symmetric d is screened over k >= i only until a row is flagged: the pair
+    (i, k < i) is the pair (k, i) that row k screened, with the same sums, so
+    the first flagged half row is the first row with a violation, and it and
+    every later row are screened in full.  Any other d is screened in full
+    from row 0 against its contiguous transpose.
     """
     n = len(d)
+    cols = d if symmetric else np.ascontiguousarray(d.T)  # cols[k, j] = d(j,k)
     s = np.empty((min(SCREEN_BLOCK, n), n))
+
+    def hits(i, first):
+        """j * n + k for the violations (i, j, k) in each flagged block of
+        rows k from first on; a flagged block has at least one."""
+        for lo in range(first, n, SCREEN_BLOCK):
+            rows = cols[lo:lo + SCREEN_BLOCK]
+            block = np.add(d[i], rows, out=s[:len(rows)])
+            if (d[i, lo:lo + len(rows)] > block.min(axis=1) + METRIC_TOL).any():
+                block += METRIC_TOL
+                k, j = np.nonzero(d[i, lo:lo + len(rows), None] > block)
+                yield j * n + lo + k
+
     # a sum past the float range is inf, which still bounds d(i,k)
     with np.errstate(over="ignore"):
-        for i in range(n):
-            for lo in range(i, n, SCREEN_BLOCK):
-                rows = d[lo:lo + SCREEN_BLOCK]
-                block = np.add(d[i], rows, out=s[:len(rows)])
-                if (d[i, lo:lo + len(rows)] > block.min(axis=1) + tol).any():
-                    return False
-    return True
-
-
-def _screened_rows(d: np.ndarray, tol: float):
-    """Yield (i, s) for each row i that may break d(i,k) <= d(i,j) + d(j,k).
-
-    s[k, j] = d(i,j) + d(j,k), in a reused n x n buffer; a row with
-    d(i,k) <= min_j s[k, j] + tol for all k is clean, as x -> x + tol is
-    monotone.
-    """
-    dt = np.ascontiguousarray(d.T)  # dt[k, j] = d(j,k)
-    s = np.empty_like(d)
-    for i in range(len(d)):
-        # a sum past the float range is inf, which still bounds d(i,k)
+        start = next((i for i in range(n) if any(map(len, hits(i, i)))), n) if symmetric else 0
+    for i in range(start, n):
         with np.errstate(over="ignore"):
-            np.add(d[i], dt, out=s)
-        if (d[i] > s.min(axis=1) + tol).any():
-            yield i, s
+            keys = np.sort(np.concatenate([np.empty(0, np.intp), *hits(i, 0)]))
+        for j, k in (divmod(int(key), n) for key in keys):  # lazily: few may be reported
+            if i != j and j != k and i != k:
+                yield i, j, k
 
 
 # ---------------------------------------------------------------------------

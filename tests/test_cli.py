@@ -573,6 +573,16 @@ def test_length_spectrum_bin_width_underflow(capsys):
     assert err.startswith("numerical failure: bin width 3.33e-321")
 
 
+def test_length_spectrum_centres_near_the_float_max():
+    """Two edges past half the float max sum to inf; their centre is not."""
+    res = run_cli(["length-spectrum", "--space", "circle", "--samples", "1000", "--bins", "4",
+                   "--l-max", "1.7e308"])
+    assert res.returncode == 0 and res.stderr == ""
+    centres = [float(line.split(",")[0]) for line in res.stdout.splitlines()[1:]]
+    assert len(centres) == 4 and all(math.isfinite(c) for c in centres)
+    assert all(a < b for a, b in zip(centres, centres[1:]))
+
+
 def test_manifold_draws_each_order_once(monkeypatch, capsys):
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
     calls = []

@@ -446,6 +446,25 @@ def test_exact_grid_holds_one_z_and_the_solve_copy():
     assert peak < 2.1 * 8 * n * n
 
 
+def test_graph_triv_lets_the_counts_go_before_the_t_loop(tmp_path, capsys):
+    """--gamma triv never reads the counts, so its t loop holds dist, Z and
+    the solve's copy, 3 * 8n^2, where --gamma count also holds the counts."""
+    n = 600
+    edges = tmp_path / "p600.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    argv = ["graph", "--edges", str(edges), "--t-grid", "0.5", "2", "3"]
+    tracemalloc.start()
+    try:
+        assert cli.run([*argv, "--gamma", "triv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n * n
+    triv = capsys.readouterr().out
+    assert cli.run([*argv, "--gamma", "count"]) == 0
+    assert capsys.readouterr().out == triv  # a path has one geodesic per pair
+
+
 @pytest.mark.parametrize("factor", [1.0, 2.0])
 def test_disconnected_pair_message(factor):
     """The first unreachable pair in row-major order, on both paths."""

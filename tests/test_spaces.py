@@ -137,30 +137,80 @@ def test_validate_metric_matches_reference_on_200_euclidean_points(shortcut):
     assert_matches_reference(d)
 
 
-def test_exactly_symmetric_metric_takes_only_the_half_screen(monkeypatch):
-    screens_run = []
-    half, full = spaces._half_screen_clean, spaces._screened_rows
+def screened_rows(d):
+    """validate_metric's report on d; for each row i, the blocks of rows k
+    whose sums d(i,j) + d(j,k) the triangle screen formed, each as
+    (first k, last k + 1); and the rows i whose sums read a copy of d."""
+    n = len(d)
+    rows, from_copy = {}, set()
 
-    def recorded_half(d, tol):
-        screens_run.append("half")
-        return half(d, tol)
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.add and "out" in kwargs and isinstance(inputs[0], Recording):
+                row, block = inputs
+                i = (row.__array_interface__["data"][0] - origin) // (8 * n)
+                base = origin
+                if not np.shares_memory(block, plain):
+                    from_copy.add(i)
+                    base = block.base.__array_interface__["data"][0]
+                lo = (block.__array_interface__["data"][0] - base) // (8 * n)
+                rows.setdefault(i, []).append((lo, lo + len(block)))
+            inputs = tuple(np.asarray(x) for x in inputs)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+            return getattr(ufunc, method)(*inputs, **kwargs)
 
-    def recorded_full(d, tol):
-        screens_run.append("full")
-        return full(d, tol)
+    plain = np.array(d, dtype=float)
+    origin = plain.__array_interface__["data"][0]
+    report = validate_metric(FiniteMetricSpace._adopt(plain.view(Recording)))
+    return report, rows, from_copy
 
-    monkeypatch.setattr(spaces, "_half_screen_clean", recorded_half)
-    monkeypatch.setattr(spaces, "_screened_rows", recorded_full)
-    rng = np.random.default_rng(0)
-    assert validate_metric(euclidean_space(rng.uniform(0.0, 10.0, size=(30, 2)))).valid
-    assert screens_run == ["half"]
-    for kind, screens in (("within tolerance", ["full"]), ("shortcut", ["half", "full"])):
-        screens_run.clear()
-        report = validate_metric(FiniteMetricSpace.from_matrix(broken_metric(7, kind, 0)))
-        assert screens_run == screens
-    # the shortcut's violations come in both orientations, (i,j,k) and (k,j,i)
-    found = {idx for name, idx in report.violations if name == "triangle inequality"}
+
+def blocks(first, n):
+    """The blocks of rows k from first to n - 1, as (first k, last k + 1)."""
+    return [(lo, min(lo + spaces.SCREEN_BLOCK, n)) for lo in range(first, n, spaces.SCREEN_BLOCK)]
+
+
+def test_exactly_symmetric_metric_forms_sums_only_for_k_at_least_i():
+    n = 300  # three blocks of rows k
+    d = euclidean_space(np.random.default_rng(0).uniform(0.0, 10.0, size=(n, 2))).dist
+    report, rows, from_copy = screened_rows(d)
+    assert report.valid and not from_copy
+    assert rows == {i: blocks(i, n) for i in range(n)}
+
+
+def test_metric_symmetric_only_within_the_tolerance_is_screened_in_full():
+    n = 40
+    d = broken_metric(n, "within tolerance", 0)
+    assert (d != d.T).any()
+    report, rows, from_copy = screened_rows(d)
+    assert report.violations == tuple(reference_violations(d)[:MAX_VIOLATIONS])
+    # every row k of every row i, read from the transposed copy
+    assert rows == {i: blocks(0, n) for i in range(n)} and from_copy == set(range(n))
+
+
+def test_shortcut_is_reported_both_ways_and_screened_in_full_from_its_first_row():
+    n = 300
+    d = euclidean_space(np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))).dist.copy()
+    d[200, 250] = d[250, 200] = 0.99 * d[200, 250]  # first breaks a triangle in row 26
+    report, rows, from_copy = screened_rows(d)
+    ref = reference_violations(d)
+    assert report.violations == tuple(ref[:MAX_VIOLATIONS])
+    assert report.truncated == (len(ref) > MAX_VIOLATIONS)
+    # the violations come in both orientations, (i,j,k) and (k,j,i)
+    found = {idx for _, idx in ref}
     assert found and found == {(k, j, i) for i, j, k in found}
+    first = report.violations[0][1][0]  # the first row with a violation
+    assert first > 0 and not from_copy
+    assert all(rows[i] == blocks(i, n) for i in range(first))  # half rows, screened once
+    # the half row that flagged, up to its flagged block, then the full row
+    full = len(blocks(0, n))
+    assert len(rows[first]) > full and rows[first][-full:] == blocks(0, n)
+    assert rows[first][:-full] == blocks(first, n)[:len(rows[first]) - full]
+    # every later row is screened in full until the list of violations is cut
+    last = max(rows)
+    assert sorted(rows) == list(range(last + 1)) and last >= report.violations[-1][1][0]
+    assert all(rows[i] == blocks(0, n) for i in range(first + 1, last + 1))
 
 
 def test_validate_metric_caps_the_violation_list():
@@ -175,9 +225,9 @@ def test_validate_metric_caps_the_violation_list():
 
 
 def test_validate_metric_memory_is_quadratic():
-    """On an exactly symmetric d the check holds the half screen's block of
-    SCREEN_BLOCK rows of sums and at most one n^2 bool mask, and never builds
-    |d - d^T|."""
+    """On an exactly symmetric d the check holds the triangle screen's block
+    of SCREEN_BLOCK rows of sums and at most one n^2 bool mask, and never
+    builds |d - d^T|."""
     rng = np.random.default_rng(0)
     n = 400
     space = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
@@ -189,6 +239,61 @@ def test_validate_metric_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < spaces.SCREEN_BLOCK * 8 * n + n * n
+
+
+def test_invalid_metric_memory_is_one_block_of_sums():
+    """A shortcut in an exactly symmetric d is reported from the one
+    SCREEN_BLOCK x n block of sums: no n^2 buffer of sums and no transpose."""
+    rng = np.random.default_rng(0)
+    n = 400
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2))).dist.copy()
+    d[3, 150] = d[150, 3] = 0.5 * d[3, 150]
+    space = FiniteMetricSpace.from_matrix(d)
+    tracemalloc.start()
+    try:
+        report = validate_metric(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.truncated
+    assert peak < spaces.SCREEN_BLOCK * 8 * n + n * n + (1 << 16)
+
+
+def test_row_with_many_violations_costs_less_than_one_square_array():
+    """Row 0 breaks n^2 / 4 triangles, of which the report keeps 100: their
+    indices are read one at a time, not as a list of every one."""
+    n = 1000
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    far = np.arange(n) >= n // 2
+    d[0, far] = d[far, 0] = 10.0  # d(0,k) = 10 > d(0,j) + d(j,k) = 2 for j < n/2 <= k
+    space = FiniteMetricSpace.from_matrix(d)
+    tracemalloc.start()
+    try:
+        report = validate_metric(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == tuple(("triangle inequality", (0, 1, k))
+                                      for k in range(n // 2, n // 2 + MAX_VIOLATIONS))
+    assert report.truncated and peak < 8 * n * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000])
+def test_min_positive_distance_reads_the_off_diagonal_entries_in_place(n):
+    rng = np.random.default_rng(n)
+    d = rng.uniform(1.0, 2.0, size=(n, n))
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    space = FiniteMetricSpace.from_matrix(d)
+    tracemalloc.start()
+    try:
+        least = space.min_positive_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least == d[~np.eye(n, dtype=bool)].min()
+    assert peak < 0.05 * 8 * n * n + (1 << 12)
 
 
 @pytest.mark.parametrize("make", [lambda: Circle(-1.0), lambda: Circle(math.nan),
