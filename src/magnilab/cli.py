@@ -178,6 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_space(args):
+    if args.measure == "weight" and args.space != "interval":
+        raise MetricValidationError(
+            "--measure weight applies to --space interval only; weight-check runs the "
+            "weight measure on the circle and sphere")
     if args.space == "circle":
         return Circle(args.r)
     if args.space == "sphere":

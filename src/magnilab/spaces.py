@@ -6,7 +6,6 @@ threads; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -133,10 +132,12 @@ def _violations(d: np.ndarray):
             yield "non-finite entry", (int(i), int(j))
         return
     symmetric = bool((d == d.T).all())
-    if not symmetric:  # |d - d^T| costs two n^2 arrays, so only when it can find something
+    if not symmetric:  # |d - d^T| costs an n^2 array, so only when it can find something
         # a difference past the float range is inf > tol, an asymmetry
         with np.errstate(over="ignore"):
-            asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL)
+            asym = d - d.T
+        # in place, and rebound so that the n^2 difference goes before the screen
+        asym = np.argwhere(np.abs(asym, out=asym) > METRIC_TOL)
         for i, j in asym[asym[:, 0] < asym[:, 1]]:
             yield "asymmetric", (int(i), int(j))
     for i in range(n):
@@ -609,45 +610,38 @@ def _data_lines(path):
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Read an n x n distance matrix from CSV, optional first header row.
 
-    The first row is a header of labels when none of its fields is a number.
-    Blank lines are skipped.  A non-numeric field or a row with other than n
-    fields raises MetricValidationError naming its 1-based line.  The file is
-    read twice, once to count its rows and once to parse each row into the
-    n x n array that the space keeps, so no copy of the text is held; a file
-    whose rows change between the reads, such as a pipe, is refused.
+    The first row is a header of labels when none of its fields is a number;
+    either way its field count is n.  Blank lines are skipped.  The file is
+    read once, so a pipe loads too, and each row is parsed into the n x n
+    array that the space keeps, so no copy of the text is held.  A
+    non-numeric field, a row with other than n fields or an (n+1)-th row
+    raises MetricValidationError naming its 1-based line; fewer than n rows
+    raise it too.
     """
-    first, n = None, 0
-    for _, line in _data_lines(path):
-        if first is None:
-            first = line
-        n += 1
-    if first is None:
+    labels, d, r = None, None, 0
+    for no, line in _data_lines(path):
+        fields = line.split(",")
+        if d is None:
+            n = len(fields)
+            d = np.empty((n, n))
+            if not any(map(_parses_as_float, fields)):
+                labels = [x.strip() for x in fields]
+                continue
+        if r == n or len(fields) != n:
+            raise MetricValidationError(f"distance file {path} is not square: line {no} is "
+                                        f"row {r + 1} with {len(fields)} fields for {n} columns")
+        try:
+            d[r] = np.array(fields, dtype=float)
+        except ValueError as exc:
+            raise MetricValidationError(f"line {no} of {path}: {exc}") from None
+        r += 1
+    if d is None:
         raise MetricValidationError(f"empty distance file {path}")
-    labels = None
-    fields = first.split(",")
-    if not any(_parses_as_float(x) for x in fields):
-        labels = [x.strip() for x in fields]
-        n -= 1
-    if n == 0:
+    if r == 0:
         raise MetricValidationError(f"no distance rows in {path}")
-    d, r = np.empty((n, n)), -1
-    with closing(_data_lines(path)) as rows:
-        data = islice(rows, labels is not None, None)
-        for r, (no, line) in zip(range(n), data):
-            fields = line.split(",")
-            if len(fields) != n:
-                raise MetricValidationError(
-                    f"distance file {path} is not square: line {no} has {len(fields)} "
-                    f"fields for {n} rows")
-            try:
-                d[r] = np.array(fields, dtype=float)
-            except ValueError as exc:
-                raise MetricValidationError(f"line {no} of {path}: {exc}") from None
-        if r != n - 1 or next(data, None) is not None:
-            raise MetricValidationError(f"distance file {path} changed between its two reads "
-                                        "(a pipe cannot be read twice)")
-    if labels is not None and len(labels) != n:
-        raise MetricValidationError(f"{len(labels)} labels for {n} rows in {path}")
+    if r < n:
+        raise MetricValidationError(
+            f"distance file {path} is not square: {r} rows for {n} columns")
     return FiniteMetricSpace._adopt(d, labels)
 
 

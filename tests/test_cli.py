@@ -14,12 +14,12 @@ from magnilab import cli, empirical, mc
 from magnilab.errors import MetricValidationError
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, stdin_text=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "magnilab.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, input=stdin_text)
 
 
 @pytest.fixture
@@ -518,13 +518,49 @@ def test_overflow_message_names_the_quantity(capsys, args, named):
 
 
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
-                                         ("0,1,2\n1,0,1\n\n2,1\n", "line 4")])
+                                         ("0,1,2\n1,0,1\n\n2,1\n", "line 4"),
+                                         # fewer rows than columns
+                                         ("0,1,2\n1,0,1\n", "2 rows for 3 columns"),
+                                         # more rows than columns
+                                         ("0,1\n1,0\n2,2\n", "line 3"),
+                                         # a header of 3 labels, rows of 2 fields
+                                         ("a,b,c\n0,1\n1,0\n", "line 2")])
 def test_malformed_distance_csv_exits_2(tmp_path, capsys, text, named):
     p = tmp_path / "bad.csv"
     p.write_text(text)
     assert cli.run(["finite", "--input", str(p), "--t", "1"]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_finite_reads_a_piped_csv_as_it_reads_the_file(tmp_path):
+    """The loader reads its input once, so a pipe on /dev/stdin loads and
+    prints what the file prints, validated first or on a worker thread."""
+    import numpy as np
+    pts = np.random.default_rng(6).uniform(0.0, 3.0, size=(40, 2))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    text = ",".join(f"x{i}" for i in range(40)) + "\n\n"
+    text += "".join(",".join(map(repr, row)) + "\n" for row in d.tolist())
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    args = ["finite", "--t-grid", "0.5", "4", "3", "--method", "all"]
+    for threads in ("1", "2"):
+        env = {"MAGNILAB_THREADS": threads}
+        from_file = run_cli([*args, "--input", str(p)], env)
+        piped = run_cli([*args, "--input", "/dev/stdin"], env, stdin_text=text)
+        assert from_file.returncode == piped.returncode == 0, piped.stderr
+        assert piped.stdout == from_file.stdout and len(piped.stdout.splitlines()) == 7
+
+
+@pytest.mark.parametrize("space", ["circle", "sphere", "torus", "line-gauss", "line-laplace"])
+@pytest.mark.parametrize("command", [["manifold", "--t", "1", "--N", "1", "--method", "closed"],
+                                     ["length-spectrum", "--samples", "10"]])
+def test_weight_measure_off_the_interval_exits_2(capsys, command, space):
+    """--measure weight is the interval's measure; elsewhere it is refused,
+    not ignored, and the message points to weight-check."""
+    assert cli.run([*command, "--space", space, "--measure", "weight"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: --measure weight") and "weight-check" in err
 
 
 def test_length_spectrum_on_interval(tmp_path):
