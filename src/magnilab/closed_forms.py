@@ -21,6 +21,15 @@ from functools import lru_cache
 import numpy as np
 
 
+def _quad(f, a: float, b: float, **options) -> float:
+    """int_a^b f by QUADPACK: scipy.integrate.quad(f, a, b, **options) at
+    limit=200 unless options set it.  quad is looked up at each call, so a
+    wrapper installed on scipy.integrate after import sees every call."""
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, **{"limit": 200, **options})[0]
+
+
 def _power(x: float, k: int) -> float:
     """x**k, or inf where the float power raises OverflowError.  Each caller
     divides by it, so the term underflows to 0 as a product would."""
@@ -116,15 +125,9 @@ def _laplace_quadrature(density, n: int, r: float, t: float) -> float:
     """int_0^{n pi r} exp(-t l) density(n, r, l) dl, split at the multiples
     of the diameter pi r, where the length densities have kinks, and at
     _peak_points below the first of them."""
-    from scipy import integrate
-
     d = math.pi * r
-    val, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * float(density(n, r, l)),
-        0.0, n * d, points=_peak_points(t, d) + [k * d for k in range(1, n)], limit=200,
-        epsabs=1e-12,
-    )
-    return val
+    return _quad(lambda l: math.exp(-t * l) * float(density(n, r, l)), 0.0, n * d,
+                 points=_peak_points(t, d) + [k * d for k in range(1, n)], epsabs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +227,18 @@ def torus_level_volume(l: float) -> float:
 
 def torus_first_term(t: float) -> float:
     """a_1 on the unit torus: int_0^R exp(-t*l) F(l) dl, split at the kink."""
-    from scipy import integrate
-
     if t <= 0:
         raise ValueError("scale t must be positive")
-    part1, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * 2.0 * math.pi * l, 0.0, TORUS_RHO, epsabs=1e-12,
-        points=_peak_points(t, TORUS_RHO) or None,  # below t = 128, quad's unsplit rule
-    )
-    part2, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * torus_level_volume(l), TORUS_RHO, TORUS_R,
-        epsabs=1e-12, limit=200,
-    )
-    return part1 + part2
+    return (_quad(lambda l: math.exp(-t * l) * 2.0 * math.pi * l, 0.0, TORUS_RHO, epsabs=1e-12,
+                  points=_peak_points(t, TORUS_RHO) or None)  # below t = 128, quad's unsplit rule
+            + _quad(lambda l: math.exp(-t * l) * torus_level_volume(l), TORUS_RHO, TORUS_R,
+                    epsabs=1e-12))
 
 
 def torus_arccos_integral(t: float) -> float:
     """int_rho^R exp(-t*l) * l * arccos(1/(2l)) dl (the cut-locus term)."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda l: math.exp(-t * l) * l * math.acos(1.0 / (2.0 * l)),
-        TORUS_RHO, TORUS_R, epsabs=1e-13, limit=200,
-    )
-    return val
+    return _quad(lambda l: math.exp(-t * l) * l * math.acos(1.0 / (2.0 * l)),
+                 TORUS_RHO, TORUS_R, epsabs=1e-13)
 
 
 def torus_arccos_bounds(t: float) -> tuple[float, float]:
@@ -431,17 +422,13 @@ def laplace_line_first_term(t: float) -> float:
 def laplace_line_first_term_quadrature(t: float) -> float:
     """Independent oracle: int_0^inf e^{-tl} 2(1 + l) e^{-l} dl, the Laplace
     transform of the order-1 length density 2(1 + l) e^{-l}."""
-    from scipy import integrate
-
     def f(l):
         return math.exp(-t * l) * 2.0 * (1.0 + l) * math.exp(-l)
 
     points = _peak_points(t, 1.0)  # the density's own scale is 1
     cut = points.pop() if points else 0.0  # quad takes no points on [cut, inf)
-    head, _ = integrate.quad(f, 0.0, cut, points=points or None, epsabs=1e-13, epsrel=1e-13,
-                             limit=200)
-    tail, _ = integrate.quad(f, cut, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return head + tail
+    return (_quad(f, 0.0, cut, points=points or None, epsabs=1e-13, epsrel=1e-13)
+            + _quad(f, cut, math.inf, epsabs=1e-13, epsrel=1e-13))
 
 
 def laplace_line_first_partial(t: float) -> float:
@@ -472,16 +459,12 @@ def gaussian_line_first_term(t: float) -> float:
 def gaussian_line_first_term_quadrature(t: float) -> float:
     """gaussian_line_first_term by quadrature in l = h x, x in [0, 40], on the
     integrand's scale h = min(1, 1/t): the catalog's oracle."""
-    from scipy import integrate
-
     if t < 0:
         raise ValueError("t must be nonnegative")
     h = 1.0 / max(1.0, t)
-    val, _ = integrate.quad(
+    return h * _quad(
         lambda x: math.exp(-t * h * x) * math.sqrt(2 * math.pi) * math.exp(-(h * x) ** 2 / 2),
-        0.0, 40.0, epsabs=1e-12, limit=200,
-    )
-    return h * val
+        0.0, 40.0, epsabs=1e-12)
 
 
 def gaussian_line_first_term_published(t: float) -> float:
@@ -492,8 +475,6 @@ def gaussian_line_first_term_published(t: float) -> float:
 def _gaussian_reduced_2d(t: float, qa: float, qb: float, c: float) -> float:
     """4*sqrt(pi/3) * int int e^{-t(s1+s2)} e^{-(qa s1^2 + qb s2^2)/3}
     cosh(c s1 s2 / 3) over the positive quadrant, truncated at S = 20."""
-    from scipy import integrate
-
     S = 20.0
 
     def integrand(s1: float, s2: float) -> float:
@@ -504,13 +485,9 @@ def _gaussian_reduced_2d(t: float, qa: float, qb: float, c: float) -> float:
         return 0.5 * (math.exp(cc - q) + math.exp(-cc - q))
 
     def inner(s1: float) -> float:
-        val, _ = integrate.quad(
-            lambda s2: integrand(s1, s2), 0.0, S, epsabs=1e-12, limit=200
-        )
-        return val
+        return _quad(lambda s2: integrand(s1, s2), 0.0, S, epsabs=1e-12)
 
-    val, _ = integrate.quad(inner, 0.0, S, epsabs=1e-10, limit=200)
-    return 4.0 * math.sqrt(math.pi / 3.0) * val
+    return 4.0 * math.sqrt(math.pi / 3.0) * _quad(inner, 0.0, S, epsabs=1e-10)
 
 
 def gaussian_line_second_term(t: float) -> float:

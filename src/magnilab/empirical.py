@@ -18,49 +18,34 @@ import numpy as np
 from . import closed_forms
 from .errors import MagnilabError
 from .finite_mag import chain_series, similarity
-from .spaces import AnalyticSpace, MagnitudeSeries, Sphere2
+from .spaces import MagnitudeSeries, Sphere2
 
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Finite support with per-point masses (default: empirical, 1/m each)."""
+    """m points on a round 2-sphere under the empirical measure, 1/m each."""
 
-    space: AnalyticSpace
-    points: np.ndarray  # (m, 3) unit vectors for Sphere2
-    weights: np.ndarray
+    space: Sphere2
+    points: np.ndarray  # (m, 3) unit vectors
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(pts):
-            raise ValueError("one weight per point")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
         pts.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def empirical(cls, space: AnalyticSpace, points) -> "PointConfiguration":
-        pts = np.asarray(points, dtype=float)
-        return cls(space, pts, np.full(len(pts), 1.0 / len(pts)))
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.size, 1.0 / self.size)
 
     @property
     def size(self) -> int:
-        return len(self.weights)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
+        return len(self.points)
 
     def distance_matrix(self) -> np.ndarray:
-        if isinstance(self.space, Sphere2):
-            dots = np.clip(self.points @ self.points.T, -1.0, 1.0)
-            d = self.space.r * np.arccos(dots)
-            np.fill_diagonal(d, 0.0)
-            return d
-        raise TypeError(f"no configuration metric for {type(self.space).__name__}")
+        dots = np.clip(self.points @ self.points.T, -1.0, 1.0)
+        d = self.space.r * np.arccos(dots)
+        np.fill_diagonal(d, 0.0)
+        return d
 
 
 def weighted_partial_magnitude(
@@ -121,7 +106,7 @@ def minimal_energy_configuration(
         raise MagnilabError(f"L-BFGS-B did not converge for m = {m} points: {res.message}")
     u = res.x.reshape(m, 3)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return PointConfiguration.empirical(Sphere2(r), u)
+    return PointConfiguration(Sphere2(r), u)
 
 
 # ---------------------------------------------------------------------------

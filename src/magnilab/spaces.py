@@ -613,17 +613,19 @@ def load_distance_csv(path) -> FiniteMetricSpace:
     The first row is a header of labels when none of its fields is a number;
     either way its field count is n.  Blank lines are skipped.  The file is
     read once, so a pipe loads too, and each row is parsed into the n x n
-    array that the space keeps, so no copy of the text is held.  A
-    non-numeric field, a row with other than n fields or an (n+1)-th row
-    raises MetricValidationError naming its 1-based line; fewer than n rows
-    raise it too.
+    array that the space keeps, allocated at the first data row, so no copy
+    of the text is held.  A non-numeric field, a row with other than n
+    fields or an (n+1)-th row raises MetricValidationError naming its
+    1-based line; fewer than n rows raise it too.  When the n x n array
+    does not fit in memory the rest of the file is still read, so a file
+    that is not square raises MetricValidationError and only a square one
+    raises the MemoryError.
     """
-    labels, d, r = None, None, 0
+    labels, n, d, r, no_room = None, None, None, 0, None
     for no, line in _data_lines(path):
         fields = line.split(",")
-        if d is None:
+        if n is None:
             n = len(fields)
-            d = np.empty((n, n))
             if not any(map(_parses_as_float, fields)):
                 labels = [x.strip() for x in fields]
                 continue
@@ -631,17 +633,26 @@ def load_distance_csv(path) -> FiniteMetricSpace:
             raise MetricValidationError(f"distance file {path} is not square: line {no} is "
                                         f"row {r + 1} with {len(fields)} fields for {n} columns")
         try:
-            d[r] = np.array(fields, dtype=float)
+            row = np.array(fields, dtype=float)
         except ValueError as exc:
             raise MetricValidationError(f"line {no} of {path}: {exc}") from None
+        if r == 0:
+            try:
+                d = np.empty((n, n))
+            except MemoryError as exc:  # raised once the rest of the file is square
+                no_room = exc
+        if no_room is None:
+            d[r] = row
         r += 1
-    if d is None:
+    if n is None:
         raise MetricValidationError(f"empty distance file {path}")
     if r == 0:
         raise MetricValidationError(f"no distance rows in {path}")
     if r < n:
         raise MetricValidationError(
             f"distance file {path} is not square: {r} rows for {n} columns")
+    if no_room is not None:
+        raise no_room
     return FiniteMetricSpace._adopt(d, labels)
 
 

@@ -108,10 +108,6 @@ class OrderedPartition:
         if all(p == 1 for p in self.parts):
             raise ValueError("the all-ones composition is excluded")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
 
 def enumerate_partitions(n: int) -> list[OrderedPartition]:
     """All compositions of n+1 containing a part >= 2; there are 2^n - 1."""

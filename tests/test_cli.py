@@ -533,6 +533,36 @@ def test_malformed_distance_csv_exits_2(tmp_path, capsys, text, named):
     assert err.startswith("error:") and named in err
 
 
+def _no_room(shape, *args, **kwargs):
+    raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("0," * 199_999 + "0\n", "1 rows for 200000 columns"),
+    (",".join(f"x{i}" for i in range(200_000)) + "\n", "no distance rows")],
+    ids=["zeros", "labels"])
+@pytest.mark.parametrize("room", [True, False], ids=["room", "no-room"])
+def test_wide_first_row_exits_2(tmp_path, capsys, monkeypatch, text, named, room):
+    """A first row of 200 000 fields asks for a 298 GiB matrix.  The file is
+    not square, which exits 2 whether the allocation succeeds or, with room
+    False, raises MemoryError."""
+    import numpy as np
+    if not room:
+        monkeypatch.setattr(np, "empty", _no_room)
+    p = tmp_path / "wide.csv"
+    p.write_text(text)
+    assert cli.run(["finite", "--input", str(p), "--t", "1"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_square_csv_without_room_for_its_matrix_exits_3(distance_csv, capsys, monkeypatch):
+    import numpy as np
+    monkeypatch.setattr(np, "empty", _no_room)
+    assert cli.run(["finite", "--input", distance_csv, "--t", "1"]) == cli.EXIT_NUMERICAL
+    assert "shape (4, 4)" in capsys.readouterr().err
+
+
 def test_finite_reads_a_piped_csv_as_it_reads_the_file(tmp_path):
     """The loader reads its input once, so a pipe on /dev/stdin loads and
     prints what the file prints, validated first or on a worker thread."""

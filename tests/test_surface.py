@@ -4,7 +4,9 @@ Every top-level public function and class of a library module (all of
 src/magnilab but cli and __init__) is read by other package code, is an
 entry point the benchmark traces, or is documented API in the README's
 Library section.  A name that only tests use belongs in tests/.  And no
-library module imports scipy.sparse: graphs need numpy alone.  Importing
+library module imports scipy.sparse: graphs need numpy alone.  QUADPACK is
+reached through closed_forms._quad alone, the one place that sees every
+quadrature call and its error estimate.  Importing
 the command line loads neither scipy nor numpy.random, which every
 subcommand's start-up would pay for.
 """
@@ -66,6 +68,32 @@ def test_no_module_imports_scipy_sparse():
     found = [(module, name) for module, tree in TREES.items() for name in _imports(tree)
              if (name + ".").startswith("scipy.sparse.")]
     assert not found, f"scipy.sparse imported by {found}"
+
+
+def _quadpack_uses(tree: ast.AST):
+    """Each import of scipy.integrate, read of an attribute named integrate
+    and call of a function named quad in tree, as (line, what)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((node.lineno, name) for name in _imports(node)
+                        if (name + ".").startswith("scipy.integrate."))
+        elif isinstance(node, ast.Attribute) and node.attr == "integrate":
+            yield node.lineno, "integrate"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "quad":
+                yield node.lineno, "quad()"
+
+
+def test_quadpack_is_called_through_closed_forms_quad_alone():
+    helper = [node for node in TREES["closed_forms"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_quad"]
+    assert len(helper) == 1 and {what for _, what in _quadpack_uses(helper[0])} == {
+        "scipy.integrate", "quad()"}
+    found = [(module, line, what) for module, tree in TREES.items() for top in tree.body
+             if top not in helper for line, what in _quadpack_uses(top)]
+    assert not found, f"QUADPACK reached outside closed_forms._quad: {found}"
 
 
 def test_importing_the_cli_loads_no_scipy_and_no_numpy_random():
