@@ -135,8 +135,14 @@ def _laplace_quadrature(density, n: int, r: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sphere_leg_integral(r: float, t: float) -> float:
-    """J(t) = 2*pi*r^2*(1 + exp(-pi*r*t))/(t^2 r^2 + 1)."""
-    return 2.0 * math.pi * r**2 * (1.0 + math.exp(-math.pi * r * t)) / (_power(t, 2) * r**2 + 1.0)
+    """J(t) = 2*pi*r^2*(1 + exp(-pi*r*t))/(t^2 r^2 + 1).
+
+    Where t^2 overflows and r^2 underflows, t^2 r^2 is inf * 0; it is taken
+    as (t r)^2, which is finite, so J(t) is 0 as its factor r^2 is."""
+    tr2 = _power(t, 2) * r**2
+    if math.isnan(tr2):
+        tr2 = (t * r) ** 2
+    return 2.0 * math.pi * r**2 * (1.0 + math.exp(-math.pi * r * t)) / (tr2 + 1.0)
 
 
 def sphere_term(n: int, r: float, t: float) -> float:
@@ -241,21 +247,6 @@ def torus_arccos_integral(t: float) -> float:
                  TORUS_RHO, TORUS_R, epsabs=1e-13)
 
 
-def torus_arccos_bounds(t: float) -> tuple[float, float]:
-    """Elementary bounds for torus_arccos_integral from
-    (2l-1)/2 <= l*arccos(1/(2l)) <= pi*l/2 on [rho, R]."""
-    rho, R = TORUS_RHO, TORUS_R
-    e = math.exp(-rho * t)
-    lower = (e / t**2) * (
-        1.0 + t * (2 * rho - 1) / 2.0
-        - (2.0 - t + 2 * R * t) * math.exp(-t * (R - rho)) / 2.0
-    )
-    upper = (e / t**2) * (math.pi / 2.0) * (
-        1.0 + rho * t - (1.0 + R * t) * math.exp(-t * (R - rho))
-    )
-    return lower, upper
-
-
 def torus_first_term_identity(t: float) -> float:
     """Equivalent expression 2 pi/t^2 - 8*(arccos integral) - 2 pi (Rt+1)e^{-tR}/t^2,
     with the first and last terms as 2 pi P(2, Rt)/t^2, which does not cancel as t -> 0.
@@ -333,11 +324,6 @@ def interval_term(n: int, t: float, L: float) -> float:
     for m in range(2, n + 1):
         a = (2.0 / t) * a - interval_alpha(m, 0, t, L) / t
     return a
-
-
-def interval_first_partial(t: float, L: float) -> float:
-    """Mag([a,b], t*d, Lebesgue; 1) = L - 2L/t + (2/t^2)(1 - e^{-tL})."""
-    return L - 2.0 * L / t + (2.0 / t**2) * (1.0 - math.exp(-t * L))
 
 
 def _interval_digits(N: int, t: float, L: float) -> int:
@@ -429,11 +415,6 @@ def laplace_line_first_term_quadrature(t: float) -> float:
     cut = points.pop() if points else 0.0  # quad takes no points on [cut, inf)
     return (_quad(f, 0.0, cut, points=points or None, epsabs=1e-13, epsrel=1e-13)
             + _quad(f, cut, math.inf, epsabs=1e-13, epsrel=1e-13))
-
-
-def laplace_line_first_partial(t: float) -> float:
-    """Mag(R, t|.|, exp(-|x|); 1) = 2 - 2(t+2)/(t+1)^2."""
-    return 2.0 - laplace_line_first_term(t)
 
 
 # ---------------------------------------------------------------------------

@@ -147,16 +147,3 @@ def fekete_convergence_experiment(
         val = weighted_partial_magnitude(cfg.distance_matrix(), cfg.weights, t, N).partial_sums[N]
         rows.append(FeketeRow(m, N, val, target, abs(val - target)))
     return rows
-
-
-def rescaling_identity_residual(cfg: PointConfiguration, N: int) -> float:
-    """Max per-N gap between the empirical value and (1/m) times the
-    counting-measure value under the metric shifted by log m (unit scale)."""
-    m = cfg.size
-    d = cfg.distance_matrix()
-    c = math.log(m)
-    shifted = d + c * (1.0 - np.eye(m))
-    emp = weighted_partial_magnitude(d, np.full(m, 1.0 / m), 1.0, N)
-    cnt = weighted_partial_magnitude(shifted, np.ones(m), 1.0, N)
-    gaps = [abs(e - s / m) for e, s in zip(emp.partial_sums, cnt.partial_sums)]
-    return max(gaps)

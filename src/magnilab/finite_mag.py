@@ -162,16 +162,3 @@ def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
     return bisect_threshold(1.0 - np.eye(n), m.dist, crude), crude
 
 
-def column_sum_ratio(m: FiniteMetricSpace, t: float) -> float:
-    """max column sum of Y = Z - I; series tail is geometric in this ratio."""
-    y = similarity(m.dist, t) - np.eye(m.size)
-    return float(np.abs(y).sum(axis=0).max())
-
-
-def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
-    """Increase every off-diagonal distance by c >= 0 (still a metric)."""
-    if c < 0:
-        raise ValueError("shift must be nonnegative")
-    d = m.dist + c * (1.0 - np.eye(m.size))
-    return FiniteMetricSpace(m.points, d)
-

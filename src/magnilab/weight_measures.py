@@ -84,67 +84,6 @@ def weight_partial_magnitude_check(
     return out
 
 
-def scaled_weight_magnitude(space: AnalyticSpace, t: float, c: float) -> float:
-    """Mag with measure c*mu_w for 0 < c < 1: geometric series summing to
-    c/(1+c) * mu_w(X)."""
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
-    return c / (1.0 + c) * homogeneous_weight_mass(space, t)
-
-
-# ---------------------------------------------------------------------------
-# integer compositions with cluster statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """A composition of n+1 with at least one part >= 2."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive integers")
-        if all(p == 1 for p in self.parts):
-            raise ValueError("the all-ones composition is excluded")
-
-
-def enumerate_partitions(n: int) -> list[OrderedPartition]:
-    """All compositions of n+1 containing a part >= 2; there are 2^n - 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = n + 1
-    out = []
-
-    def rec(remaining: int, acc: list[int]):
-        if remaining == 0:
-            if any(p >= 2 for p in acc):
-                out.append(OrderedPartition(tuple(acc)))
-            return
-        for p in range(1, remaining + 1):
-            rec(remaining - p, acc + [p])
-
-    rec(target, [])
-    return out
-
-
-def cluster_stats(lam: OrderedPartition) -> tuple[int, int]:
-    """(f, g): number of maximal runs of parts >= 2, and total plus signs
-    inside those runs (run length - 1 summed over runs)."""
-    f = 0
-    g = 0
-    run = 0
-    for p in lam.parts + (1,):
-        if p >= 2:
-            run += 1
-        else:
-            if run:
-                f += 1
-                g += run - 1
-            run = 0
-    return f, g
-
-
 # ---------------------------------------------------------------------------
 # interval weight measure: composition formula vs corrected vs brute force
 # ---------------------------------------------------------------------------
@@ -155,7 +94,8 @@ MAX_N = 20
 
 def _composition_weights(s: int, one: int) -> list[int]:
     """[sum of one^(number of parts 1) * 2^f over the compositions of s with
-    cluster statistic g, for g = 0..s], f and g as in cluster_stats.
+    cluster statistic g, for g = 0..s]: f counts the maximal runs of parts
+    >= 2, and g sums (run length - 1) over them.
 
     A dynamic program over the parts; its one state is whether the last part
     is >= 2.  A part >= 2 after a part 1 (or at the start) opens a run, f + 1;
@@ -211,7 +151,8 @@ def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[flo
     from fractions import Fraction
 
     mass = Fraction(1.0 + L / 2.0)
-    decay = [Fraction(math.exp(-t * L * g)) for g in range(N + 2)]
+    # at g = 0 the decay is exp(-0.0) = 1, also where t L overflows and 0 * inf is nan
+    decay = [Fraction(math.exp(-t * L * g)) if g else Fraction(1) for g in range(N + 2)]
     verbatim = corrected = mass
     for n in range(1, N + 1):
         plain, atom_mass = composition_coefficients(n)

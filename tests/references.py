@@ -1,0 +1,93 @@
+"""Paper identities that no subcommand prints, as references for the tests.
+
+Each function states a closed form or a combinatorial construction of the
+paper; test modules check it against what the package computes.  Only the
+references that more than one test module reads live here.
+"""
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from magnilab import closed_forms as cf
+from magnilab.empirical import weighted_partial_magnitude
+from magnilab.spaces import FiniteMetricSpace
+
+
+def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
+    """Every off-diagonal distance increased by c >= 0, still a metric."""
+    return FiniteMetricSpace(m.points, m.dist + c * (1.0 - np.eye(m.size)))
+
+
+def rescaling_identity_residual(cfg, N: int) -> float:
+    """Max per-order gap between the empirical measure's partial sums and
+    1/m times the counting measure's under the metric shifted by log m, at
+    unit scale; cfg is an empirical.PointConfiguration of m points."""
+    m = cfg.size
+    d = cfg.distance_matrix()
+    emp = weighted_partial_magnitude(d, np.full(m, 1.0 / m), 1.0, N)
+    cnt = weighted_partial_magnitude(d + math.log(m) * (1.0 - np.eye(m)), np.ones(m), 1.0, N)
+    return max(abs(e - s / m) for e, s in zip(emp.partial_sums, cnt.partial_sums))
+
+
+def torus_arccos_bounds(t: float) -> tuple[float, float]:
+    """Elementary bounds for cf.torus_arccos_integral from
+    (2l-1)/2 <= l*arccos(1/(2l)) <= pi*l/2 on [rho, R]."""
+    rho, R = cf.TORUS_RHO, cf.TORUS_R
+    e = math.exp(-rho * t)
+    lower = (e / t**2) * (1.0 + t * (2 * rho - 1) / 2.0
+                          - (2.0 - t + 2 * R * t) * math.exp(-t * (R - rho)) / 2.0)
+    upper = (e / t**2) * (math.pi / 2.0) * (
+        1.0 + rho * t - (1.0 + R * t) * math.exp(-t * (R - rho)))
+    return lower, upper
+
+
+def interval_first_partial(t: float, L: float) -> float:
+    """Mag([a,b], t*d, Lebesgue; 1) = L - 2L/t + (2/t^2)(1 - e^{-tL})."""
+    return L - 2.0 * L / t + (2.0 / t**2) * (1.0 - math.exp(-t * L))
+
+
+def laplace_line_first_partial(t: float) -> float:
+    """Mag(R, t|.|, exp(-|x|); 1) = 2 - 2(t+2)/(t+1)^2."""
+    return 2.0 - 2.0 * (t + 2.0) / (t + 1.0) ** 2
+
+
+@dataclass(frozen=True)
+class OrderedPartition:
+    """A composition of n+1 with at least one part >= 2."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.parts or any(p < 1 for p in self.parts):
+            raise ValueError("parts must be positive integers")
+        if all(p == 1 for p in self.parts):
+            raise ValueError("the all-ones composition is excluded")
+
+
+def enumerate_partitions(n: int) -> list[OrderedPartition]:
+    """All compositions of n+1 containing a part >= 2; there are 2^n - 1."""
+    out = []
+
+    def rec(remaining: int, acc: list[int]):
+        if remaining == 0:
+            if any(p >= 2 for p in acc):
+                out.append(OrderedPartition(tuple(acc)))
+            return
+        for p in range(1, remaining + 1):
+            rec(remaining - p, acc + [p])
+
+    rec(n + 1, [])
+    return out
+
+
+def cluster_stats(lam: OrderedPartition) -> tuple[int, int]:
+    """(f, g): the number of maximal runs of parts >= 2, and the plus signs
+    inside those runs (run length - 1, summed over the runs)."""
+    f = g = run = 0
+    for p in lam.parts + (1,):
+        if p >= 2:
+            run += 1
+        elif run:
+            f, g, run = f + 1, g + run - 1, 0
+    return f, g

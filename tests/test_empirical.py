@@ -6,6 +6,7 @@ import pytest
 from magnilab import empirical, finite_mag
 from magnilab.errors import MagnilabError
 from magnilab.spaces import Sphere2
+from references import rescaling_identity_residual
 
 
 def test_weighted_partial_matches_neumann_counting_measure():
@@ -48,7 +49,7 @@ def test_uniform_sphere_partial_alternates():
 
 def test_rescaling_identity_exact():
     cfg = empirical.minimal_energy_configuration(20, seed=1)
-    assert empirical.rescaling_identity_residual(cfg, 3) < 1e-12
+    assert rescaling_identity_residual(cfg, 3) < 1e-12
 
 
 def test_fekete_constant():

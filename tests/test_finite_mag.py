@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from magnilab import finite_mag, graph_mag
 from magnilab.errors import SingularMatrixError
 from magnilab.spaces import FiniteMetricSpace, GeodesicGraph, graph_metric
+from references import shift_metric
 
 
 def two_point(d):
@@ -50,14 +51,20 @@ def test_neumann_converges_to_inverse():
     assert series.partial_sums[-1] == pytest.approx(exact, abs=1e-9)
 
 
+def column_sum_ratio(m: FiniteMetricSpace, t: float) -> float:
+    """max column sum of Y = Z - I; the series tail is geometric in this ratio."""
+    y = finite_mag.similarity(m.dist, t) - np.eye(m.size)
+    return float(np.abs(y).sum(axis=0).max())
+
+
 def test_column_sum_ratio_brackets_threshold():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(4, 2))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     m = FiniteMetricSpace.from_matrix(d)
     t_exact, _ = finite_mag.convergence_threshold(m)
-    assert finite_mag.column_sum_ratio(m, t_exact + 1e-6) < 1.0
-    assert finite_mag.column_sum_ratio(m, t_exact - 1e-6) > 1.0
+    assert column_sum_ratio(m, t_exact + 1e-6) < 1.0
+    assert column_sum_ratio(m, t_exact - 1e-6) > 1.0
 
 
 def test_singular_similarity_raises():
@@ -193,7 +200,7 @@ def test_shift_metric_scaling_identity(c):
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     m = FiniteMetricSpace.from_matrix(d)
-    shifted = finite_mag.shift_metric(m, c)
+    shifted = shift_metric(m, c)
     lhs = finite_mag.neumann_partial(shifted, 1.0, 4)
     from magnilab.empirical import weighted_partial_magnitude
     rhs = weighted_partial_magnitude(

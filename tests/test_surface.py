@@ -1,16 +1,18 @@
 """The library keeps only what runs.
 
 Every top-level public function and class of a library module (all of
-src/magnilab but cli and __init__) is read by other package code, is an
-entry point the benchmark traces, or is documented API in the README's
-Library section.  A name that only tests use belongs in tests/.  And no
-library module imports scipy.sparse: graphs need numpy alone.  QUADPACK is
-reached through closed_forms._quad alone, the one place that sees every
-quadrature call and its error estimate.  Importing
-the command line loads neither scipy nor numpy.random, which every
-subcommand's start-up would pay for.
+src/magnilab but cli and __init__) is read by other package code, is
+re-exported by magnilab/__init__.py, or is an entry point the benchmark
+traces.  A name that only tests use belongs in tests/, and being listed in
+the README keeps no name; instead every module.name the README's Library
+section lists must exist.  And no library module imports scipy.sparse:
+graphs need numpy alone.  QUADPACK is reached through closed_forms._quad
+alone, the one place that sees every quadrature call and its error
+estimate.  Importing the command line loads neither scipy nor
+numpy.random, which every subcommand's start-up would pay for.
 """
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -33,26 +35,47 @@ def _reads(tree: ast.AST) -> Counter:
 READS = sum((_reads(tree) for tree in TREES.values()), Counter())
 
 
-def _documented() -> set[str]:
-    """Every word of an inline code span in the README's Library section."""
-    library = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    prose = re.sub(r"```.*?```", "", library, flags=re.S)
-    return {word for span in re.findall(r"`([^`]+)`", prose) for word in re.findall(r"\w+", span)}
+LIBRARY = [m for m in TREES if m not in ("cli", "__init__")]
 
 
-@pytest.mark.parametrize("module", [m for m in TREES if m not in ("cli", "__init__")])
+def _exported(module: str) -> set[str]:
+    """The names magnilab/__init__.py imports from module."""
+    return {alias.name for node in TREES["__init__"].body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+# "documented" is the package's own export list, not the README
+@pytest.mark.parametrize("module", LIBRARY)
 def test_every_public_name_is_used_traced_or_documented(module):
     sys.path.insert(0, str(REPO / "bench"))
     try:
         import traced_cli
     finally:
         sys.path.remove(str(REPO / "bench"))
-    kept = _documented() | set(traced_cli.ENTRY_POINTS.get(module, {}))
+    kept = _exported(module) | set(traced_cli.ENTRY_POINTS.get(module, {}))
     unused = [node.name for node in TREES[module].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in kept
               and READS[node.name] == _reads(node)[node.name]]  # read only by itself
     assert not unused, f"{module}: {unused} are used only by tests or not at all"
+
+
+def _library_section_names() -> list[tuple[str, str]]:
+    """Each module.name of an inline code span in the README's Library
+    section whose module is a library module."""
+    library = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    return [(module, name) for span in re.findall(r"`([^`]+)`", prose)
+            for module, name in re.findall(r"(?<![\w./])(\w+)\.(\w+)", span) if module in LIBRARY]
+
+
+def test_readme_library_section_names_exist():
+    listed = _library_section_names()
+    assert listed
+    missing = [f"{module}.{name}" for module, name in listed
+               if not hasattr(importlib.import_module(f"magnilab.{module}"), name)]
+    assert not missing, f"the README's Library section lists {missing}, which do not exist"
 
 
 def _imports(tree: ast.AST):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from magnilab import mc, weight_measures as wm
+from magnilab import closed_forms as cf, mc, weight_measures as wm
 from magnilab.spaces import Circle, Interval, Sphere2
+from references import OrderedPartition, cluster_stats, enumerate_partitions
 
 # Mag;N, N = 1..4, from the 240-node spline and quad oracle that the exact
 # recursion replaced, keyed by (L, t)
@@ -23,6 +24,13 @@ SPLINE_ORACLE = {
     (1.0, 0.5): (0.1967346701436159, 1.4179593142096778, 0.29202042679081686,
                  1.3336705138395841),
 }
+
+
+def scaled_weight_magnitude(space, t: float, c: float) -> float:
+    """Mag with measure c*mu_w, 0 < c < 1: each leg integrates to c under
+    c*mu_w, so a_n = c^{n+1} mu_w(X) and the alternating series sums to
+    c/(1+c) * mu_w(X)."""
+    return c / (1.0 + c) * wm.homogeneous_weight_mass(space, t)
 
 
 def weight_identity_residual(space, t: float) -> float:
@@ -70,43 +78,47 @@ class TestHomogeneousWeights:
         assert weight_identity_residual(Interval(0.0, 1.0, "weight"), 1.0) < 1e-9
 
     def test_scaled_magnitude(self):
-        space = Circle(1.0)
-        mass = wm.homogeneous_weight_mass(space, 1.0)
-        c = 0.25
-        assert wm.scaled_weight_magnitude(space, 1.0, c) == pytest.approx(
-            c / (1 + c) * mass, rel=1e-12)
+        # a_n = (c c_tilde)^{n+1} Vol(X) J(t)^n under c * c_tilde * dvol, with
+        # the catalog's leg integral J; the series to order 60 is summed
+        t, c = 1.0, 0.25
+        for space, leg in ((Circle(1.0), cf.circle_leg_integral),
+                           (Sphere2(1.0), cf.sphere_leg_integral)):
+            scale = c * wm.homogeneous_weight_constant(space, t)
+            terms = [scale ** (n + 1) * space.total_mass * leg(space.r, t) ** n
+                     for n in range(61)]
+            assert math.fsum((-1) ** n * a for n, a in enumerate(terms)) == pytest.approx(
+                scaled_weight_magnitude(space, t, c), rel=1e-12)
 
 
 class TestPartitions:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_excluding_all_ones(self, n):
         # compositions of n+1 other than (1,...,1): 2^n - 1
-        assert len(wm.enumerate_partitions(n)) == 2**n - 1
+        assert len(enumerate_partitions(n)) == 2**n - 1
 
     def test_cluster_stats_examples(self):
-        assert wm.cluster_stats(wm.OrderedPartition((2, 1))) == (1, 0)
-        assert wm.cluster_stats(wm.OrderedPartition((2, 2))) == (1, 1)
-        assert wm.cluster_stats(wm.OrderedPartition((2, 1, 2))) == (2, 0)
-        assert wm.cluster_stats(wm.OrderedPartition((2, 2, 1, 3, 2))) == (2, 2)
-        assert wm.cluster_stats(
-            wm.OrderedPartition((2, 2, 1, 2, 2, 1, 2))) == (3, 2)
+        assert cluster_stats(OrderedPartition((2, 1))) == (1, 0)
+        assert cluster_stats(OrderedPartition((2, 2))) == (1, 1)
+        assert cluster_stats(OrderedPartition((2, 1, 2))) == (2, 0)
+        assert cluster_stats(OrderedPartition((2, 2, 1, 3, 2))) == (2, 2)
+        assert cluster_stats(OrderedPartition((2, 2, 1, 2, 2, 1, 2))) == (3, 2)
 
     def test_rejects_trivial_partition(self):
         with pytest.raises(ValueError):
-            wm.OrderedPartition((1, 1, 1))
+            OrderedPartition((1, 1, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 9))
     def test_parts_sum_to_n_plus_one(self, n):
-        for lam in wm.enumerate_partitions(n):
+        for lam in enumerate_partitions(n):
             assert sum(lam.parts) == n + 1
             assert any(p >= 2 for p in lam.parts)
 
     def test_counted_coefficients_equal_the_enumeration(self):
         for n in range(1, 15):
             plain, mass = Counter(), Counter()
-            for lam in wm.enumerate_partitions(n):
-                f, g = wm.cluster_stats(lam)
+            for lam in enumerate_partitions(n):
+                f, g = cluster_stats(lam)
                 rep = sum(p for p in lam.parts if p >= 2)
                 plain[g] += 2**f
                 mass[g] += Fraction(2**f, 2**rep)
@@ -121,8 +133,8 @@ def enumerated_partition_sum(N, L, t):
     verbatim = corrected = mass
     for n in range(1, N + 1):
         s_plain = s_mass = 0.0
-        for lam in wm.enumerate_partitions(n):
-            f, g = wm.cluster_stats(lam)
+        for lam in enumerate_partitions(n):
+            f, g = cluster_stats(lam)
             term = 2.0**f * math.exp(-t * L * g)
             s_plain += term
             s_mass += term * 0.5 ** sum(p for p in lam.parts if p >= 2)
@@ -158,6 +170,13 @@ class TestIntervalWeightTable:
         assert abs(r2.bruteforce - r2.mc_estimate) < 4 * r2.mc_stderr
         assert abs(r2.paper_formula - r2.bruteforce) > 0.1
         assert abs(r2.corrected_formula - r2.bruteforce) > 0.1
+
+    @pytest.mark.parametrize("L", [50.0, 1e8])
+    def test_partition_sum_where_t_L_overflows(self, L):
+        # at g = 0 the decay is exactly 1, even where t L * 0 is inf * 0; past
+        # t L = 1e4 every other decay is 0, so t = 1e300 gives the same sums
+        assert wm.interval_weight_partition_sum(3, L, 1.7e308) == (
+            wm.interval_weight_partition_sum(3, L, 1e300))
 
     @pytest.mark.parametrize("L, t", list(SPLINE_ORACLE))
     def test_bruteforce_matches_spline_oracle(self, L, t):
