@@ -322,8 +322,7 @@ def _run_length_spectrum(args) -> list[str]:
         if not _positive(l_max):
             raise OverflowError(f"default l_max = n * diameter = {l_max} is not a finite float64")
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)
-    edges, density, counts = mc.estimate_length_density(spec, n, args.bins, l_max)
-    stderr = mc.length_density_stderr(spec, n, edges[1] - edges[0], counts)
+    edges, density, stderr = mc.estimate_length_density(spec, n, args.bins, l_max)
     if not math.isfinite(max(density.max(), stderr.max())):
         raise OverflowError(f"bin width {edges[1] - edges[0]:.3g} puts a density or its "
                             "error past the float range")

@@ -21,31 +21,12 @@ from .finite_mag import chain_series, similarity
 from .spaces import MagnitudeSeries, Sphere2
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """m points on a round 2-sphere under the empirical measure, 1/m each."""
-
-    space: Sphere2
-    points: np.ndarray  # (m, 3) unit vectors
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.size, 1.0 / self.size)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def distance_matrix(self) -> np.ndarray:
-        dots = np.clip(self.points @ self.points.T, -1.0, 1.0)
-        d = self.space.r * np.arccos(dots)
-        np.fill_diagonal(d, 0.0)
-        return d
+def great_circle_distances(u: np.ndarray, r: float) -> np.ndarray:
+    """r * arccos(u_i . u_j) for the rows u_i of an (m, 3) array of unit
+    vectors: the great-circle metric of the points on Sphere2(r)."""
+    d = r * np.arccos(np.clip(u @ u.T, -1.0, 1.0))
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def weighted_partial_magnitude(
@@ -79,10 +60,9 @@ def _log_energy_and_grad(x: np.ndarray, m: int):
     return energy, grad_x.ravel()
 
 
-def minimal_energy_configuration(
-    m: int, seed: int, r: float = 1.0, maxiter: int = 2000
-) -> PointConfiguration:
-    """m points on Sphere2(r) minimizing pairwise logarithmic energy.
+def minimal_energy_configuration(m: int, seed: int, maxiter: int = 2000) -> np.ndarray:
+    """(m, 3) unit vectors of m points on the 2-sphere minimizing pairwise
+    logarithmic energy.
 
     Deterministic given the seed; uses an unconstrained parametrization in
     R^{3m} with the unit projection folded into the objective.  Raises
@@ -106,7 +86,7 @@ def minimal_energy_configuration(
         raise MagnilabError(f"L-BFGS-B did not converge for m = {m} points: {res.message}")
     u = res.x.reshape(m, 3)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return PointConfiguration(Sphere2(r), u)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +123,7 @@ def fekete_convergence_experiment(
     target = uniform_sphere_partial(r, t, N)
     rows = []
     for m in m_list:
-        cfg = minimal_energy_configuration(m, seed=seed + m, r=r)
-        val = weighted_partial_magnitude(cfg.distance_matrix(), cfg.weights, t, N).partial_sums[N]
+        d = great_circle_distances(minimal_energy_configuration(m, seed=seed + m), r)
+        val = weighted_partial_magnitude(d, np.full(m, 1.0 / m), t, N).partial_sums[N]
         rows.append(FeketeRow(m, N, val, target, abs(val - target)))
     return rows

@@ -34,7 +34,8 @@ def similarity(dist: np.ndarray, t: float, counts: np.ndarray | None = None,
     """
     if t <= 0:
         raise ValueError("scale t must be positive")
-    z = np.multiply(dist, -t, out=out)
+    with np.errstate(over="ignore"):  # t d past the float range is -inf, whose exp is 0
+        z = np.multiply(dist, -t, out=out)
     np.exp(z, out=z)
     if counts is not None:
         z *= counts

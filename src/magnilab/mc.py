@@ -121,7 +121,12 @@ class ChainEstimate:
         mass total_mass."""
         mean = float(self.mean[i, k])
         var = max(float(self.moment[i, k, k]) - mean * mean, 0.0)
-        scale = total_mass ** (self.orders[k] + 1)
+        power = self.orders[k] + 1
+        try:
+            scale = total_mass ** power
+        except OverflowError:  # a float power raises where a product would give inf
+            raise OverflowError(f"mu(X)^{power} = {total_mass:.3g}^{power} exceeds "
+                                "the float range") from None
         return scale * mean, scale * math.sqrt(var / self.count)
 
     def series(self, i: int, total_mass: float) -> MagnitudeSeries:
@@ -325,8 +330,9 @@ def _map_batches(spec: SamplerSpec, N: int, reduce) -> list:
         for n in range(N):
             point = sample_batch(spec, rng, m, out=scratch.slots[(n + 1) % 2], spare=totals[n])
             geodesic_distance(spec.space, prev.coords, point.coords, out=totals[n])
-            if n:
-                totals[n] += totals[n - 1]
+            if n:  # a length past the float range is inf, whose exp(-t L) is 0
+                with np.errstate(over="ignore"):
+                    totals[n] += totals[n - 1]
             if propers[n] is not None:
                 np.greater(prev.tags, 0, out=propers[n])
                 propers[n] &= prev.tags == point.tags
@@ -462,10 +468,13 @@ def estimate_partial_magnitude(spec: SamplerSpec, t: float, N: int) -> Magnitude
 def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
     """Histogram estimate of the order-n length-spectrum density.
 
-    Returns (bin edges, density values, counts): counts[i] of the
-    spec.samples chains are proper and have total length in bin i, and the
-    density is scaled so that summing density * bin width approximates
-    mu(X)^{n+1} restricted to [0, l_max].
+    Returns (bin edges, density values, standard errors).  A bin's count c
+    of the S = spec.samples chains are proper and have total length in it;
+    the density mu(X)^{n+1} c / (S width) is scaled so that summing density
+    * bin width approximates mu(X)^{n+1} restricted to [0, l_max].  c is
+    binomial, so its density's error is mu(X)^{n+1} / (S width) *
+    sqrt(c (1 - c / S)); an empty bin takes the error of one count, since a
+    zero count does not show a zero density.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -480,21 +489,7 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
         return np.histogram(total if proper is None else total[proper], bins=edges)[0]
 
     counts = sum(_map_batches(spec, n, reduce))
+    S, power, c = spec.samples, spec.total_mass ** (n + 1), np.maximum(counts, 1)
     with np.errstate(over="ignore"):  # a subnormal width may put it past the float range
-        density = counts * spec.total_mass ** (n + 1) / (spec.samples * width)
-    return edges, density, counts
-
-
-def length_density_stderr(spec: SamplerSpec, n: int, width: float,
-                          counts: np.ndarray) -> np.ndarray:
-    """Standard error of each bin of estimate_length_density.
-
-    A bin's count c out of S = spec.samples chains is binomial, so the
-    error of its density mu(X)^{n+1} c / (S width) is
-    mu(X)^{n+1} / (S width) * sqrt(c (1 - c / S)).  An empty bin takes the
-    error of one count, since a zero count does not show a zero density.
-    """
-    S = spec.samples
-    c = np.maximum(counts, 1)
-    with np.errstate(over="ignore"):
-        return spec.total_mass ** (n + 1) / (S * width) * np.sqrt(c * (1.0 - c / S))
+        density = counts * power / (S * width)
+        return edges, density, power / (S * width) * np.sqrt(c * (1.0 - c / S))

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +34,8 @@ COUNT_LIMIT = float(2**53)
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite metric space given by point labels and a distance matrix."""
+    """A finite metric space given by its distance matrix, which it copies."""
 
-    points: tuple[str, ...]
     dist: np.ndarray  # (n, n) float64, read-only
 
     def __post_init__(self):
@@ -46,30 +44,14 @@ class FiniteMetricSpace:
     def _own(self, d: np.ndarray) -> None:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
-        if len(self.points) != d.shape[0]:
-            raise MetricValidationError(
-                f"{len(self.points)} labels for a {d.shape[0]}x{d.shape[0]} matrix"
-            )
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "points", tuple(str(p) for p in self.points))
 
     @classmethod
-    def from_matrix(cls, dist, points: Sequence[str] | None = None) -> "FiniteMetricSpace":
-        d = np.asarray(dist, dtype=float)
-        if points is None:
-            points = [str(i) for i in range(d.shape[0])]
-        return cls(tuple(points), d)
-
-    @classmethod
-    def _adopt(cls, dist: np.ndarray, points: Sequence[str] | None = None) -> "FiniteMetricSpace":
+    def _adopt(cls, dist: np.ndarray) -> "FiniteMetricSpace":
         """The space on a float64 array its caller has just made and holds
-        alone, without from_matrix's copy; the array becomes read-only.
-        points default to the labels "0", "1", ..."""
+        alone, without the constructor's copy; the array becomes read-only."""
         space = cls.__new__(cls)
-        if points is None:
-            points = [str(i) for i in range(dist.shape[0])]
-        object.__setattr__(space, "points", points)
         space._own(dist)
         return space
 
@@ -572,10 +554,6 @@ class MagnitudeSeries:
             sums.append(sums[-1] + (-1) ** term.order * term.value)
         object.__setattr__(self, "partial_sums", tuple(sums))
 
-    def partial_sum_errors(self) -> tuple[float, ...]:
-        """Std error of each partial sum: errors, or zeros for exact terms."""
-        return self.errors if self.errors is not None else (0.0,) * (len(self.terms) + 1)
-
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -610,25 +588,24 @@ def _data_lines(path):
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Read an n x n distance matrix from CSV, optional first header row.
 
-    The first row is a header of labels when none of its fields is a number;
-    either way its field count is n.  Blank lines are skipped.  The file is
-    read once, so a pipe loads too, and each row is parsed into the n x n
-    array that the space keeps, allocated at the first data row, so no copy
-    of the text is held.  A non-numeric field, a row with other than n
+    The first row is a header of labels, skipped, when none of its fields is
+    a number; either way its field count is n.  Blank lines are skipped.
+    The file is read once, so a pipe loads too, and each row is parsed into
+    the n x n array that the space keeps, allocated at the first data row,
+    so no copy of the text is held.  A non-numeric field, a row with other than n
     fields or an (n+1)-th row raises MetricValidationError naming its
     1-based line; fewer than n rows raise it too.  When the n x n array
     does not fit in memory the rest of the file is still read, so a file
     that is not square raises MetricValidationError and only a square one
     raises the MemoryError.
     """
-    labels, n, d, r, no_room = None, None, None, 0, None
+    n, d, r, no_room = None, None, 0, None
     for no, line in _data_lines(path):
         fields = line.split(",")
         if n is None:
             n = len(fields)
             if not any(map(_parses_as_float, fields)):
-                labels = [x.strip() for x in fields]
-                continue
+                continue  # a header of labels
         if r == n or len(fields) != n:
             raise MetricValidationError(f"distance file {path} is not square: line {no} is "
                                         f"row {r + 1} with {len(fields)} fields for {n} columns")
@@ -653,7 +630,7 @@ def load_distance_csv(path) -> FiniteMetricSpace:
             f"distance file {path} is not square: {r} rows for {n} columns")
     if no_room is not None:
         raise no_room
-    return FiniteMetricSpace._adopt(d, labels)
+    return FiniteMetricSpace._adopt(d)
 
 
 def load_edge_list(path) -> GeodesicGraph:

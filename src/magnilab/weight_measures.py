@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import closed_forms, mc
 from .spaces import AnalyticSpace, Circle, Interval, Sphere2
@@ -78,9 +79,8 @@ def weight_partial_magnitude_check(
     out = []
     for i, mass in enumerate(masses):
         series = est.series(i, mass)
-        errors = series.partial_sum_errors()
         out.append([WeightCheckRow(k, series.partial_sums[k], mass if k % 2 == 0 else 0.0,
-                                   errors[k]) for k in range(N + 1)])
+                                   series.errors[k]) for k in range(N + 1)])
     return out
 
 
@@ -92,10 +92,10 @@ def weight_partial_magnitude_check(
 MAX_N = 20
 
 
-def _composition_weights(s: int, one: int) -> list[int]:
-    """[sum of one^(number of parts 1) * 2^f over the compositions of s with
-    cluster statistic g, for g = 0..s]: f counts the maximal runs of parts
-    >= 2, and g sums (run length - 1) over them.
+def _composition_weights(s: int, one: int) -> list[list[int]]:
+    """Row k, for k = 0..s: [sum of one^(number of parts 1) * 2^f over the
+    compositions of k with cluster statistic g, for g = 0..s]: f counts the
+    maximal runs of parts >= 2, and g sums (run length - 1) over them.
 
     A dynamic program over the parts; its one state is whether the last part
     is >= 2.  A part >= 2 after a part 1 (or at the start) opens a run, f + 1;
@@ -111,39 +111,23 @@ def _composition_weights(s: int, one: int) -> list[int]:
             for g in range(s + 1):
                 big[g] += 2 * after_one[g] + (after_big[g - 1] if g else 0)
         ends_big.append(big)
-    return [a + b for a, b in zip(ends_one[s], ends_big[s])]
+    return [[a + b for a, b in zip(*rows)] for rows in zip(ends_one, ends_big)]
 
 
-@lru_cache(maxsize=MAX_N)
-def composition_coefficients(n: int) -> tuple[tuple[int, ...], tuple]:
-    """(plain, mass) coefficients by g of the order-n composition sums.
+def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> list[tuple[float, float]]:
+    """[(verbatim, corrected)] composition-formula values of Mag;n, n = 1..N.
 
-    Over the compositions lambda of n+1 with a part >= 2, plain[g] sums 2^f
-    and mass[g] sums 2^f (1/2)^rep over those with statistic g, where rep is
-    the sum of the parts >= 2.  (1/2)^rep = 2^{(number of parts 1) - (n+1)},
-    so both are counted by _composition_weights; the all-ones composition
-    (f = g = rep = 0) is then taken out.
-    """
-    from fractions import Fraction
-
-    plain = _composition_weights(n + 1, 1)
-    scaled = _composition_weights(n + 1, 2)
-    plain[0] -= 1
-    scaled[0] -= 2 ** (n + 1)
-    return tuple(plain), tuple(Fraction(c, 2 ** (n + 1)) for c in scaled)
-
-
-def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[float, float]:
-    """(verbatim, corrected) composition-formula values of Mag;N.
-
-    Verbatim: mu_w(X) - sum_{n<=N} (-1)^n sum_lambda 2^{f} e^{-t L g}, the
+    Verbatim: mu_w(X) - sum_{k<=n} (-1)^k sum_lambda 2^{f} e^{-t L g}, the
     published display (stated at t = 1; the t scaling is an extension).
 
     Corrected: alternating bookkeeping with the non-proper mass per lambda
     additionally carrying the atom masses (1/2)^{sum of parts >= 2}:
-    mu_w + sum_n (-1)^n (mu_w - sum_lambda 2^f e^{-t L g} (1/2)^{rep}).
+    mu_w + sum_k (-1)^k (mu_w - sum_lambda 2^f e^{-t L g} (1/2)^{rep}).
 
-    The sums over lambda come from composition_coefficients; each value is
+    The sums over lambda, the compositions of k+1 with a part >= 2, come
+    from _composition_weights: (1/2)^rep = 2^{(number of parts 1) - (k+1)},
+    so the mass sums are its one = 2 rows over 2^{k+1}, and the all-ones
+    composition (f = g = rep = 0) is taken out of both.  Each value is
     summed exactly from the float e^{-t L g} and rounded once.
     """
     if N > MAX_N:
@@ -153,13 +137,16 @@ def interval_weight_partition_sum(N: int, L: float, t: float = 1.0) -> tuple[flo
     mass = Fraction(1.0 + L / 2.0)
     # at g = 0 the decay is exp(-0.0) = 1, also where t L overflows and 0 * inf is nan
     decay = [Fraction(math.exp(-t * L * g)) if g else Fraction(1) for g in range(N + 2)]
+    plain, scaled = (_composition_weights(N + 1, one) for one in (1, 2))
     verbatim = corrected = mass
+    rows = []
     for n in range(1, N + 1):
-        plain, atom_mass = composition_coefficients(n)
         sign = (-1) ** n
-        verbatim -= sign * sum(c * x for c, x in zip(plain, decay))
-        corrected += sign * (mass - sum(c * x for c, x in zip(atom_mass, decay)))
-    return float(verbatim), float(corrected)
+        verbatim -= sign * (sum(c * x for c, x in zip(plain[n + 1], decay)) - 1)
+        atom_mass = sum(c * x for c, x in zip(scaled[n + 1], decay)) / 2 ** (n + 1) - 1
+        corrected += sign * (mass - atom_mass)
+        rows.append((float(verbatim), float(corrected)))
+    return rows
 
 
 # An lru_cache because bench/traced_cli.py reports its cache_info() after
@@ -170,9 +157,10 @@ def _kernel_cache(t: float, L: float, N: int) -> tuple[float, ...]:
     return tuple(closed_forms.interval_chain_terms(N, t, L, 0.5, 0.5))
 
 
-def interval_weight_bruteforce(N: int, L: float, t: float = 1.0) -> float:
-    """Exact partial magnitude Mag;N for the interval weight measure."""
-    return sum((-1.0) ** n * a for n, a in enumerate(_kernel_cache(t, L, N)))
+def interval_weight_bruteforce(N: int, L: float, t: float = 1.0) -> list[float]:
+    """Exact partial magnitudes [Mag;0, ..., Mag;N] for the interval weight
+    measure, from one transfer recursion."""
+    return list(accumulate((-1.0) ** n * a for n, a in enumerate(_kernel_cache(t, L, N))))
 
 
 @dataclass(frozen=True)
@@ -188,16 +176,14 @@ class IntervalWeightRow:
 def interval_weight_report(
     N_max: int, L: float, t: float = 1.0, samples: int = 200_000, seed: int = 0
 ) -> list[IntervalWeightRow]:
-    """Side-by-side comparison of the three routes plus an MC estimate."""
+    """Side-by-side comparison of the three routes plus an MC estimate, for
+    N = 1..N_max: one run of each exact route and one set of chains give
+    every row."""
     space = Interval(0.0, L, "weight")
     spec = mc.SamplerSpec(space, seed=seed, samples=samples)
     series = mc.estimate_partial_magnitude(spec, t, N_max)
-    errs = series.partial_sum_errors()
-    rows = []
-    for N in range(1, N_max + 1):
-        verbatim, corrected = interval_weight_partition_sum(N, L, t)
-        rows.append(IntervalWeightRow(
-            N, verbatim, corrected, interval_weight_bruteforce(N, L, t),
-            series.partial_sums[N], errs[N]
-        ))
-    return rows
+    exact = zip(interval_weight_partition_sum(N_max, L, t),
+                interval_weight_bruteforce(N_max, L, t)[1:])
+    return [IntervalWeightRow(N, verbatim, corrected, brute, series.partial_sums[N],
+                              series.errors[N])
+            for N, ((verbatim, corrected), brute) in enumerate(exact, 1)]

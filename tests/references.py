@@ -10,21 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from magnilab import closed_forms as cf
-from magnilab.empirical import weighted_partial_magnitude
+from magnilab.empirical import great_circle_distances, weighted_partial_magnitude
 from magnilab.spaces import FiniteMetricSpace
 
 
 def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
     """Every off-diagonal distance increased by c >= 0, still a metric."""
-    return FiniteMetricSpace(m.points, m.dist + c * (1.0 - np.eye(m.size)))
+    return FiniteMetricSpace(m.dist + c * (1.0 - np.eye(m.size)))
 
 
-def rescaling_identity_residual(cfg, N: int) -> float:
+def rescaling_identity_residual(u: np.ndarray, N: int) -> float:
     """Max per-order gap between the empirical measure's partial sums and
     1/m times the counting measure's under the metric shifted by log m, at
-    unit scale; cfg is an empirical.PointConfiguration of m points."""
-    m = cfg.size
-    d = cfg.distance_matrix()
+    unit scale; u holds the m points on the unit 2-sphere as unit vectors."""
+    m = len(u)
+    d = great_circle_distances(u, 1.0)
     emp = weighted_partial_magnitude(d, np.full(m, 1.0 / m), 1.0, N)
     cnt = weighted_partial_magnitude(d + math.log(m) * (1.0 - np.eye(m)), np.ones(m), 1.0, N)
     return max(abs(e - s / m) for e, s in zip(emp.partial_sums, cnt.partial_sums))

@@ -513,6 +513,11 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
     # t^2 passes the float range, so J(t) underflows to 0
     (["weight-check", "--space", "sphere", "--t", "1e300", "--samples", "10"],
      "weight constant 1/J(t) overflows"),
+    # mu(X) = 1 + L/2 is finite, but its square, which scales a_1, is not
+    (["interval-weight", "--L", "1.7e308", "--t", "1", "--N", "3", "--samples", "3000"],
+     "mu(X)^2 = 8.5e+307^2 exceeds the float range"),
+    (["manifold", "--space", "interval", "--measure", "weight", "--b", "1.7e308", "--t",
+      "1e-300", "--N", "2", "--samples", "3000"], "mu(X)^2 = 8.5e+307^2 exceeds"),
 ])
 def test_overflow_message_names_the_quantity(capsys, args, named):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -925,49 +930,46 @@ PAIRED = ("5e-324", "1e-300", "1", "50", "1e8", "1e300", "1.7e308")
 MC = ["--samples", "3000"]
 
 
-def grid_case(case, warns):
+def grid_case(case):
     """A grid case named by its subcommand, --space and --measure: manifold/interval/weight."""
-    return pytest.param(case, warns, id="/".join(
+    return pytest.param(case, id="/".join(
         [case[0]] + [case[i + 1] for i, a in enumerate(case) if a in ("--space", "--measure")]))
 
 
-# warns: whether a RuntimeWarning is let through.  Where it is not, the
-# suite's error::RuntimeWarning filter holds, so a warning raises out of
-# cli.run and fails the case.  Where it is, the warning is ignored, as
-# outside the suite a run prints it and goes on, and the run is judged by its
-# exit code and output alone.
-@pytest.mark.parametrize("case, warns", [grid_case(*c) for c in [
+# The suite's error::RuntimeWarning filter holds in every case, so a warning
+# raises out of cli.run and fails it.
+@pytest.mark.parametrize("case", [grid_case(c) for c in [
     # t = 1.7e308: d t overflows to -inf in finite_mag.similarity, whose exp is 0
-    (["finite", "--input", "FILE", "--t", "P", "--method", "all"], True),
-    (["manifold", "--space", "circle", "--r", "P", "--t", "P", "--N", "3", *MC], False),
-    (["manifold", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC], False),
-    (["manifold", "--space", "torus", "--t", "P", "--N", "1", *MC], False),
+    ["finite", "--input", "FILE", "--t", "P", "--method", "all"],
+    ["manifold", "--space", "circle", "--r", "P", "--t", "P", "--N", "3", *MC],
+    ["manifold", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC],
+    ["manifold", "--space", "torus", "--t", "P", "--N", "1", *MC],
     # b = 1.7e308: sampled chain lengths sum past the float max, and the run
     # then exits 3 on a term or a power of mu(X) past the float range
-    (["manifold", "--space", "interval", "--b", "P", "--t", "P", "--N", "3", *MC], True),
-    (["manifold", "--space", "interval", "--measure", "weight", "--b", "P", "--t", "P",
-      "--N", "2", *MC], True),
-    (["manifold", "--space", "line-laplace", "--t", "P", "--N", "1", *MC], False),
-    (["manifold", "--space", "line-gauss", "--t", "P", "--N", "1", *MC], False),
-    (["weight-check", "--space", "circle", "--r", "P", "--t", "P", "--N", "2", *MC], False),
-    (["weight-check", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC], False),
-    (["length-spectrum", "--space", "circle", "--r", "P", "--l-max", "P", "--n", "2",
-      "--bins", "4", *MC], False),
+    ["manifold", "--space", "interval", "--b", "P", "--t", "P", "--N", "3", *MC],
+    ["manifold", "--space", "interval", "--measure", "weight", "--b", "P", "--t", "P",
+     "--N", "2", *MC],
+    ["manifold", "--space", "line-laplace", "--t", "P", "--N", "1", *MC],
+    ["manifold", "--space", "line-gauss", "--t", "P", "--N", "1", *MC],
+    ["weight-check", "--space", "circle", "--r", "P", "--t", "P", "--N", "2", *MC],
+    ["weight-check", "--space", "sphere", "--r", "P", "--t", "P", "--N", "2", *MC],
+    ["length-spectrum", "--space", "circle", "--r", "P", "--l-max", "P", "--n", "2",
+     "--bins", "4", *MC],
     # L = 1.7e308: as on the weighted interval above
-    (["interval-weight", "--L", "P", "--t", "P", "--N", "3", *MC], True),
-    (["catalog", "--t", "P"], False),
+    ["interval-weight", "--L", "P", "--t", "P", "--N", "3", *MC],
+    ["catalog", "--t", "P"],
 ]])
-def test_extreme_parameter_grid(case, warns):
+def test_extreme_parameter_grid(case):
     """Every numeric option at float extremes, alone or paired with a
-    second option: exit 0, 2 or 3, no traceback, and only finite numbers at
-    exit 0."""
+    second option: exit 0, 2 or 3, no traceback, no RuntimeWarning, and
+    only finite numbers at exit 0."""
     failures = []
     values = EXTREMES if case.count("P") == 1 else PAIRED
     for combo in itertools.product(values, repeat=case.count("P")):
         it = iter(combo)
         argv = [next(it) if a == "P" else a for a in case]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore" if warns else "error", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 checked_run(argv, "0,1,2,1\n1,0,1,2\n2,1,0,1\n1,2,1,0\n")
             except Exception as exc:  # an assertion of checked_run, or a warning raised

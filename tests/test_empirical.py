@@ -14,7 +14,7 @@ def test_weighted_partial_matches_neumann_counting_measure():
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     from magnilab.spaces import FiniteMetricSpace
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     a = finite_mag.neumann_partial(m, 1.2, 4)
     b = empirical.weighted_partial_magnitude(d, np.ones(5), 1.2, 4)
     assert a.partial_sums == pytest.approx(b.partial_sums, abs=1e-12)
@@ -22,11 +22,10 @@ def test_weighted_partial_matches_neumann_counting_measure():
 
 def test_minimal_energy_small_configs():
     # m = 2: antipodal; m = 4: regular tetrahedron
-    cfg2 = empirical.minimal_energy_configuration(2, seed=0)
-    assert float(cfg2.points[0] @ cfg2.points[1]) == pytest.approx(-1.0, abs=1e-6)
+    u2 = empirical.minimal_energy_configuration(2, seed=0)
+    assert u2.shape == (2, 3) and float(u2[0] @ u2[1]) == pytest.approx(-1.0, abs=1e-6)
 
-    cfg4 = empirical.minimal_energy_configuration(4, seed=0)
-    d = cfg4.distance_matrix()
+    d = empirical.great_circle_distances(empirical.minimal_energy_configuration(4, seed=0), 1.0)
     off = d[np.triu_indices(4, k=1)]
     assert np.allclose(off, math.acos(-1.0 / 3.0), atol=1e-5)
 
@@ -34,7 +33,7 @@ def test_minimal_energy_small_configs():
 def test_minimal_energy_deterministic():
     a = empirical.minimal_energy_configuration(12, seed=3)
     b = empirical.minimal_energy_configuration(12, seed=3)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_minimal_energy_unconverged_raises():
@@ -48,8 +47,8 @@ def test_uniform_sphere_partial_alternates():
 
 
 def test_rescaling_identity_exact():
-    cfg = empirical.minimal_energy_configuration(20, seed=1)
-    assert rescaling_identity_residual(cfg, 3) < 1e-12
+    u = empirical.minimal_energy_configuration(20, seed=1)
+    assert rescaling_identity_residual(u, 3) < 1e-12
 
 
 def test_fekete_constant():

@@ -14,7 +14,7 @@ from references import shift_metric
 
 
 def two_point(d):
-    return FiniteMetricSpace.from_matrix(np.array([[0.0, d], [d, 0.0]]))
+    return FiniteMetricSpace(np.array([[0.0, d], [d, 0.0]]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -30,7 +30,7 @@ def test_weighting_vector_sums_to_magnitude():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     w = finite_mag.weighting_vector(m, 1.5)
     assert float(w.sum()) == pytest.approx(finite_mag.classical_magnitude(m, 1.5))
     # defining property: Z w = 1
@@ -42,7 +42,7 @@ def test_neumann_converges_to_inverse():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(4, 2)) * 2.0
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     t_exact, t_crude = finite_mag.convergence_threshold(m)
     assert t_exact <= t_crude
     t = t_exact + 0.5
@@ -61,7 +61,7 @@ def test_column_sum_ratio_brackets_threshold():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(4, 2))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     t_exact, _ = finite_mag.convergence_threshold(m)
     assert column_sum_ratio(m, t_exact + 1e-6) < 1.0
     assert column_sum_ratio(m, t_exact - 1e-6) > 1.0
@@ -70,7 +70,7 @@ def test_column_sum_ratio_brackets_threshold():
 def test_singular_similarity_raises():
     # duplicated point => exactly singular similarity matrix
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SingularMatrixError):
@@ -199,7 +199,7 @@ def test_shift_metric_scaling_identity(c):
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     shifted = shift_metric(m, c)
     lhs = finite_mag.neumann_partial(shifted, 1.0, 4)
     from magnilab.empirical import weighted_partial_magnitude

@@ -231,7 +231,7 @@ def test_partial_sum_errors_match_per_chain_alternating_sums():
             sums[k].append(float(s.sum()))
             sqs[k].append(float((s * s).sum()))
     series = mc.estimate_partial_magnitude(spec, t, N)
-    errors = series.partial_sum_errors()
+    errors = series.errors
     assert errors[0] == 0.0
     quadrature = 0.0
     for k in range(N):
@@ -409,15 +409,19 @@ def test_weighted_interval_estimate_memory_stays_at_one_scratch_set(monkeypatch)
     assert peak <= (2 * (8 + 1) + 4 * 8 + 4) * mc.TILE + (1 << 19)
 
 
-def test_length_density_errors_are_binomial():
+def test_length_density_errors_are_binomial(monkeypatch):
     spec = mc.SamplerSpec(Interval(0.0, 1.0, "weight"), samples=1000)
     n, width = 2, 0.25
     counts = np.array([0, 1, 250, 999, 1000])
+    monkeypatch.setattr(mc, "_map_batches", lambda spec, N, reduce: [counts])
+    edges, density, stderr = mc.estimate_length_density(spec, n, len(counts), width * len(counts))
+    assert edges[1] - edges[0] == width
     scale = spec.total_mass ** (n + 1) / (spec.samples * width)
+    assert density == pytest.approx(counts * scale, rel=1e-15)
     want = [scale * math.sqrt(c * (1 - c / spec.samples)) for c in counts]
     # an empty bin takes the error of one count, not a zero error
     want[0] = scale * math.sqrt(1 - 1 / spec.samples)
-    assert mc.length_density_stderr(spec, n, width, counts) == pytest.approx(want, rel=1e-15)
+    assert stderr == pytest.approx(want, rel=1e-15)
 
 
 def test_tail_bound_controls_truncation():

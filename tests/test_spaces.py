@@ -18,7 +18,7 @@ from magnilab.spaces import (MAX_VIOLATIONS, METRIC_TOL, Circle,
 def euclidean_space(coords):
     pts = np.asarray(coords, dtype=float)
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return FiniteMetricSpace.from_matrix(d)
+    return FiniteMetricSpace(d)
 
 
 @settings(max_examples=50, deadline=None)
@@ -32,12 +32,12 @@ def test_euclidean_point_sets_validate(coords):
 
 def test_validation_catches_asymmetry_and_triangle():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
-    bad = FiniteMetricSpace(points=("a", "b"), dist=d)
+    bad = FiniteMetricSpace(d)
     names = {v[0] for v in validate_metric(bad).violations}
     assert "asymmetric" in names
 
     d = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
-    bad = FiniteMetricSpace.from_matrix(d)
+    bad = FiniteMetricSpace(d)
     names = {v[0] for v in validate_metric(bad).violations}
     assert "triangle inequality" in names
 
@@ -45,7 +45,7 @@ def test_validation_catches_asymmetry_and_triangle():
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_validation_catches_non_finite_entries(entry):
     d = np.array([[0, 1, entry], [1, 0, 1], [entry, 1, 0]])
-    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    report = validate_metric(FiniteMetricSpace(d))
     assert ("non-finite entry", (0, 2)) in report.violations
     assert ("non-finite entry", (2, 0)) in report.violations
 
@@ -53,14 +53,14 @@ def test_validation_catches_non_finite_entries(entry):
 def test_distances_near_the_float_max_validate():
     """d(i,j) + d(j,k) overflows to inf, which still bounds d(i,k)."""
     d = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
-    assert validate_metric(FiniteMetricSpace.from_matrix(d)).valid
+    assert validate_metric(FiniteMetricSpace(d)).valid
 
 
 def test_asymmetry_past_the_float_max_is_reported_without_a_warning():
     """d(0,1) - d(1,0) overflows to inf > tol: an asymmetry, and no warning,
     which the suite would turn into an error."""
     d = np.array([[0.0, 1e308], [-1e308, 0.0]])
-    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    report = validate_metric(FiniteMetricSpace(d))
     assert report.violations == (("asymmetric", (0, 1)),)
 
 
@@ -115,7 +115,7 @@ def broken_metric(n, kind, seed):
 
 def assert_matches_reference(d):
     ref = reference_violations(d)
-    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    report = validate_metric(FiniteMetricSpace(d))
     assert report.violations == tuple(ref[:MAX_VIOLATIONS])
     assert report.truncated == (len(ref) > MAX_VIOLATIONS)
 
@@ -215,12 +215,12 @@ def test_shortcut_is_reported_both_ways_and_screened_in_full_from_its_first_row(
 
 def test_validate_metric_caps_the_violation_list():
     d = np.zeros((20, 20))  # 190 nonpositive off-diagonal pairs
-    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    report = validate_metric(FiniteMetricSpace(d))
     assert len(report.violations) == MAX_VIOLATIONS and report.truncated
     assert report.violations == tuple(reference_violations(d)[:MAX_VIOLATIONS])
     assert str(report).endswith(f"; list cut after the first {MAX_VIOLATIONS} violations")
     d = np.full((3, 3), np.nan)
-    report = validate_metric(FiniteMetricSpace.from_matrix(d))
+    report = validate_metric(FiniteMetricSpace(d))
     assert len(report.violations) == 9 and not report.truncated
 
 
@@ -268,7 +268,7 @@ def test_invalid_metric_memory_is_one_block_of_sums():
     n = 400
     d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2))).dist.copy()
     d[3, 150] = d[150, 3] = 0.5 * d[3, 150]
-    space = FiniteMetricSpace.from_matrix(d)
+    space = FiniteMetricSpace(d)
     tracemalloc.start()
     try:
         report = validate_metric(space)
@@ -287,7 +287,7 @@ def test_row_with_many_violations_costs_less_than_one_square_array():
     np.fill_diagonal(d, 0.0)
     far = np.arange(n) >= n // 2
     d[0, far] = d[far, 0] = 10.0  # d(0,k) = 10 > d(0,j) + d(j,k) = 2 for j < n/2 <= k
-    space = FiniteMetricSpace.from_matrix(d)
+    space = FiniteMetricSpace(d)
     tracemalloc.start()
     try:
         report = validate_metric(space)
@@ -305,7 +305,7 @@ def test_min_positive_distance_reads_the_off_diagonal_entries_in_place(n):
     d = rng.uniform(1.0, 2.0, size=(n, n))
     d = d + d.T
     np.fill_diagonal(d, 0.0)
-    space = FiniteMetricSpace.from_matrix(d)
+    space = FiniteMetricSpace(d)
     tracemalloc.start()
     try:
         least = space.min_positive_distance()
@@ -326,9 +326,9 @@ def test_analytic_spaces_reject_bad_parameters(make):
         make()
 
 
-def test_from_matrix_rejects_wrong_shape():
+def test_constructor_rejects_wrong_shape():
     with pytest.raises(MetricValidationError):
-        FiniteMetricSpace.from_matrix(np.zeros((2, 3)))
+        FiniteMetricSpace(np.zeros((2, 3)))
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -376,8 +376,7 @@ def test_load_distance_csv_with_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n0,1\n1,0\n")
     m = load_distance_csv(p)
-    assert m.points == ("a", "b")
-    assert m.dist[0, 1] == 1.0
+    assert m.size == 2 and m.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_load_distance_csv_plain(tmp_path):
@@ -397,7 +396,6 @@ def test_load_distance_csv_matches_list_parse(tmp_path):
     p.write_text("a,b,c,d,e\n\n" + text.replace("\n", "\n\n", 1) + "\n")
     expected = np.array([[float(x) for x in r] for r in rows])
     m = load_distance_csv(p)
-    assert m.points == ("a", "b", "c", "d", "e")
     assert m.dist.tobytes() == expected.tobytes()
 
 
@@ -417,7 +415,7 @@ def test_load_distance_csv_parses_into_the_kept_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.size == n and m.points[-1] == f"p{n - 1}"
+    assert m.size == n
     assert m.dist.tobytes() == d.tobytes()
     assert peak < 1.25 * 8 * n * n
 
@@ -427,7 +425,7 @@ def test_load_distance_csv_reads_its_file_once(tmp_path, monkeypatch):
     lines = iter(["a,b\n", "0,1\n", "\n", "1,0\n"])
     monkeypatch.setattr(spaces, "_text_lines", lambda path: lines)
     m = load_distance_csv(tmp_path / "d.csv")
-    assert m.points == ("a", "b") and m.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert m.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
@@ -456,12 +454,12 @@ def test_load_edge_list(tmp_path):
 
 def test_metric_space_copies_its_distances():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = FiniteMetricSpace.from_matrix(d)
+    m = FiniteMetricSpace(d)
     d[0, 1] = 5.0  # a writable input is copied
     assert m.dist[0, 1] == 1.0 and not m.dist.flags.writeable
     base = np.zeros((2, 2))
     writable = base[:]
     base.setflags(write=False)  # read-only, but the view taken before can still write
-    m = FiniteMetricSpace.from_matrix(base)
+    m = FiniteMetricSpace(base)
     writable[0, 1] = 5.0
     assert m.dist[0, 1] == 0.0

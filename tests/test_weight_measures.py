@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestHomogeneousWeights:
                 scaled_weight_magnitude(space, t, c), rel=1e-12)
 
 
+#: the largest order whose compositions the tests enumerate: 2^15 of them
+#: in all, against 2^21 (8.7 s) up to MAX_N
+ENUMERATED_N = 14
+
+
+@cache
+def composition_stats(n):
+    """Counter of (f, g, rep) over the compositions of n + 1 with a part >= 2,
+    rep the sum of the parts >= 2."""
+    return Counter((*cluster_stats(lam), sum(p for p in lam.parts if p >= 2))
+                   for lam in enumerate_partitions(n))
+
+
 class TestPartitions:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_excluding_all_ones(self, n):
@@ -115,16 +129,16 @@ class TestPartitions:
             assert any(p >= 2 for p in lam.parts)
 
     def test_counted_coefficients_equal_the_enumeration(self):
-        for n in range(1, 15):
-            plain, mass = Counter(), Counter()
-            for lam in enumerate_partitions(n):
-                f, g = cluster_stats(lam)
-                rep = sum(p for p in lam.parts if p >= 2)
-                plain[g] += 2**f
-                mass[g] += Fraction(2**f, 2**rep)
-            dp_plain, dp_mass = wm.composition_coefficients(n)
-            assert {g: c for g, c in enumerate(dp_plain) if c} == plain
-            assert {g: c for g, c in enumerate(dp_mass) if c} == mass
+        dp_plain, dp_scaled = (wm._composition_weights(ENUMERATED_N + 1, one) for one in (1, 2))
+        for n in range(1, ENUMERATED_N + 1):
+            # the rows also count the all-ones composition: f = g = rep = 0
+            plain, mass = Counter({0: 1}), Counter({0: 1})
+            for (f, g, rep), count in composition_stats(n).items():
+                plain[g] += count * 2**f
+                mass[g] += Fraction(count * 2**f, 2**rep)
+            assert {g: c for g, c in enumerate(dp_plain[n + 1]) if c} == plain
+            assert {g: Fraction(c, 2 ** (n + 1))
+                    for g, c in enumerate(dp_scaled[n + 1]) if c} == mass
 
 
 def enumerated_partition_sum(N, L, t):
@@ -145,7 +159,7 @@ def enumerated_partition_sum(N, L, t):
 
 @pytest.mark.parametrize("N, L, t", [(4, 1.0, 1.0), (12, 1.0, 1.0), (12, 2.0, 0.5)])
 def test_counted_formulas_print_the_enumerated_digits(N, L, t):
-    counted = wm.interval_weight_partition_sum(N, L, t)
+    counted = wm.interval_weight_partition_sum(N, L, t)[-1]
     assert [f"{x:.12g}" for x in counted] == [
         f"{x:.12g}" for x in enumerated_partition_sum(N, L, t)]
 
@@ -153,13 +167,13 @@ def test_counted_formulas_print_the_enumerated_digits(N, L, t):
 class TestIntervalWeightTable:
     def test_bruteforce_first_order_is_half(self):
         for L in (0.5, 1.0, 2.0):
-            assert wm.interval_weight_bruteforce(1, L, 1.0) == pytest.approx(
+            assert wm.interval_weight_bruteforce(1, L, 1.0)[1] == pytest.approx(
                 0.5, abs=1e-9)
 
     def test_bruteforce_matches_kernel_quadrature_first_order(self):
         L, t = 1.0, 1.0
-        _, corrected = wm.interval_weight_partition_sum(1, L, t)
-        assert corrected == pytest.approx(wm.interval_weight_bruteforce(1, L, t),
+        [(_, corrected)] = wm.interval_weight_partition_sum(1, L, t)
+        assert corrected == pytest.approx(wm.interval_weight_bruteforce(1, L, t)[1],
                                           abs=1e-8)
 
     def test_report_rows_and_residual(self):
@@ -180,14 +194,52 @@ class TestIntervalWeightTable:
 
     @pytest.mark.parametrize("L, t", list(SPLINE_ORACLE))
     def test_bruteforce_matches_spline_oracle(self, L, t):
+        exact = wm.interval_weight_bruteforce(4, L, t)
         for N, spline in enumerate(SPLINE_ORACLE[L, t], start=1):
-            assert wm.interval_weight_bruteforce(N, L, t) == pytest.approx(spline, abs=1e-10)
+            assert exact[N] == pytest.approx(spline, abs=1e-10)
 
     @pytest.mark.parametrize("L, t", [(1.0, 1.0), (2.0, 0.5)])
     def test_bruteforce_matches_sampling_beyond_order_four(self, L, t):
         spec = mc.SamplerSpec(Interval(0.0, L, "weight"), seed=5, samples=200_000)
         series = mc.estimate_partial_magnitude(spec, t, 8)
-        errs = series.partial_sum_errors()
+        exact = wm.interval_weight_bruteforce(8, L, t)
         for N in range(5, 9):
-            assert abs(wm.interval_weight_bruteforce(N, L, t)
-                       - series.partial_sums[N]) < 4 * errs[N]
+            assert abs(exact[N] - series.partial_sums[N]) < 4 * series.errors[N]
+
+
+@pytest.mark.parametrize("L, t", [(1.0, 1.0), (7.3, 0.5), (50.0, 2.0), (1e-3, 1e-3)])
+def test_report_runs_one_recursion_and_prints_the_per_order_digits(monkeypatch, L, t):
+    """The table to MAX_N runs the transfer recursion once, and its exact
+    columns print the digits of evaluating each order on its own: the
+    composition formulas summed exactly over the enumerated compositions (to
+    ENUMERATED_N), and the alternating sum of interval_chain_terms(N)."""
+    calls, chain_terms = [], cf.interval_chain_terms
+
+    def counted(*args):
+        calls.append(args)
+        return chain_terms(*args)
+
+    monkeypatch.setattr(cf, "interval_chain_terms", counted)
+    wm._kernel_cache.cache_clear()
+    rows = wm.interval_weight_report(wm.MAX_N, L, t, samples=2000, seed=0)
+    assert len(calls) == 1 and [r.N for r in rows] == list(range(1, wm.MAX_N + 1))
+
+    def digits(*xs):
+        return [f"{float(x):.12g}" for x in xs]
+
+    mass = Fraction(1.0 + L / 2.0)
+    verbatim = corrected = mass
+    for r in rows:
+        n = r.N
+        chain = chain_terms(n, t, L, 0.5, 0.5)
+        assert digits(r.bruteforce) == digits(sum((-1.0) ** k * a for k, a in enumerate(chain)))
+        if n > ENUMERATED_N:
+            continue
+        plain = atom_mass = Fraction(0)
+        for (f, g, rep), count in composition_stats(n).items():
+            term = count * 2**f * Fraction(math.exp(-t * L * g))
+            plain += term
+            atom_mass += term / 2**rep
+        verbatim -= (-1) ** n * plain
+        corrected += (-1) ** n * (mass - atom_mass)
+        assert digits(r.paper_formula, r.corrected_formula) == digits(verbatim, corrected)
