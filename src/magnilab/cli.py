@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -400,7 +401,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: run, flush, and exit without the interpreter's
+    teardown, which would only free memory once the output is complete.
+    A flush that fails (a reader closed the pipe) exits through sys.exit,
+    whose teardown reports it.  Library callers use run."""
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,15 @@ def _power(x: float, k: int) -> float:
         return math.inf
 
 
+def _named_power(x: float, k: int, name: str) -> float:
+    """x**k.  Where the float power raises a bare errno OverflowError (a
+    product would give inf), the OverflowError raised names name^k."""
+    try:
+        return x**k
+    except OverflowError:
+        raise OverflowError(f"{name}^{k} = {x:.3g}^{k} exceeds the float range") from None
+
+
 # ---------------------------------------------------------------------------
 # circle of radius r, arc-length metric, dvol measure (total 2*pi*r)
 # ---------------------------------------------------------------------------
@@ -63,7 +72,7 @@ def circle_term(n: int, r: float, t: float) -> float:
     """
     if n not in (1, 2, 3):
         raise ValueError("circle catalog covers n = 1, 2, 3 only")
-    return 2.0 * math.pi * r * circle_leg_integral(r, t) ** n
+    return 2.0 * math.pi * r * _named_power(circle_leg_integral(r, t), n, "J(t)")
 
 
 def circle_length_density(n: int, r: float, l) -> np.ndarray:
@@ -138,11 +147,13 @@ def sphere_leg_integral(r: float, t: float) -> float:
     """J(t) = 2*pi*r^2*(1 + exp(-pi*r*t))/(t^2 r^2 + 1).
 
     Where t^2 overflows and r^2 underflows, t^2 r^2 is inf * 0; it is taken
-    as (t r)^2, which is finite, so J(t) is 0 as its factor r^2 is."""
-    tr2 = _power(t, 2) * r**2
+    as (t r)^2, which is finite, so J(t) is 0 as its factor r^2 is.  An r
+    whose square overflows raises an OverflowError that names r^2."""
+    r2 = _named_power(r, 2, "r")
+    tr2 = _power(t, 2) * r2
     if math.isnan(tr2):
         tr2 = (t * r) ** 2
-    return 2.0 * math.pi * r**2 * (1.0 + math.exp(-math.pi * r * t)) / (tr2 + 1.0)
+    return 2.0 * math.pi * r2 * (1.0 + math.exp(-math.pi * r * t)) / (tr2 + 1.0)
 
 
 def sphere_term(n: int, r: float, t: float) -> float:
@@ -155,7 +166,7 @@ def sphere_term(n: int, r: float, t: float) -> float:
     """
     if n not in (1, 2):
         raise ValueError("sphere catalog covers n = 1, 2 only")
-    return 4.0 * math.pi * r**2 * sphere_leg_integral(r, t) ** n
+    return 4.0 * math.pi * r**2 * _named_power(sphere_leg_integral(r, t), n, "J(t)")
 
 
 def sphere_length_density(n: int, r: float, l) -> np.ndarray:

@@ -100,6 +100,11 @@ class SamplerSpec:
         return self.space.total_mass
 
 
+def _mass_power(total_mass: float, power: int) -> float:
+    """mu(X)^power, the scale of an order-(power - 1) chain term."""
+    return closed_forms._named_power(total_mass, power, "mu(X)")
+
+
 @dataclass(frozen=True)
 class ChainEstimate:
     """Estimates of a_n(t) for several orders and t from shared chains.
@@ -121,12 +126,7 @@ class ChainEstimate:
         mass total_mass."""
         mean = float(self.mean[i, k])
         var = max(float(self.moment[i, k, k]) - mean * mean, 0.0)
-        power = self.orders[k] + 1
-        try:
-            scale = total_mass ** power
-        except OverflowError:  # a float power raises where a product would give inf
-            raise OverflowError(f"mu(X)^{power} = {total_mass:.3g}^{power} exceeds "
-                                "the float range") from None
+        scale = _mass_power(total_mass, self.orders[k] + 1)
         return scale * mean, scale * math.sqrt(var / self.count)
 
     def series(self, i: int, total_mass: float) -> MagnitudeSeries:
@@ -141,7 +141,7 @@ class ChainEstimate:
             raise ValueError("a series needs the orders 1..N")
         terms = tuple(SeriesTerm(n, *self.term(k, i, total_mass))
                       for k, n in enumerate(self.orders))
-        c = np.array([(-1.0) ** n * total_mass ** (n + 1) for n in self.orders])
+        c = np.array([(-1.0) ** n * _mass_power(total_mass, n + 1) for n in self.orders])
         cov = self.moment[i] - np.outer(self.mean[i], self.mean[i])
         var = np.cumsum(np.cumsum(c[:, None] * cov * c, axis=0), axis=1).diagonal()
         errors = (0.0,) + tuple(math.sqrt(max(float(v), 0.0) / self.count) for v in var)
@@ -489,7 +489,7 @@ def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):
         return np.histogram(total if proper is None else total[proper], bins=edges)[0]
 
     counts = sum(_map_batches(spec, n, reduce))
-    S, power, c = spec.samples, spec.total_mass ** (n + 1), np.maximum(counts, 1)
+    S, power, c = spec.samples, _mass_power(spec.total_mass, n + 1), np.maximum(counts, 1)
     with np.errstate(over="ignore"):  # a subnormal width may put it past the float range
         density = counts * power / (S * width)
         return edges, density, power / (S * width) * np.sqrt(c * (1.0 - c / S))

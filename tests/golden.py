@@ -14,9 +14,20 @@ kernel nor its thread count.  The rewrite checks that: it computes the
 digests in fresh interpreters under OPENBLAS_NUM_THREADS 1 and 2 and under
 MAGNILAB_THREADS 1 and 2, and writes nothing unless all four agree.
 test_golden.py checks them in process at both MAGNILAB_THREADS settings.
+
+    python3 tests/golden.py --against REV
+
+checks out the git revision REV into a temporary worktree, which it
+removes again, and runs every invocation above at every seed, and those
+in fixed_invocations, through ``python -m magnilab.cli`` on both trees,
+under MAGNILAB_THREADS 1 and 2.  It prints each run whose stdout, stderr
+or exit code differs between REV and the working tree, and gates
+nothing.  Both trees keep their compiled bytecode, so neither recompiles
+on every run, and the real entry point, exit included, is what runs.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,8 +35,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
 MANIFEST = os.path.join(HERE, "golden.json")
 SEEDS = (0, 1, 2, 3)
 GRID = ["--t-grid", "0.5", "2", "2"]
@@ -47,6 +60,27 @@ MC_INVOCATIONS = (
     ["length-spectrum", "--space", "interval", "--measure", "weight", "--n", "3"],
     ["weight-check", "--space", "sphere", "--N", "2", *GRID],
 )
+
+
+#: mu(X)^3 = (2 pi 1e300)^3 is past the float range: exit 3
+OVERFLOW = ["length-spectrum", "--space", "circle", "--r", "1e300", "--l-max", "1", "--n", "2",
+            "--bins", "4", "--samples", "3000"]
+
+
+def fixed_invocations(workdir: str) -> list[list[str]]:
+    """The command lines --against runs besides the golden ones: finite and
+    graph --gamma count on the benchmark's seed-0 inputs, written to
+    workdir; the catalog; a Fekete run; and one run that exits 2 and one
+    that exits 3."""
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    import workloads
+
+    bad = os.path.join(workdir, "triangle.csv")
+    with open(bad, "w") as fh:
+        fh.write("0,1,9\n1,0,1\n9,1,0\n")
+    return [workloads.finite_dense(0, workdir).args, workloads.graph_count(0, workdir).args,
+            ["catalog"], ["fekete-demo", "--m-list", "20", "40", "--N", "2"],
+            ["finite", "--input", bad, "--t", "1"], OVERFLOW]
 
 
 def argv(invocation, seed: int) -> list[str]:
@@ -83,7 +117,66 @@ def digests() -> dict[str, str]:
     return out
 
 
+def cli_result(src: str, args: list[str], threads: str, cwd: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of python -m magnilab.cli args run from src."""
+    env = dict(os.environ, PYTHONPATH=src, MAGNILAB_THREADS=threads, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    res = subprocess.run([sys.executable, "-m", "magnilab.cli", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True)
+    return res.returncode, res.stdout, res.stderr
+
+
+def _difference(before: tuple[int, str, str], after: tuple[int, str, str]) -> list[str]:
+    """One line per differing part of two cli_result values."""
+    lines = []
+    if before[0] != after[0]:
+        lines.append(f"exit code {before[0]} -> {after[0]}")
+    if before[1] != after[1]:
+        old, new = before[1].splitlines(), after[1].splitlines()
+        at = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+        lines.append(f"stdout line {at + 1}: {old[at:at + 1]} -> {new[at:at + 1]}")
+    if before[2] != after[2]:
+        lines.append(f"stderr {before[2][-300:]!r} -> {after[2][-300:]!r}")
+    return lines
+
+
+def against(rev: str) -> None:
+    """Print every run whose stdout, stderr or exit code differs between
+    the git revision rev and the working tree."""
+    src = os.path.join(REPO, "src")
+    sys.path.insert(0, src)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree")
+        res = subprocess.run(["git", "-C", REPO, "worktree", "add", "--detach", "--quiet", tree,
+                              rev], capture_output=True, text=True)
+        if res.returncode:
+            sys.exit(f"git worktree add {rev}: {res.stderr.strip()}")
+        try:
+            runs = [argv(invocation, seed) for invocation in MC_INVOCATIONS for seed in SEEDS]
+            runs += fixed_invocations(tmp)
+            differ = 0
+            for threads in ("1", "2"):
+                for args in runs:
+                    before = cli_result(os.path.join(tree, "src"), args, threads, tmp)
+                    lines = _difference(before, cli_result(src, args, threads, tmp))
+                    if lines:
+                        differ += 1
+                        print(f"MAGNILAB_THREADS={threads} magnilab {' '.join(args)}",
+                              *lines, sep="\n    ", flush=True)
+        finally:
+            subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=True)
+    print(f"{differ} of {2 * len(runs)} runs differ from {rev}")
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REV",
+                    help="compare every run with the git revision REV instead of rewriting")
+    rev = ap.parse_args().against
+    if rev is not None:
+        against(rev)
+        return
     import numpy as np
 
     runs = {}

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -518,6 +519,9 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
      "mu(X)^2 = 8.5e+307^2 exceeds the float range"),
     (["manifold", "--space", "interval", "--measure", "weight", "--b", "1.7e308", "--t",
       "1e-300", "--N", "2", "--samples", "3000"], "mu(X)^2 = 8.5e+307^2 exceeds"),
+    # 2 pi r is finite, but the cube that scales the order-2 density is not
+    (["length-spectrum", "--space", "circle", "--r", "1e300", "--l-max", "1", "--n", "2",
+      "--bins", "4", "--samples", "3000"], "mu(X)^3 = 6.28e+300^3 exceeds the float range"),
 ])
 def test_overflow_message_names_the_quantity(capsys, args, named):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -783,6 +787,57 @@ def test_interval_closed_column_at_small_t(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the console script's exit, which skips the interpreter's teardown
+# ---------------------------------------------------------------------------
+
+#: about 400 KB of CSV, more than a pipe holds
+LARGE = ["length-spectrum", "--space", "circle", "--bins", "6000", "--samples", "2000"]
+SMALL = ["manifold", "--space", "circle", "--t", "1", "--method", "closed", "--N", "1"]
+#: the entry point as it was while it exited through the teardown
+SYS_EXIT = ["-c", "import sys; from magnilab import cli; sys.exit(cli.run(sys.argv[1:]))"]
+
+
+def test_console_script_writes_every_byte(tmp_path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(LARGE) == cli.EXIT_OK
+    want = buf.getvalue().encode()
+    assert len(want) > 2**16
+    entry = [sys.executable, "-m", "magnilab.cli", *LARGE]
+    # a buffered stdout holds bytes that only a flush writes
+    env = dict(os.environ, PYTHONUNBUFFERED="")
+    res = subprocess.run(entry, capture_output=True, env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (0, want, b"")
+    path = tmp_path / "out.csv"
+    res = subprocess.run([*entry, "--output", str(path)], capture_output=True, env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (0, b"", b"")
+    assert path.read_bytes() == want
+
+
+def _reader_closes_early(entry, args, head, unbuffered):
+    """(exit code, stderr) of a run whose reader closes stdout after head bytes."""
+    proc = subprocess.Popen([sys.executable, *entry, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    if head:
+        os.read(proc.stdout.fileno(), head)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+# After 20 bytes, the large write fails while cli.run emits it; before any
+# byte, a buffered stdout fails only on the flush after cli.run returns.
+@pytest.mark.parametrize("args, head", [(LARGE, 20), (SMALL, 0)],
+                         ids=["after-20-bytes", "before-any-byte"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_as_sys_exit_does(args, head, unbuffered):
+    assert (_reader_closes_early(["-m", "magnilab.cli"], args, head, unbuffered)
+            == _reader_closes_early(SYS_EXIT, args, head, unbuffered))
+
+
+# ---------------------------------------------------------------------------
 # fuzzing cli.run with malformed files and out-of-range parameters
 # ---------------------------------------------------------------------------
 
@@ -797,9 +852,10 @@ PARAM = st.one_of(st.floats(0.1, 3.0).map(repr),
 def checked_run(argv, text=""):
     """cli.run on argv, with FILE replaced by a temporary file holding text.
 
-    The run must exit 0, 2 or 3 without a traceback, and at exit 0 every
-    field of its CSV that parses as a number must be finite.  Returns the
-    exit code.
+    The run must exit 0, 2 or 3 without a traceback, at exit 3 with a
+    message of its own rather than a bare errno tuple such as a float
+    power's OverflowError carries, and at exit 0 every field of its CSV
+    that parses as a number must be finite.  Returns the exit code.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
@@ -810,6 +866,8 @@ def checked_run(argv, text=""):
             code = cli.run([path if a == "FILE" else a for a in argv])
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL)
     assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_NUMERICAL:
+        assert not re.match(r"numerical failure: \(\d+, ", err.getvalue()), err.getvalue()
     if code == cli.EXIT_OK:
         for line in out.getvalue().splitlines():
             for field in line.split(","):

@@ -9,7 +9,9 @@ section lists must exist.  And no library module imports scipy.sparse:
 graphs need numpy alone.  QUADPACK is reached through closed_forms._quad
 alone, the one place that sees every quadrature call and its error
 estimate.  Importing the command line loads neither scipy nor
-numpy.random, which every subcommand's start-up would pay for.
+numpy.random, which every subcommand's start-up would pay for.  No
+function but cli.main, the console script, ends the process, so a library
+caller, cli.run's included, always gets control back.
 """
 import ast
 import importlib
@@ -126,3 +128,30 @@ def test_importing_the_cli_loads_no_scipy_and_no_numpy_random():
                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def _is_exit(func: ast.expr) -> bool:
+    """True for os._exit, sys.exit, exit and an imported _exit."""
+    if isinstance(func, ast.Name):
+        return func.id in ("exit", "_exit")
+    return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and (func.value.id, func.attr) in (("os", "_exit"), ("sys", "exit")))
+
+
+def _exit_calls(node: ast.AST, where: str | None = None):
+    """(enclosing def or class as a dotted name, line) of each exit call
+    under node; None for a call outside every def."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if where is None else f"{where}.{child.name}"
+        elif isinstance(child, ast.Call) and _is_exit(child.func):
+            yield where, child.lineno
+        yield from _exit_calls(child, inner)
+
+
+def test_only_the_console_script_exits():
+    assert {where for where, _ in _exit_calls(TREES["cli"])} == {"main"}
+    found = [(module, where, line) for module, tree in TREES.items()
+             for where, line in _exit_calls(tree) if (module, where) != ("cli", "main")]
+    assert not found, f"exit called outside cli.main: {found}"
