@@ -8,6 +8,7 @@ produce byte-identical files regardless of MAGNILAB_THREADS.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -43,12 +44,24 @@ def _row(t, N, value, stderr, closed, method, seed) -> str:
 
 
 def _emit(lines: list[str], path: str | None):
+    """Write the lines to path, or to stdout and flush it.  Where stdout has
+    a binary layer the bytes go to it until all are written: an unbuffered
+    stdout's text layer would drop what a short write left, as a write to a
+    pipe whose reader closed early is short, and the next one raises EPIPE."""
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    out = sys.stdout
+    if not hasattr(out, "buffer"):  # a text stream such as io.StringIO
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.buffer.write(data):]
+    out.buffer.flush()
 
 
 def _positive(x: float) -> bool:
@@ -286,7 +299,7 @@ def _run_manifold(args) -> list[str]:
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)  # checks the mass
     if args.method in ("mc", "all"):
         # one (N+1)-point chain per draw serves every order and the whole grid
-        est = mc.estimate_term(spec, range(1, args.N + 1), grid)
+        est = mc.estimate_term(spec, args.N, grid)
     lines = [HEADER]
     for i, t in enumerate(grid):
         closed_terms = _closed_form_terms(space, t, args.N)
@@ -294,7 +307,7 @@ def _run_manifold(args) -> list[str]:
             if args.method in ("closed", "all") and closed is not None:
                 lines.append(_row(t, n, closed, 0.0, closed, "closed", args.seed))
             if args.method in ("mc", "all"):
-                value, stderr = est.term(n - 1, i, spec.total_mass)
+                value, stderr = est.term(n, i, spec.total_mass)
                 lines.append(_row(t, n, value, stderr, closed, "mc", args.seed))
     return lines
 
@@ -305,9 +318,10 @@ def _run_weight_check(args) -> list[str]:
     checks = weight_measures.weight_partial_magnitude_check(
         space, grid, args.N, args.samples, args.seed)
     lines = [HEADER]
-    for t, rows in zip(grid, checks):
-        for r in rows:
-            lines.append(_row(t, r.N, r.value, r.std_error, r.target, "mc", args.seed))
+    for t, series in zip(grid, checks):
+        for k, (value, error) in enumerate(zip(series.partial_sums, series.errors)):
+            target = 0.0 if k % 2 else series.total_mass  # mu_w(X) at even k, 0 at odd k
+            lines.append(_row(t, k, value, error, target, "mc", args.seed))
     return lines
 
 
@@ -357,8 +371,9 @@ def _run_interval_weight(args) -> list[str]:
 
 
 def _run_fekete(args) -> list[str]:
+    constant = empirical.fekete_constant(args.r)  # an r^2 that overflows fails at once
     rows = empirical.fekete_convergence_experiment(args.r, args.m_list, args.N, args.seed)
-    return [f"# limit constant c = {_csv(empirical.fekete_constant(args.r))}",
+    return [f"# limit constant c = {_csv(constant)}",
             "m,N,empirical,target,abs_dev", *(_csv(*dataclasses.astuple(r)) for r in rows)]
 
 
@@ -403,14 +418,13 @@ def run(argv) -> int:
 def main() -> None:
     """The console script: run, flush, and exit without the interpreter's
     teardown, which would only free memory once the output is complete.
-    A flush that fails (a reader closed the pipe) exits through sys.exit,
-    whose teardown reports it.  Library callers use run."""
+    run has reported its own failures, closed pipes included; a flush that
+    fails here could only lose argparse's help, whose writes argparse
+    lets fail quietly.  Library callers use run."""
     code = run(sys.argv[1:])
-    try:
+    with contextlib.suppress(OSError):
         sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:
-        sys.exit(code)
     os._exit(code)
 
 

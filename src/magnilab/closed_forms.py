@@ -156,6 +156,15 @@ def sphere_leg_integral(r: float, t: float) -> float:
     return 2.0 * math.pi * r2 * (1.0 + math.exp(-math.pi * r * t)) / (tr2 + 1.0)
 
 
+def sphere_leg_ratio(r: float, t: float) -> float:
+    """J(t)/Vol = (1 + exp(-pi*r*t)) / (2((t r)^2 + 1)) on the 2-sphere.
+
+    Free of r^2, which underflows below r = 1e-154 while the ratio tends
+    to 1; it is 0 where (t r)^2 overflows."""
+    tr = t * r
+    return (1.0 + math.exp(-math.pi * r * t)) / (2.0 * (tr * tr + 1.0))
+
+
 def sphere_term(n: int, r: float, t: float) -> float:
     """a_n on the 2-sphere for n = 1, 2: 4*pi*r^2 * J(t)^n.
 

@@ -98,7 +98,7 @@ def uniform_sphere_partial(r: float, t: float, N: int) -> float:
 
     Per-order terms are (J(t)/Vol)^n by homogeneity.
     """
-    ratio = closed_forms.sphere_leg_integral(r, t) / Sphere2(r).total_mass
+    ratio = closed_forms.sphere_leg_ratio(Sphere2(r).r, t)  # Sphere2 checks r
     return sum((-ratio) ** n for n in range(N + 1))
 
 
@@ -114,7 +114,7 @@ class FeketeRow:
 def fekete_constant(r: float) -> float:
     """The limit constant 2(1 + r^2)/(1 + e^{-pi r}) (weight mass over the
     uniform probability measure at unit scale)."""
-    return 2.0 * (1.0 + r**2) / (1.0 + math.exp(-math.pi * r))
+    return 2.0 * (1.0 + closed_forms._named_power(r, 2, "r")) / (1.0 + math.exp(-math.pi * r))
 
 
 def fekete_convergence_experiment(

@@ -12,9 +12,10 @@ and order n reads its n-leg prefix: the running total length after leg n,
 and the running AND of the per-leg proper indicators.  A tile reduces to
 sums of v_n = exp(-t L_n) * proper_n and of every product v_i v_j, for each
 t of a grid, or to histogram counts.  The chains do not depend on t, so
-estimate_term(spec, orders, grid) draws them once for all its orders and the
-whole grid; its ChainEstimate gives each term with its error, and its cross
-moments the error of any partial sum of the shared terms.
+estimate_term(spec, N, grid) draws them once for the orders 1..N and the
+whole grid; its ChainEstimate gives each term with its error, and its
+covariance, formed once from the summed products, the error of any partial
+sum of the shared terms.
 
 Each worker of a call keeps one scratch set of tile length for the whole
 call: two point slots that the chain's points alternate between, and the
@@ -107,43 +108,39 @@ def _mass_power(total_mass: float, power: int) -> float:
 
 @dataclass(frozen=True)
 class ChainEstimate:
-    """Estimates of a_n(t) for several orders and t from shared chains.
+    """Estimates of a_1(t), ..., a_N(t) for each t of a grid from shared chains.
 
     With v_n = exp(-t L_n) * proper_n for the n-leg prefix of a chain,
-    mean[i, k] is the chain mean of v_{orders[k]} at t[i], and
-    moment[i, j, k] the chain mean of v_{orders[j]} * v_{orders[k]}.
+    mean[i, n - 1] is the chain mean of v_n at t[i], and cov[i, j - 1, k - 1]
+    the chain mean of v_j * v_k minus the product of their means.
     """
 
-    orders: tuple[int, ...]
     t: tuple[float, ...]
     count: int
     mean: np.ndarray
-    moment: np.ndarray
+    cov: np.ndarray
     proper_fraction: float
 
-    def term(self, k: int, i: int, total_mass: float) -> tuple[float, float]:
-        """(value, std error) of a_{orders[k]}(t[i]) for a measure of total
+    def term(self, n: int, i: int, total_mass: float) -> tuple[float, float]:
+        """(value, std error) of a_n(t[i]), n in 1..N, for a measure of total
         mass total_mass."""
-        mean = float(self.mean[i, k])
-        var = max(float(self.moment[i, k, k]) - mean * mean, 0.0)
-        scale = _mass_power(total_mass, self.orders[k] + 1)
+        if not 1 <= n <= self.mean.shape[1]:
+            raise ValueError(f"order {n} is outside 1..{self.mean.shape[1]}")
+        mean, var = float(self.mean[i, n - 1]), max(float(self.cov[i, n - 1, n - 1]), 0.0)
+        scale = _mass_power(total_mass, n + 1)
         return scale * mean, scale * math.sqrt(var / self.count)
 
     def series(self, i: int, total_mass: float) -> MagnitudeSeries:
-        """Partial sums at t[i] for orders 1..N, for a measure of total mass
-        total_mass.
+        """Partial sums at t[i] for a measure of total mass total_mass.
 
         The terms share chains, so a partial sum's error is that of the
         per-chain alternating sum sum_n c_n v_n, c_n = (-1)^n mu^{n+1}:
         sqrt(c^T Cov c / count) over the orders it includes.
         """
-        if self.orders != tuple(range(1, len(self.orders) + 1)):
-            raise ValueError("a series needs the orders 1..N")
-        terms = tuple(SeriesTerm(n, *self.term(k, i, total_mass))
-                      for k, n in enumerate(self.orders))
-        c = np.array([(-1.0) ** n * _mass_power(total_mass, n + 1) for n in self.orders])
-        cov = self.moment[i] - np.outer(self.mean[i], self.mean[i])
-        var = np.cumsum(np.cumsum(c[:, None] * cov * c, axis=0), axis=1).diagonal()
+        orders = range(1, self.mean.shape[1] + 1)
+        terms = tuple(SeriesTerm(n, *self.term(n, i, total_mass)) for n in orders)
+        c = np.array([(-1.0) ** n * _mass_power(total_mass, n + 1) for n in orders])
+        var = np.cumsum(np.cumsum(c[:, None] * self.cov[i] * c, axis=0), axis=1).diagonal()
         errors = (0.0,) + tuple(math.sqrt(max(float(v), 0.0) / self.count) for v in var)
         return MagnitudeSeries(t=self.t[i], total_mass=total_mass, terms=terms, errors=errors)
 
@@ -361,59 +358,54 @@ def _fsum_batches(parts: list) -> np.ndarray:
     return np.array([math.fsum(col) for col in flat]).reshape(stacked.shape[1:])
 
 
-def estimate_term(spec: SamplerSpec, orders, grid) -> ChainEstimate:
-    """Monte-Carlo estimates of a_n(t) for every order n in orders and every
-    t in grid, from one set of chains.
+def estimate_term(spec: SamplerSpec, N: int, grid) -> ChainEstimate:
+    """Monte-Carlo estimates of a_1(t), ..., a_N(t) for every t in grid, from
+    one set of (N+1)-point chains.
 
-    One (N+1)-point chain per draw, N the largest order, serves every order,
-    and the chains do not depend on t, so each tile is reduced for every t
-    (common random numbers).  An order's estimate depends only on the seed
-    and the sample count: it is bit-identical whatever other orders and t
-    are asked for.  With shared chains the estimates are strictly decreasing
-    in t whenever at least one sampled chain is proper.  The result's
-    term(k, i, mass) is the value and standard error of a_{orders[k]} at
-    grid[i], and its series(i, mass) the partial sums with the errors its
-    cross moments give.  An empty sequence of orders draws nothing.
+    Order n reads the n-leg prefix of each chain, and the chains do not
+    depend on t, so each tile is reduced for every t (common random
+    numbers).  An order's estimate depends only on the seed and the sample
+    count: it is bit-identical whatever N and t are asked for.  With shared
+    chains the estimates are strictly decreasing in t whenever at least one
+    sampled chain is proper.  The result's term(n, i, mass) is the value and
+    standard error of a_n at grid[i], and its series(i, mass) the partial
+    sums with the errors its covariance gives.  N = 0 draws nothing.
     """
-    orders = tuple(int(k) for k in orders)
-    if any(k < 1 for k in orders) or len(set(orders)) < len(orders):
-        raise ValueError("orders must be distinct and >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     grid = tuple(float(x) for x in grid)
-    K, T, count = len(orders), len(grid), spec.samples
+    T, count = len(grid), spec.samples
 
     def reduce(totals, propers, spare):
         # every t but the last writes its values into dead arrays, and the
         # last over the lengths, which it needs no more
-        need = 1 + (K if T > 1 else 0)
-        bufs = spare[:need] + [np.empty_like(totals[0]) for _ in range(need - len(spare))]
-        prod, values = bufs[0], bufs[1:]
-        sums, moments = np.empty((T, K)), np.empty((T, K, K))
+        need = 1 + (N if T > 1 else 0)
+        prod, *values = spare[:need] + [np.empty_like(totals[0]) for _ in range(need - len(spare))]
+        sums, moments = np.empty((T, N)), np.empty((T, N, N))
         for i, x in enumerate(grid):
             last = i == T - 1
             vals = []
-            for j, k in enumerate(orders):
+            for n, (total, proper) in enumerate(zip(totals, propers)):
                 # t L may overflow to inf, and exp(-inf) = 0 is then exact
                 with np.errstate(over="ignore"):
-                    v = np.multiply(totals[k - 1], -x, out=totals[k - 1] if last else values[j])
+                    v = np.multiply(total, -x, out=total if last else values[n])
                 np.exp(v, out=v)
-                if propers[k - 1] is not None:
-                    v *= propers[k - 1]
+                if proper is not None:
+                    v *= proper
                 vals.append(v)
             for j, a in enumerate(vals):
                 sums[i, j] = a.sum()
-                for k in range(j, K):
+                for k in range(j, N):
                     moments[i, j, k] = moments[i, k, j] = np.multiply(a, vals[k], out=prod).sum()
         proper = propers[-1]
         return sums, moments, len(totals[-1]) if proper is None else int(proper.sum())
 
-    if K:
-        tiles = _map_batches(spec, max(orders), reduce)
-        mean = _fsum_batches([s for s, _, _ in tiles]) / count
-        moment = _fsum_batches([q for _, q, _ in tiles]) / count
-        proper_fraction = sum(p for _, _, p in tiles) / count
-    else:
-        mean, moment, proper_fraction = np.empty((T, 0)), np.empty((T, 0, 0)), 1.0
-    return ChainEstimate(orders, grid, count, mean, moment, proper_fraction)
+    if not N:
+        return ChainEstimate(grid, count, np.empty((T, 0)), np.empty((T, 0, 0)), 1.0)
+    tiles = _map_batches(spec, N, reduce)
+    mean = _fsum_batches([s for s, _, _ in tiles]) / count
+    cov = _fsum_batches([q for _, q, _ in tiles]) / count - mean[:, :, None] * mean[:, None, :]
+    return ChainEstimate(grid, count, mean, cov, sum(p for _, _, p in tiles) / count)
 
 
 def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
@@ -461,8 +453,8 @@ def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:
 
 def estimate_partial_magnitude(spec: SamplerSpec, t: float, N: int) -> MagnitudeSeries:
     """mu(X) + sum (-1)^n a_n, every order read from one set of (N+1)-point
-    chains, with partial-sum errors from the chains' cross moments."""
-    return estimate_term(spec, range(1, N + 1), [t]).series(0, spec.total_mass)
+    chains, with partial-sum errors from the chains' covariance."""
+    return estimate_term(spec, N, [t]).series(0, spec.total_mass)
 
 
 def estimate_length_density(spec: SamplerSpec, n: int, bins: int, l_max: float):

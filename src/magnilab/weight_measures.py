@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import closed_forms, mc
-from .spaces import AnalyticSpace, Circle, Interval, Sphere2
+from .spaces import AnalyticSpace, Circle, Interval, MagnitudeSeries, Sphere2
 
 
 # ---------------------------------------------------------------------------
@@ -47,26 +47,23 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
 
 
 def homogeneous_weight_mass(space: AnalyticSpace, t: float) -> float:
-    """mu_w(X) = c_tilde * Vol(X)."""
-    mass = homogeneous_weight_constant(space, t) * space.total_mass
+    """mu_w(X) = c_tilde * Vol(X).  On the sphere it is Vol(X) / J(t), the
+    inverse of closed_forms.sphere_leg_ratio, which holds no r^2 to
+    underflow; where that ratio underflows too, J(t) does, and the weight
+    constant raises."""
+    ratio = closed_forms.sphere_leg_ratio(space.r, t) if isinstance(space, Sphere2) else 0.0
+    mass = 1.0 / ratio if ratio > 0 else homogeneous_weight_constant(space, t) * space.total_mass
     if not math.isfinite(mass):
         raise OverflowError(f"weight mass c_tilde * Vol(X) overflows at r = {space.r:g}, t = {t:g}")
     return mass
 
 
-@dataclass(frozen=True)
-class WeightCheckRow:
-    N: int
-    value: float
-    target: float
-    std_error: float
-
-
 def weight_partial_magnitude_check(
     space: AnalyticSpace, grid, N: int, samples: int, seed: int
-) -> list[list[WeightCheckRow]]:
-    """MC partial sums under the weight-normalized measure vs the exact
-    pattern (mu_w(X) for even N, 0 for odd N), one list of rows per t of grid.
+) -> list[MagnitudeSeries]:
+    """MC partial sums Mag;0..N under the weight-normalized measure, one
+    series per t of grid, to compare with the exact pattern: the series'
+    total_mass mu_w(X) at even orders, 0 at odd ones.
 
     Only mu_w(X) depends on t, so one set of (N+1)-point chains is drawn
     from the normalized measure for every order and t, and each t reads its
@@ -75,13 +72,8 @@ def weight_partial_magnitude_check(
     spec = mc.SamplerSpec(space, seed=seed, samples=samples)  # checks the mass first
     masses = [homogeneous_weight_mass(space, t) for t in grid]
     # the weight identity holds for the metric t*d, so estimate at scale t
-    est = mc.estimate_term(spec, range(1, N + 1), grid)
-    out = []
-    for i, mass in enumerate(masses):
-        series = est.series(i, mass)
-        out.append([WeightCheckRow(k, series.partial_sums[k], mass if k % 2 == 0 else 0.0,
-                                   series.errors[k]) for k in range(N + 1)])
-    return out
+    est = mc.estimate_term(spec, N, grid)
+    return [est.series(i, mass) for i, mass in enumerate(masses)]
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,10 @@ OVERFLOW = ["length-spectrum", "--space", "circle", "--r", "1e300", "--l-max", "
 def fixed_invocations(workdir: str) -> list[list[str]]:
     """The command lines --against runs besides the golden ones: finite and
     graph --gamma count on the benchmark's seed-0 inputs, written to
-    workdir; the catalog; a Fekete run; and one run that exits 2 and one
-    that exits 3."""
+    workdir; the catalog; a Fekete run; one run that exits 2 and one that
+    exits 3; the three Monte-Carlo commands at --N 0, which draw nothing;
+    weight-check on the circle; and two sphere runs at a radius whose
+    square underflows."""
     sys.path.insert(0, os.path.join(REPO, "bench"))
     import workloads
 
@@ -80,7 +82,13 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
         fh.write("0,1,9\n1,0,1\n9,1,0\n")
     return [workloads.finite_dense(0, workdir).args, workloads.graph_count(0, workdir).args,
             ["catalog"], ["fekete-demo", "--m-list", "20", "40", "--N", "2"],
-            ["finite", "--input", bad, "--t", "1"], OVERFLOW]
+            ["finite", "--input", bad, "--t", "1"], OVERFLOW,
+            ["manifold", "--space", "sphere", "--method", "mc", "--N", "0"],
+            ["weight-check", "--N", "0"], ["interval-weight", "--N", "0"],
+            argv(["weight-check", "--space", "circle", "--N", "3", *GRID], 0),
+            ["fekete-demo", "--r", "1e-161", "--m-list", "3", "--N", "2"],
+            ["weight-check", "--space", "sphere", "--r", "1e-155", "--t", "1", "--N", "2",
+             "--samples", "1000"]]
 
 
 def argv(invocation, seed: int) -> list[str]:

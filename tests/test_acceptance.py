@@ -102,7 +102,7 @@ class TestCircleSampling:
         for n in (1, 2, 3):
             for t in (1.0, 2.0):
                 spec = mc.SamplerSpec(Circle(1.0), seed=0, samples=1_000_000)
-                value, std_error = mc.estimate_term(spec, [n], [t]).term(0, 0, spec.total_mass)
+                value, std_error = mc.estimate_term(spec, n, [t]).term(n, 0, spec.total_mass)
                 within_sigma(value, cf.circle_term(n, 1.0, t), std_error)
         assert time.perf_counter() - start < 60.0
 
@@ -120,7 +120,7 @@ class TestSphereSampling:
         for n in (1, 2):
             for t in (1.0, 2.0):
                 spec = mc.SamplerSpec(Sphere2(1.0), seed=0, samples=10_000_000)
-                value, std_error = mc.estimate_term(spec, [n], [t]).term(0, 0, spec.total_mass)
+                value, std_error = mc.estimate_term(spec, n, [t]).term(n, 0, spec.total_mass)
                 within_sigma(value, cf.sphere_term(n, 1.0, t), std_error)
         assert time.perf_counter() - start < 120.0
 
@@ -131,7 +131,7 @@ class TestFlatTorus:
     def test_first_term_vs_two_dim_sampling(self):
         for t in (1.0, 5.0, 10.0):
             spec = mc.SamplerSpec(FlatTorusUnit(), seed=0, samples=1_000_000)
-            value, std_error = mc.estimate_term(spec, [1], [t]).term(0, 0, spec.total_mass)
+            value, std_error = mc.estimate_term(spec, 1, [t]).term(1, 0, spec.total_mass)
             within_sigma(value, cf.torus_first_term(t), std_error)
 
     @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
@@ -183,7 +183,7 @@ class TestIntervalLebesgue:
     @pytest.mark.parametrize("L,t", CASES)
     def test_three_chain_vs_sampling(self, L, t):
         spec = mc.SamplerSpec(Interval(0.0, L, "lebesgue"), seed=0, samples=1_000_000)
-        value, std_error = mc.estimate_term(spec, [3], [t]).term(0, 0, spec.total_mass)
+        value, std_error = mc.estimate_term(spec, 3, [t]).term(3, 0, spec.total_mass)
         within_sigma(value, cf.interval_term(3, t, L), std_error)
 
 
@@ -199,7 +199,7 @@ class TestWeightedLines:
     def test_gaussian_first_term_sampling_and_flag(self):
         for t in (1.0, 2.0):
             spec = mc.SamplerSpec(LineGaussian(), seed=0, samples=1_000_000)
-            value, std_error = mc.estimate_term(spec, [1], [t]).term(0, 0, spec.total_mass)
+            value, std_error = mc.estimate_term(spec, 1, [t]).term(1, 0, spec.total_mass)
             within_sigma(value, cf.gaussian_line_first_term(t), std_error)
             # the prior closed-form value disagrees by far more than 4 sigma
             published = cf.gaussian_line_first_term_published(t)
@@ -208,7 +208,7 @@ class TestWeightedLines:
     def test_gaussian_second_term_reduced_vs_sampling(self):
         t = 2.0
         spec = mc.SamplerSpec(LineGaussian(), seed=0, samples=2_000_000)
-        value, std_error = mc.estimate_term(spec, [2], [t]).term(0, 0, spec.total_mass)
+        value, std_error = mc.estimate_term(spec, 2, [t]).term(2, 0, spec.total_mass)
         within_sigma(value, cf.gaussian_line_second_term(t), std_error)
 
 
@@ -220,15 +220,15 @@ class TestWeightMeasures:
     def test_partial_sum_pattern(self, space, samples):
         t = 1.0
         mass = wm.homogeneous_weight_mass(space, t)
-        (rows,) = wm.weight_partial_magnitude_check(space, [t], 4, samples, seed=0)
+        (series,) = wm.weight_partial_magnitude_check(space, [t], 4, samples, seed=0)
+        assert series.total_mass == pytest.approx(mass, abs=1e-12)
         targets = [mass, 0.0, mass, 0.0, mass]
-        assert [r.N for r in rows] == [0, 1, 2, 3, 4]
-        for row, target in zip(rows, targets):
-            assert row.target == pytest.approx(target, abs=1e-12)
-            if row.N == 0:
-                assert row.value == pytest.approx(target, rel=1e-12)
+        rows = list(zip(series.partial_sums, series.errors, targets, strict=True))
+        for k, (value, std_error, target) in enumerate(rows):
+            if k == 0:
+                assert value == pytest.approx(target, rel=1e-12)
             else:
-                within_sigma(row.value, target, row.std_error)
+                within_sigma(value, target, std_error)
 
     def test_scaled_weight_geometric_series(self):
         space, t, c, N = Circle(1.0), 1.0, 0.25, 12
@@ -236,7 +236,7 @@ class TestWeightMeasures:
         c_tilde = wm.homogeneous_weight_constant(space, t)
         spec = mc.SamplerSpec(space, seed=0, samples=200_000)
         # the measure c * c_tilde * dvol, of total mass c * mass, samples as dvol does
-        series = mc.estimate_term(spec, range(1, N + 1), [t]).series(0, c * mass)
+        series = mc.estimate_term(spec, N, [t]).series(0, c * mass)
         # finite geometric sum c mu (1 - (-c)^{N+1})/(1 + c)
         target = c * mass * (1 - (-c) ** (N + 1)) / (1 + c)
         sigma = series.errors[-1]

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from magnilab import cli, empirical, mc
+from magnilab import cli, empirical, mc, weight_measures
 from magnilab.errors import MetricValidationError
+from magnilab.spaces import Sphere2
 
 
 def run_cli(args, env_extra=None, stdin_text=None):
@@ -188,7 +189,7 @@ def test_method_all_multi_seed_agreement():
     exact = closed_forms.circle_term(1, 1.0, 1.0)
     for seed in range(20):
         spec = mc.SamplerSpec(Circle(1.0), seed=seed, samples=100_000)
-        value, std_error = mc.estimate_term(spec, [1], [1.0]).term(0, 0, spec.total_mass)
+        value, std_error = mc.estimate_term(spec, 1, [1.0]).term(1, 0, spec.total_mass)
         hits += abs(value - exact) < 4 * std_error
     assert hits >= 19
 
@@ -436,12 +437,12 @@ def test_space_parameter_out_of_range_exits_2(capsys, args):
 
 @pytest.mark.parametrize("args", [
     ["manifold", "--space", "circle", "--r", "1e300", "--t", "1", "--samples", "10"],
-    ["weight-check", "--space", "sphere", "--r", "1e-300", "--t", "1", "--samples", "10"],
+    # (t r)^2 overflows, so J(t)/Vol and J(t) are 0 and 1/J(t) is inf
+    ["weight-check", "--space", "sphere", "--r", "1e100", "--t", "1e100", "--samples", "10"],
     ["manifold", "--space", "interval", "--b", "1e300", "--t", "1e-3", "--method", "closed"],
     ["length-spectrum", "--space", "circle", "--r", "5e-324", "--n", "2", "--samples", "10"],
-    # r^2 is subnormal: J(t) is tiny but nonzero, and 1/J(t) overflows to inf
-    ["weight-check", "--space", "sphere", "--r", "1e-160", "--t", "1", "--N", "2",
-     "--samples", "10"],
+    # (t r)^2 is just below the float max: J(t)/Vol is subnormal, its inverse inf
+    ["weight-check", "--space", "sphere", "--t", "1.3e154", "--N", "2", "--samples", "10"],
     # t L overflows to inf in the sampler, whose exp is 0; mu(X)^3 overflows
     ["manifold", "--space", "circle", "--r", "1e300", "--t", "1e300", "--N", "2",
      "--samples", "10"],
@@ -488,6 +489,24 @@ def test_t_grid_count_bound():
     args.t_grid = (1.0, 2.0, cli.MAX_T_COUNT + 1)
     with pytest.raises(MetricValidationError, match="count in"):
         cli._t_grid(args)
+
+
+@pytest.mark.parametrize("r", ["1e-155", "1e-160", "1e-300"])
+def test_tiny_sphere_weight_mass_is_one(capsys, r):
+    """Below r = 1e-154, r^2 underflows, but J(t)/Vol = (1 + e^{-pi r t}) /
+    (2((t r)^2 + 1)) holds no r^2: mu_w(X) is 1 to the last bit."""
+    assert cli.run(["weight-check", "--space", "sphere", "--r", r, "--t", "1", "--N", "2",
+                    "--samples", "10"]) == cli.EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["1", "0", "1"] and rows[0][2] == "1"
+
+
+@pytest.mark.parametrize("r", ["1e-161", "1e-162"])
+def test_tiny_sphere_fekete_target_is_one(capsys, r):
+    """The uniform measure's terms (J(t)/Vol)^n are 1 as r -> 0, so the
+    order-2 target is 1 - 1 + 1."""
+    assert cli.run(["fekete-demo", "--r", r, "--m-list", "3", "--N", "2"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2].split(",")[3] == "1"
 
 
 def test_allocation_failure_exits_3(monkeypatch, capsys):
@@ -734,6 +753,26 @@ def test_weight_check_grid_rows_equal_single_t_rows(capsys):
     assert rows(["--t-grid", "0.5", "2.5", "3"]) == singles
 
 
+@pytest.mark.parametrize("args", [["manifold", "--space", "sphere", "--method", "mc"],
+                                  ["weight-check", "--space", "sphere"],
+                                  ["interval-weight"]], ids=lambda args: args[0])
+def test_order_zero_draws_nothing(monkeypatch, capsys, args):
+    """At --N 0 no chain integral is asked for, so no point is drawn.
+    weight-check prints Mag;0 = mu_w(X) with stderr 0; the rows of manifold
+    and interval-weight are orders n >= 1, so they print their header only."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("--N 0 drew points")
+
+    monkeypatch.setattr(mc, "sample_batch", no_draw)
+    assert cli.run([*args, "--t", "1", "--N", "0"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    if args[0] == "weight-check":
+        mass = weight_measures.homogeneous_weight_mass(Sphere2(1.0), 1.0)
+        assert lines[1:] == [cli._row(1.0, 0, mass, 0.0, mass, "mc", 0)]
+    else:
+        assert len(lines) == 1
+
+
 SCIPY_PROBE = """
 import sys
 {code}
@@ -793,8 +832,6 @@ def test_interval_closed_column_at_small_t(capsys):
 #: about 400 KB of CSV, more than a pipe holds
 LARGE = ["length-spectrum", "--space", "circle", "--bins", "6000", "--samples", "2000"]
 SMALL = ["manifold", "--space", "circle", "--t", "1", "--method", "closed", "--N", "1"]
-#: the entry point as it was while it exited through the teardown
-SYS_EXIT = ["-c", "import sys; from magnilab import cli; sys.exit(cli.run(sys.argv[1:]))"]
 
 
 def test_console_script_writes_every_byte(tmp_path):
@@ -814,10 +851,10 @@ def test_console_script_writes_every_byte(tmp_path):
     assert path.read_bytes() == want
 
 
-def _reader_closes_early(entry, args, head, unbuffered):
+def _reader_closes_early(args, head, unbuffered):
     """(exit code, stderr) of a run whose reader closes stdout after head bytes."""
-    proc = subprocess.Popen([sys.executable, *entry, *args], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, "-m", "magnilab.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
     if head:
         os.read(proc.stdout.fileno(), head)
@@ -827,14 +864,17 @@ def _reader_closes_early(entry, args, head, unbuffered):
     return proc.wait(), err
 
 
-# After 20 bytes, the large write fails while cli.run emits it; before any
-# byte, a buffered stdout fails only on the flush after cli.run returns.
+# After 20 bytes, the large write fails part way, where an unbuffered
+# stdout's text layer would drop the rest unseen; before any byte, a
+# buffered stdout fails only on the flush that follows the write.
 @pytest.mark.parametrize("args, head", [(LARGE, 20), (SMALL, 0)],
                          ids=["after-20-bytes", "before-any-byte"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_pipe_exits_as_sys_exit_does(args, head, unbuffered):
-    assert (_reader_closes_early(["-m", "magnilab.cli"], args, head, unbuffered)
-            == _reader_closes_early(SYS_EXIT, args, head, unbuffered))
+    """Every closed pipe exits 2 with one error line, as a failing
+    --output file does."""
+    assert (_reader_closes_early(args, head, unbuffered)
+            == (cli.EXIT_VALIDATION, b"error: [Errno 32] Broken pipe\n"))
 
 
 # ---------------------------------------------------------------------------

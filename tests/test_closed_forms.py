@@ -78,6 +78,16 @@ class TestSphere:
         assert cf.sphere_leg_integral(r, t) == 0.0
         assert cf.sphere_term(1, r, t) == cf.sphere_term(2, r, t) == 0.0
 
+    @pytest.mark.parametrize("r, t", [(1.0, 1.0), (2.5, 0.5), (1e-3, 3.0), (1e100, 1e-100)])
+    def test_leg_ratio_is_leg_integral_over_volume(self, r, t):
+        assert cf.sphere_leg_ratio(r, t) == pytest.approx(
+            cf.sphere_leg_integral(r, t) / (4 * math.pi * r * r), rel=1e-14)
+
+    @pytest.mark.parametrize("r", [1e-155, 1e-162, 5e-324])
+    def test_leg_ratio_where_r2_underflows(self, r):
+        # J(t) and Vol lose their digits with r^2, the ratio keeps its limit 1
+        assert cf.sphere_leg_ratio(r, 1.0) == 1.0
+
 
 class TestTorus:
     def test_level_volume_boundary_behaviour(self):

@@ -35,8 +35,8 @@ def test_worker_count_auto_follows_cpu_affinity(monkeypatch):
 
 def test_estimate_is_seed_deterministic():
     spec = mc.SamplerSpec(Circle(1.0), seed=5, samples=100_000)
-    a = mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)
-    b = mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)
+    a = mc.estimate_term(spec, 2, [1.0]).term(2, 0, spec.total_mass)
+    b = mc.estimate_term(spec, 2, [1.0]).term(2, 0, spec.total_mass)
     assert a == b
 
 
@@ -45,7 +45,7 @@ def test_estimate_independent_of_thread_count():
     code = (
         "from magnilab import mc; from magnilab.spaces import Circle; "
         "spec = mc.SamplerSpec(Circle(1.0), seed=3, samples=300000); "
-        "print(*map(repr, mc.estimate_term(spec, [2], [1.0]).term(0, 0, spec.total_mass)))"
+        "print(*map(repr, mc.estimate_term(spec, 2, [1.0]).term(2, 0, spec.total_mass)))"
     )
     outs = []
     for threads in ("1", "4"):
@@ -65,20 +65,34 @@ def test_estimate_independent_of_thread_count():
 def test_first_term_within_four_sigma(space, closed):
     t = 1.0
     spec = mc.SamplerSpec(space, seed=1, samples=400_000)
-    value, std_error = mc.estimate_term(spec, [1], [t]).term(0, 0, spec.total_mass)
+    value, std_error = mc.estimate_term(spec, 1, [t]).term(1, 0, spec.total_mass)
     assert abs(value - closed(t)) < 4 * std_error
+
+
+def test_estimate_takes_the_orders_1_to_N():
+    spec = mc.SamplerSpec(Circle(1.0), seed=1, samples=1000)
+    est = mc.estimate_term(spec, 2, [1.0])
+    for n in (-1, 0, 3):  # n = 0 would read the last order
+        with pytest.raises(ValueError, match="outside 1..2"):
+            est.term(n, 0, spec.total_mass)
+    empty = mc.estimate_term(spec, 0, [1.0, 2.0])
+    assert empty.mean.shape == (2, 0) and empty.cov.shape == (2, 0, 0)
+    assert empty.series(1, spec.total_mass).partial_sums == (spec.total_mass,)
+    with pytest.raises(ValueError, match="N must be"):
+        mc.estimate_term(spec, -1, [1.0])
 
 
 def test_common_random_numbers_on_grid():
     # ten tiles in three batches, so the per-tile sums are combined across batches
     spec = mc.SamplerSpec(Circle(1.0), seed=2, samples=600_000)
     grid = [1.0, 2.0, 3.0]
-    est = mc.estimate_term(spec, [2], grid)
-    singles = [mc.estimate_term(spec, [2], [t]) for t in grid]
-    assert est.mean.shape == (len(grid), 1)
+    est = mc.estimate_term(spec, 2, grid)
+    singles = [mc.estimate_term(spec, 2, [t]) for t in grid]
+    assert est.mean.shape == (len(grid), 2) and est.cov.shape == (len(grid), 2, 2)
     for i, s in enumerate(singles):
         # same sample stream reused across the grid
-        assert est.term(0, i, spec.total_mass) == s.term(0, 0, spec.total_mass)
+        for n in (1, 2):
+            assert est.term(n, i, spec.total_mass) == s.term(n, 0, spec.total_mass)
         assert est.proper_fraction == s.proper_fraction
 
 
@@ -197,20 +211,22 @@ def test_engine_matches_serial_reference_loop(monkeypatch):
                 sums.setdefault((t, j), []).append(float(vals[j].sum()))
                 for k in range(N):
                     cross.setdefault((t, j, k), []).append(float((vals[j] * vals[k]).sum()))
-    est = mc.estimate_term(spec, range(1, N + 1), grid)
-    single = mc.estimate_term(spec, [N], grid)
+    est = mc.estimate_term(spec, N, grid)
+    shorter = mc.estimate_term(spec, N - 1, grid)
     for i, t in enumerate(grid):
+        mean = [math.fsum(sums[t, j]) / spec.samples for j in range(N)]
+        assert est.mean[i].tolist() == mean
         for j in range(N):
-            mean = math.fsum(sums[t, j]) / spec.samples
-            assert est.mean[i, j] == mean
             for k in range(N):
-                assert est.moment[i, j, k] == math.fsum(cross[t, j, k]) / spec.samples
-            var = max(math.fsum(cross[t, j, j]) / spec.samples - mean * mean, 0.0)
+                assert est.cov[i, j, k] == (math.fsum(cross[t, j, k]) / spec.samples
+                                            - mean[j] * mean[k])
+            var = max(math.fsum(cross[t, j, j]) / spec.samples - mean[j] * mean[j], 0.0)
             scale = spec.total_mass ** (j + 2)
-            assert est.term(j, i, spec.total_mass) == (
-                scale * mean, scale * math.sqrt(var / spec.samples))
-        # an order's estimate does not depend on the other orders asked for
-        assert single.term(0, i, spec.total_mass) == est.term(N - 1, i, spec.total_mass)
+            assert est.term(j + 1, i, spec.total_mass) == (
+                scale * mean[j], scale * math.sqrt(var / spec.samples))
+        # order n from N = n equals order n from a larger N
+        n = N - 1
+        assert shorter.term(n, i, spec.total_mass) == est.term(n, i, spec.total_mass)
     scale = spec.total_mass ** (N + 1)
     _, density, _ = mc.estimate_length_density(spec, N, 8, 2 * math.pi)
     assert np.array_equal(density, counts * scale / (spec.samples * (edges[1] - edges[0])))
@@ -249,8 +265,8 @@ def test_multi_order_estimate_independent_of_thread_count():
     code = (
         "from magnilab import mc; from magnilab.spaces import Interval; "
         "e = mc.estimate_term(mc.SamplerSpec(Interval(0.0, 1.0, 'weight'), seed=3, "
-        "samples=600000), range(1, 4), [0.5, 2.0]); "
-        "print(e.mean.tolist(), e.moment.tolist(), e.proper_fraction)"
+        "samples=600000), 3, [0.5, 2.0]); "
+        "print(e.mean.tolist(), e.cov.tolist(), e.proper_fraction)"
     )
     outs = []
     for threads in ("1", "2"):
@@ -265,12 +281,12 @@ def test_batch_size_only_schedules_work(monkeypatch, batch):
     """The batch is the unit of pool work: resized, it moves no bit."""
     monkeypatch.setenv("MAGNILAB_THREADS", "2")
     spec = mc.SamplerSpec(Interval(0.0, 1.0, "weight"), seed=6, samples=5 * mc.TILE + 17)
-    args = (spec, range(1, 4), [0.5, 2.0])
+    args = (spec, 3, [0.5, 2.0])
     default = mc.estimate_term(*args)
     monkeypatch.setattr(mc, "BATCH_SIZE", batch)
     resized = mc.estimate_term(*args)
     assert np.array_equal(resized.mean, default.mean)
-    assert np.array_equal(resized.moment, default.moment)
+    assert np.array_equal(resized.cov, default.cov)
     assert resized.proper_fraction == default.proper_fraction
 
 
@@ -279,16 +295,16 @@ def test_scratch_sets_are_not_shared_between_workers(monkeypatch):
     a scratch set that two workers shared would mix their chains."""
     spec = mc.SamplerSpec(Sphere2(1.0), seed=8, samples=5 * mc.BATCH_SIZE - 3)
     monkeypatch.setenv("MAGNILAB_THREADS", "1")
-    serial = mc.estimate_term(spec, range(1, 3), [0.5, 2.0])
+    serial = mc.estimate_term(spec, 2, [0.5, 2.0])
     monkeypatch.setenv("MAGNILAB_THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = mc.estimate_term(spec, range(1, 3), [0.5, 2.0])
+        threaded = mc.estimate_term(spec, 2, [0.5, 2.0])
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(threaded.mean, serial.mean)
-    assert np.array_equal(threaded.moment, serial.moment)
+    assert np.array_equal(threaded.cov, serial.cov)
 
 
 def test_sphere_distance_matches_three_vector_reference():
@@ -367,10 +383,10 @@ def _estimate_peak(monkeypatch, space, N, grid, workers):
     threads."""
     monkeypatch.setenv("MAGNILAB_THREADS", str(workers))
     spec = mc.SamplerSpec(space, seed=4, samples=2 * mc.BATCH_SIZE)
-    mc.estimate_term(mc.SamplerSpec(space, samples=10), range(1, N + 1), grid)  # warm-up
+    mc.estimate_term(mc.SamplerSpec(space, samples=10), N, grid)  # warm-up
     tracemalloc.start()
     try:
-        mc.estimate_term(spec, range(1, N + 1), grid)
+        mc.estimate_term(spec, N, grid)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,6 +497,6 @@ def test_length_density_histogram_matches_closed_form():
 def test_interval_weight_sampler_mass_split():
     space = Interval(0.0, 2.0, "weight")
     spec = mc.SamplerSpec(space, seed=0, samples=200_000)
-    est = mc.estimate_term(spec, [1], [1.0])
-    assert est.term(0, 0, spec.total_mass)[1] > 0
+    est = mc.estimate_term(spec, 1, [1.0])
+    assert est.term(1, 0, spec.total_mass)[1] > 0
     assert 0 < est.proper_fraction <= 1
