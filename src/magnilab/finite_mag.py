@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import MetricValidationError, SingularMatrixError
+from .errors import SingularMatrixError
 from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
 
 #: refuse linear solves beyond this infinity-norm condition estimate
@@ -128,38 +128,3 @@ def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeri
 def neumann_partial(m: FiniteMetricSpace, t: float, N: int) -> MagnitudeSeries:
     """Alternating partial sums |X| + sum_{n=1}^{N} (-1)^n 1^T Y^n 1."""
     return chain_series(similarity(m.dist, t), t, N)
-
-
-def bisect_threshold(weights: np.ndarray, dist: np.ndarray, hi: float) -> float:
-    """Scale t* past which every column sum of weights * e^{-t*dist} is < 1.
-
-    hi is doubled until it lies past t*, then [0, hi] is bisected to 1e-10.
-    """
-    def col_max(t: float) -> float:
-        return float((weights * np.exp(-t * dist)).sum(axis=0).max())
-
-    lo = 0.0
-    while col_max(hi) >= 1.0:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if col_max(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
-    """(exact threshold, crude bound) for Neumann-series convergence.
-
-    Exact: minimal t* such that max_y sum_{x != y} exp(-t d(x,y)) < 1 for all
-    t > t*, found by bisection to 1e-10.  Crude: log|X| / (min distance).
-    """
-    n = m.size
-    if n < 2:
-        raise MetricValidationError("convergence threshold undefined for a singleton")
-    crude = math.log(n) / m.min_positive_distance()
-    return bisect_threshold(1.0 - np.eye(n), m.dist, crude), crude
-
-

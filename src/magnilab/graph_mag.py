@@ -10,12 +10,9 @@ and gives both, for any edge lengths, and loads no scipy.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import MetricValidationError
-from .finite_mag import _solve_ones, bisect_threshold, chain_series, similarity
+from .finite_mag import _solve_ones, chain_series, similarity
 from .spaces import GeodesicGraph, MagnitudeSeries, graph_metric
 
 
@@ -42,18 +39,3 @@ def tilde_magnitude(g: GeodesicGraph, t: float) -> float:
 def tilde_neumann_partial(g: GeodesicGraph, t: float, N: int) -> MagnitudeSeries:
     """Alternating series for tilde_magnitude via powers of Z-tilde - I."""
     return chain_series(tilde_similarity(g, t), t, N)
-
-
-def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
-    """(bisection threshold, crude bound) for the counting-measure series.
-
-    Crude sufficient bound: with S = max_y sum_{x != y} |Omega_{x,y}| and
-    eps the minimum distance, every column sum of Y-tilde is at most
-    S * exp(-t*eps), so t > log(S)/eps suffices.  For the 4-cycle S = 4;
-    with the length-2 diagonal S = 5.
-    """
-    if g.vertex_count < 2:
-        raise MetricValidationError("convergence threshold undefined for a singleton")
-    metric, counts = graph_metric(g), count_geodesics(g)
-    crude = math.log(float(counts.sum(axis=0).max())) / metric.min_positive_distance()
-    return bisect_threshold(counts, metric.dist, max(crude, 1.0)), crude

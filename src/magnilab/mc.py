@@ -174,19 +174,16 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) ->
     return out
 
 
-def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int,
-                 out: Batch | None = None, spare: np.ndarray | None = None) -> Batch:
+def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int, out: Batch,
+                 spare: np.ndarray) -> Batch:
     """Draw m points from the normalized measure of the space.
 
-    out, a Batch from a call on the same space with at least m points, takes
-    the draws in its first m entries; the result views them.  Without it
-    the arrays are new.  spare, a float array of at least m entries that the
-    call may overwrite, holds the atom placement's products (new if None).
-    All give the same bits.
+    out, a Batch from _empty_batch for the same space with at least m
+    points, takes the draws in its first m entries; the result views them.
+    spare, a float array of at least m entries that the call may overwrite,
+    holds the atom placement's products.
     """
     sp = spec.space
-    if out is None:
-        out = _empty_batch(sp, m)
     if isinstance(out.coords, tuple):
         coords = tuple(c[:m] for c in out.coords)
     else:
@@ -210,7 +207,7 @@ def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int,
         # mask is cast into spare first, since a ufunc fed the bool mask
         # casts it through buffers of its own
         p_atom = 0.5 / sp.total_mass
-        spare = np.empty(m) if spare is None else spare[:m]
+        spare = spare[:m]
         u = _uniform(rng, 0.0, 1.0, coords)
         np.less(u, 2 * p_atom, out=tags.view(bool))
         tags += tags
@@ -247,15 +244,14 @@ def _half_angle_cos(d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.divide(tmp, d, out=d)
 
 
-def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None) -> np.ndarray:
+def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray) -> np.ndarray:
     """Vectorized intrinsic distance between sampled point arrays, written
-    into out and returned.  Given out, the call may also use p's arrays as
-    scratch, as the chain leaves p behind; without it, it allocates and
-    leaves both inputs as they were."""
+    into out and returned.  The call may also use p's arrays as scratch,
+    as the chain leaves p behind."""
     if isinstance(space, Sphere2):
         (z1, phi1), (z2, phi2) = p, q
         cosang = np.subtract(phi1, phi2, out=out)
-        tmp = np.empty_like(cosang) if out is None else phi1  # phi1 is dead now
+        tmp = phi1  # phi1 is dead now
         _half_angle_cos(cosang, tmp)
         for z in (z1, z2):  # s = sqrt(1 - z^2), the sine of the polar angle
             np.subtract(1.0, np.multiply(z, z, out=tmp), out=tmp)
@@ -268,12 +264,12 @@ def geodesic_distance(space: AnalyticSpace, p, q, out: np.ndarray | None = None)
     if isinstance(space, Circle):
         delta = np.subtract(p, q, out=out)
         np.abs(delta, out=delta)
-        other = np.subtract(2.0 * math.pi, delta, out=None if out is None else p)  # p is dead
+        other = np.subtract(2.0 * math.pi, delta, out=p)  # p is dead
         np.minimum(delta, other, out=delta)
         delta *= space.r
         return delta
     if isinstance(space, FlatTorusUnit):
-        delta = np.subtract(p, q, out=None if out is None else p)
+        delta = np.subtract(p, q, out=p)
         np.abs(delta, out=delta)
         np.minimum(delta, 1.0 - delta, out=delta)
         delta *= delta

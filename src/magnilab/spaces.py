@@ -55,18 +55,6 @@ class FiniteMetricSpace:
         space._own(dist)
         return space
 
-    @property
-    def size(self) -> int:
-        return self.dist.shape[0]
-
-    def min_positive_distance(self) -> float:
-        n = self.size
-        if n < 2:
-            raise MetricValidationError("no positive distances in a singleton space")
-        # the n^2 - 1 entries after d(0,0) as n - 1 rows of n + 1, each
-        # ending on the next diagonal entry
-        return float(self.dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -68,9 +68,10 @@ OVERFLOW = ["length-spectrum", "--space", "circle", "--r", "1e300", "--l-max", "
 
 
 def fixed_invocations(workdir: str) -> list[list[str]]:
-    """The command lines --against runs besides the golden ones: finite and
-    graph --gamma count on the benchmark's seed-0 inputs, written to
-    workdir; the catalog; a Fekete run; one run that exits 2 and one that
+    """The command lines --against runs besides the golden ones: finite,
+    graph --gamma count and graph --gamma triv on the benchmark's seed-0
+    inputs, and graph --gamma count on that grid with edge lengths 1, 2
+    and 3, all written to workdir; the catalog; a Fekete run; one run that exits 2 and one that
     exits 3; the three Monte-Carlo commands at --N 0, which draw nothing;
     weight-check on the circle; and two sphere runs at a radius whose
     square underflows."""
@@ -80,7 +81,14 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
     bad = os.path.join(workdir, "triangle.csv")
     with open(bad, "w") as fh:
         fh.write("0,1,9\n1,0,1\n9,1,0\n")
-    return [workloads.finite_dense(0, workdir).args, workloads.graph_count(0, workdir).args,
+    count = workloads.graph_count(0, workdir).args
+    at = count.index("--edges") + 1
+    weighted = os.path.join(workdir, "grid-weighted.edges")
+    with open(weighted, "w") as fh:
+        fh.writelines(f"{u} {v} {1 + (u + v) % 3}\n" for u, v in workloads.grid_edges(0)[1])
+    return [workloads.finite_dense(0, workdir).args, count,
+            [*count[:at + 1], "--gamma", "triv", *count[at + 3:]],
+            [*count[:at], weighted, *count[at + 1:]],
             ["catalog"], ["fekete-demo", "--m-list", "20", "40", "--N", "2"],
             ["finite", "--input", bad, "--t", "1"], OVERFLOW,
             ["manifold", "--space", "sphere", "--method", "mc", "--N", "0"],

@@ -2,7 +2,8 @@
 
 Each function states a closed form or a combinatorial construction of the
 paper; test modules check it against what the package computes.  Only the
-references that more than one test module reads live here.
+references that more than one test module reads live here, and the two
+convergence thresholds, which share one bisection.
 """
 import math
 from dataclasses import dataclass
@@ -11,12 +12,62 @@ import numpy as np
 
 from magnilab import closed_forms as cf
 from magnilab.empirical import great_circle_distances, weighted_partial_magnitude
-from magnilab.spaces import FiniteMetricSpace
+from magnilab.spaces import FiniteMetricSpace, GeodesicGraph
 
 
 def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
     """Every off-diagonal distance increased by c >= 0, still a metric."""
-    return FiniteMetricSpace(m.dist + c * (1.0 - np.eye(m.size)))
+    return FiniteMetricSpace(m.dist + c * (1.0 - np.eye(len(m.dist))))
+
+
+def bisect_threshold(weights: np.ndarray, dist: np.ndarray, hi: float) -> float:
+    """Scale t* past which every column sum of weights * e^{-t*dist} is < 1.
+
+    hi is doubled until it lies past t*, then [0, hi] is bisected to 1e-10.
+    """
+    def col_max(t: float) -> float:
+        return float((weights * np.exp(-t * dist)).sum(axis=0).max())
+
+    lo = 0.0
+    while col_max(hi) >= 1.0:
+        hi *= 2.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if col_max(mid) < 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def min_positive_distance(dist: np.ndarray) -> float:
+    """The least off-diagonal entry of the distance matrix of n >= 2 points."""
+    return float(dist[~np.eye(len(dist), dtype=bool)].min())
+
+
+def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
+    """(exact threshold, crude bound) for Neumann-series convergence, n >= 2.
+
+    Exact: minimal t* such that max_y sum_{x != y} exp(-t d(x,y)) < 1 for all
+    t > t*, found by bisection to 1e-10.  Crude: log|X| / (min distance).
+    """
+    n = len(m.dist)
+    crude = math.log(n) / min_positive_distance(m.dist)
+    return bisect_threshold(1.0 - np.eye(n), m.dist, crude), crude
+
+
+def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
+    """(bisection threshold, crude bound) for the counting-measure series of
+    a graph on n >= 2 vertices.
+
+    Crude sufficient bound: with S = max_y sum_{x != y} |Omega_{x,y}| and
+    eps the minimum distance, every column sum of Y-tilde is at most
+    S * exp(-t*eps), so t > log(S)/eps suffices.  For the 4-cycle S = 4;
+    with the length-2 diagonal S = 5.
+    """
+    dist, counts = g.metric.dist, g.counts
+    crude = math.log(float(counts.sum(axis=0).max())) / min_positive_distance(dist)
+    return bisect_threshold(counts, dist, max(crude, 1.0)), crude
 
 
 def rescaling_identity_residual(u: np.ndarray, N: int) -> float:

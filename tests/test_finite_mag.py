@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from magnilab import finite_mag, graph_mag
 from magnilab.errors import SingularMatrixError
 from magnilab.spaces import FiniteMetricSpace, GeodesicGraph, graph_metric
-from references import shift_metric
+from references import convergence_threshold, shift_metric
 
 
 def two_point(d):
@@ -43,7 +43,7 @@ def test_neumann_converges_to_inverse():
     pts = rng.normal(size=(4, 2)) * 2.0
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     m = FiniteMetricSpace(d)
-    t_exact, t_crude = finite_mag.convergence_threshold(m)
+    t_exact, t_crude = convergence_threshold(m)
     assert t_exact <= t_crude
     t = t_exact + 0.5
     series = finite_mag.neumann_partial(m, t, 80)
@@ -53,7 +53,7 @@ def test_neumann_converges_to_inverse():
 
 def column_sum_ratio(m: FiniteMetricSpace, t: float) -> float:
     """max column sum of Y = Z - I; the series tail is geometric in this ratio."""
-    y = finite_mag.similarity(m.dist, t) - np.eye(m.size)
+    y = finite_mag.similarity(m.dist, t) - np.eye(len(m.dist))
     return float(np.abs(y).sum(axis=0).max())
 
 
@@ -62,7 +62,7 @@ def test_column_sum_ratio_brackets_threshold():
     pts = rng.normal(size=(4, 2))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     m = FiniteMetricSpace(d)
-    t_exact, _ = finite_mag.convergence_threshold(m)
+    t_exact, _ = convergence_threshold(m)
     assert column_sum_ratio(m, t_exact + 1e-6) < 1.0
     assert column_sum_ratio(m, t_exact - 1e-6) > 1.0
 
@@ -204,7 +204,7 @@ def test_shift_metric_scaling_identity(c):
     lhs = finite_mag.neumann_partial(shifted, 1.0, 4)
     from magnilab.empirical import weighted_partial_magnitude
     rhs = weighted_partial_magnitude(
-        m.dist, np.full(m.size, math.exp(-c)), 1.0, 4)
+        m.dist, np.full(len(m.dist), math.exp(-c)), 1.0, 4)
     for a, b in zip(lhs.terms, rhs.terms):
         assert math.exp(-c) * a.value == pytest.approx(b.value, abs=1e-12)
 

@@ -97,15 +97,22 @@ def test_common_random_numbers_on_grid():
 
 
 def _reference_points(space, rng, m):
-    """(coords, tags) of m points drawn with rng.uniform and boolean masks,
-    without the package's sampler: sphere rows (z, sqrt(1 - z^2), phi), and
-    on the weighted interval a selector u that tags the atoms a (u < p) and
-    b (p <= u < 2p) before the positions are drawn."""
+    """(coords, tags) of m points drawn with the rng's own distributions and
+    boolean masks, without the package's sampler: sphere rows
+    (z, sqrt(1 - z^2), phi), and on the weighted interval a selector u that
+    tags the atoms a (u < p) and b (p <= u < 2p) before the positions are
+    drawn."""
+    if isinstance(space, Circle):
+        return rng.uniform(0.0, 2.0 * math.pi, m), None
     if isinstance(space, Sphere2):
         z = rng.uniform(-1.0, 1.0, m)
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
         return (z, np.sqrt(1.0 - z * z), phi), None
-    if isinstance(space, Interval) and space.measure == "weight":
+    if isinstance(space, FlatTorusUnit):
+        return rng.uniform(0.0, 1.0, (m, 2)), None
+    if isinstance(space, Interval) and space.measure == "lebesgue":
+        return rng.uniform(space.a, space.b, m), None
+    if isinstance(space, Interval):
         p = 0.5 / space.total_mass
         u = rng.uniform(0.0, 1.0, m)
         tags = np.zeros(m, dtype=np.int8)
@@ -115,19 +122,30 @@ def _reference_points(space, rng, m):
         x[tags == 1] = space.a
         x[tags == 2] = space.b
         return x, tags
+    if isinstance(space, LineGaussian):
+        return rng.normal(0.0, 1.0 / math.sqrt(2.0), m), None
+    if isinstance(space, LineLaplace):
+        return rng.laplace(0.0, 1.0, m), None
     raise TypeError(type(space).__name__)
 
 
 def _reference_distance(space, p, q):
     """The leg between reference points: on the sphere the half-angle cosine
-    (1 - u^2) / (1 + u^2), u = tan(dphi / 2), times s1 s2, plus z1 z2."""
+    (1 - u^2) / (1 + u^2), u = tan(dphi / 2), times s1 s2, plus z1 z2; on
+    the circle and the torus the shorter way round."""
     if isinstance(space, Sphere2):
         (z1, s1, phi1), (z2, s2, phi2) = p, q
         u = np.tan((phi1 - phi2) * 0.5)
         u = u * u
         cosang = (1.0 - u) / (u + 1.0) * s1 * s2 + z1 * z2
         return np.arccos(np.clip(cosang, -1.0, 1.0)) * space.r
-    return np.abs(p - q)
+    delta = np.abs(p - q)
+    if isinstance(space, Circle):
+        return np.minimum(delta, 2.0 * math.pi - delta) * space.r
+    if isinstance(space, FlatTorusUnit):
+        delta = np.minimum(delta, 1.0 - delta)
+        return np.sqrt((delta * delta).sum(axis=1))
+    return delta
 
 
 def _serial_chains(spec, N):
@@ -152,41 +170,40 @@ def _serial_chains(spec, N):
     return out
 
 
-@pytest.mark.parametrize("space", [Sphere2(2.5), Interval(0.5, 2.0, "weight"),
-                                   Interval(-1.5, 0.0, "weight")])
-def test_sampler_and_leg_match_the_references_bit_for_bit(space):
-    """Points and legs have the bits of the rng.uniform and boolean-mask
-    references, both as fresh arrays and in the engine's form: drawn into
-    dirty slots with a dirty spare row, and measured into out."""
-    spec, m = mc.SamplerSpec(space), 150_000
-    rng = np.random.default_rng(12)
+def _check_engine_form(space, m, seed):
+    """Two batches drawn as the engine draws them, into the heads of dirty
+    larger slots with a dirty spare row, and their leg, measured into a
+    dirty out, have the bits of the reference points and leg."""
+    rng = np.random.default_rng(seed)
     ref = [_reference_points(space, rng, m) for _ in range(2)]
-    rng = np.random.default_rng(12)
-    fresh = [mc.sample_batch(spec, rng, m) for _ in range(2)]
     slots, spare = [mc._empty_batch(space, m + 5) for _ in range(2)], np.full(m + 5, np.nan)
     for slot in slots:
         for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,)):
             c.fill(np.nan)
         if slot.tags is not None:
             slot.tags.fill(7)
-    rng = np.random.default_rng(12)
-    drawn = [mc.sample_batch(spec, rng, m, out=slot, spare=spare) for slot in slots]
+    rng = np.random.default_rng(seed)
+    drawn = [mc.sample_batch(mc.SamplerSpec(space), rng, m, slot, spare) for slot in slots]
 
     def bits(coords):
         coords = coords if isinstance(coords, tuple) else (coords,)
         return [c.view(np.int64).tolist() for c in coords]
 
-    ref_coords = [c[::2] if isinstance(space, Sphere2) else c for c, _ in ref]  # (z, phi)
-    for (_, tags), a, b in zip(ref, fresh, drawn):
-        assert bits(a.coords) == bits(b.coords)
-        assert np.array_equal(a.tags, tags) and np.array_equal(b.tags, tags)
-    assert [bits(a.coords) for a in fresh] == [bits(c) for c in ref_coords]
-    want = _reference_distance(space, ref[0][0], ref[1][0]).view(np.int64)
-    got = mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords)
-    assert np.array_equal(got.view(np.int64), want)
+    for (coords, tags), batch in zip(ref, drawn):
+        assert bits(batch.coords) == bits(coords[::2] if isinstance(space, Sphere2) else coords)
+        assert np.array_equal(batch.tags, tags)
+    want = _reference_distance(space, ref[0][0], ref[1][0])
     out = np.full(m, np.nan)
-    got = mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out)
-    assert got is out and np.array_equal(got.view(np.int64), want)
+    got = mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out)
+    assert got is out and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("space", [Sphere2(2.5), Interval(0.5, 2.0, "weight"),
+                                   Interval(-1.5, 0.0, "weight")])
+def test_sampler_and_leg_match_the_references_bit_for_bit(space):
+    """Points and legs in the engine's form have the bits of the references,
+    at enough points that every atom and every sphere quadrant is hit."""
+    _check_engine_form(space, 150_000, 12)
 
 
 def test_engine_matches_serial_reference_loop(monkeypatch):
@@ -310,10 +327,9 @@ def test_scratch_sets_are_not_shared_between_workers(monkeypatch):
 def test_sphere_distance_matches_three_vector_reference():
     """The (z, phi) cosine equals the dot product of the unit 3-vectors."""
     r, m = 2.0, 1_000_000
-    spec = mc.SamplerSpec(Sphere2(r))
     rng = np.random.default_rng(11)
-    p, q = mc.sample_batch(spec, rng, m).coords, mc.sample_batch(spec, rng, m).coords
-    dist = mc.geodesic_distance(spec.space, p, q)
+    p, q = [_reference_points(Sphere2(r), rng, m)[0][::2] for _ in range(2)]
+    dist = mc.geodesic_distance(Sphere2(r), tuple(c.copy() for c in p), q, np.empty(m))
 
     def unit_vectors(rows):
         z, phi = rows
@@ -336,35 +352,8 @@ def test_in_place_uniform_is_rng_uniform(lo, hi):
 @pytest.mark.parametrize("space", [Circle(1.5), Sphere2(1.0), FlatTorusUnit(),
                                    Interval(0.5, 2.0, "lebesgue"), Interval(0.5, 2.0, "weight"),
                                    LineGaussian(), LineLaplace()])
-def test_sample_batch_into_out_equals_the_allocating_call(space):
-    """Drawn into the head of a larger, dirty out batch, the points have the
-    bits of a fresh call, and so do the distances written into out.  Without
-    out the distance leaves its inputs as they were."""
-    spec, m = mc.SamplerSpec(space), 10_000
-    slots = [mc._empty_batch(space, m + 7) for _ in range(2)]
-    for slot in slots:
-        for c in (slot.coords if isinstance(slot.coords, tuple) else (slot.coords,)):
-            c.fill(np.nan)
-        if slot.tags is not None:
-            slot.tags.fill(5)
-    rng = np.random.default_rng(3)
-    drawn = [mc.sample_batch(spec, rng, m, out=slot) for slot in slots]
-    rng = np.random.default_rng(3)
-    fresh = [mc.sample_batch(spec, rng, m) for _ in range(2)]
-
-    def bits(batch):
-        coords = batch.coords if isinstance(batch.coords, tuple) else (batch.coords,)
-        return [c.view(np.int64).tolist() for c in coords], (
-            None if batch.tags is None else batch.tags.tolist())
-
-    for a, b in zip(drawn, fresh):
-        assert bits(a) == bits(b)
-    dist = mc.geodesic_distance(space, fresh[0].coords, fresh[1].coords)
-    for a, b in zip(drawn, fresh):
-        assert bits(a) == bits(b)
-    out = np.full(m, np.nan)
-    assert mc.geodesic_distance(space, drawn[0].coords, drawn[1].coords, out=out) is out
-    assert np.array_equal(out, dist)
+def test_sample_batch_into_dirty_out_matches_the_references(space):
+    _check_engine_form(space, 10_000, 3)
 
 
 def test_half_angle_cosine_matches_np_cos():

@@ -1,11 +1,13 @@
 """The library keeps only what runs.
 
 Every top-level public function and class of a library module (all of
-src/magnilab but cli and __init__) is read by other package code, is
-re-exported by magnilab/__init__.py, or is an entry point the benchmark
-traces.  A name that only tests use belongs in tests/, and being listed in
-the README keeps no name; instead every module.name the README's Library
-section lists must exist.  And no library module imports scipy.sparse:
+src/magnilab but cli and __init__) is read by other package code or is an
+entry point the benchmark traces.  A name that only tests use belongs in
+tests/, and being listed in the README keeps no name; instead every
+module.name the README's Library section lists must exist.  Importing the
+package itself loads no module of it and no numpy: it re-exports nothing,
+so the library is what the command line imports.  And no library module
+imports scipy.sparse:
 graphs need numpy alone.  QUADPACK is reached through closed_forms._quad
 alone, the one place that sees every quadrature call and its error
 estimate.  Importing the command line loads neither scipy nor
@@ -40,14 +42,6 @@ READS = sum((_reads(tree) for tree in TREES.values()), Counter())
 LIBRARY = [m for m in TREES if m not in ("cli", "__init__")]
 
 
-def _exported(module: str) -> set[str]:
-    """The names magnilab/__init__.py imports from module."""
-    return {alias.name for node in TREES["__init__"].body
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
-            for alias in node.names}
-
-
-# "documented" is the package's own export list, not the README
 @pytest.mark.parametrize("module", LIBRARY)
 def test_every_public_name_is_used_traced_or_documented(module):
     sys.path.insert(0, str(REPO / "bench"))
@@ -55,7 +49,7 @@ def test_every_public_name_is_used_traced_or_documented(module):
         import traced_cli
     finally:
         sys.path.remove(str(REPO / "bench"))
-    kept = _exported(module) | set(traced_cli.ENTRY_POINTS.get(module, {}))
+    kept = set(traced_cli.ENTRY_POINTS.get(module, {}))
     unused = [node.name for node in TREES[module].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in kept
@@ -124,6 +118,15 @@ def test_quadpack_is_called_through_closed_forms_quad_alone():
 def test_importing_the_cli_loads_no_scipy_and_no_numpy_random():
     code = ("import sys, magnilab.cli; print(*sorted(m for m in sys.modules if "
             "m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
+
+
+def test_importing_the_package_loads_none_of_its_modules_and_no_numpy():
+    code = ("import sys, magnilab; print(*sorted(m for m in sys.modules if "
+            "m.startswith('magnilab.') or m.split('.')[0] == 'numpy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
     assert res.returncode == 0, res.stderr
