@@ -209,34 +209,6 @@ def _make_space(args):
     return LineLaplace()
 
 
-def _closed_form_terms(space, t: float, N: int) -> list:
-    """Catalog values [a_1, ..., a_N]; None where the catalog has no entry."""
-    if isinstance(space, Interval) and space.measure == "lebesgue":
-        return closed_forms.interval_chain_terms(N, t, space.length, 0.0, 1.0)[1:]
-    return [_closed_form_term(space, n, t) for n in range(1, N + 1)]
-
-
-def _closed_form_term(space, n: int, t: float):
-    """Catalog value for a_n, or None if the catalog has no entry."""
-    try:
-        if isinstance(space, Circle):
-            return closed_forms.circle_term(n, space.r, t)
-        if isinstance(space, Sphere2):
-            return closed_forms.sphere_term(n, space.r, t)
-        if isinstance(space, FlatTorusUnit) and n == 1:
-            return closed_forms.torus_first_term(t)
-        if isinstance(space, LineLaplace) and n == 1:
-            return closed_forms.laplace_line_first_term(t)
-        if isinstance(space, LineGaussian):
-            if n == 1:
-                return closed_forms.gaussian_line_first_term(t)
-            if n == 2:
-                return closed_forms.gaussian_line_second_term(t)
-    except ValueError:
-        return None
-    return None
-
-
 def _run_finite(args) -> list[str]:
     """Rows of a valid metric only: a validation error wins over any error of
     the solves, as if validation ran first.  With more than one worker the
@@ -297,18 +269,18 @@ def _run_manifold(args) -> list[str]:
     space = _make_space(args)
     grid = _t_grid(args)
     spec = mc.SamplerSpec(space, seed=args.seed, samples=args.samples)  # checks the mass
-    if args.method in ("mc", "all"):
-        # one (N+1)-point chain per draw serves every order and the whole grid
-        est = mc.estimate_term(spec, args.N, grid)
-    lines = [HEADER]
+    # one (N+1)-point chain per draw serves every order and the whole grid
+    est = mc.estimate_term(spec, args.N, grid) if args.method in ("mc", "all") else None
+    lines, orders = [HEADER], range(1, args.N + 1)
     for i, t in enumerate(grid):
-        closed_terms = _closed_form_terms(space, t, args.N)
-        for n, closed in enumerate(closed_terms, start=1):
+        # the estimates first, so that a power of mu(X) past the float range
+        # is named before a reference term past it
+        estimates = [est.term(n, i, spec.total_mass) for n in orders] if est else None
+        for n, closed in zip(orders, closed_forms.chain_terms(space, t, args.N)):
             if args.method in ("closed", "all") and closed is not None:
                 lines.append(_row(t, n, closed, 0.0, closed, "closed", args.seed))
-            if args.method in ("mc", "all"):
-                value, stderr = est.term(n, i, spec.total_mass)
-                lines.append(_row(t, n, value, stderr, closed, "mc", args.seed))
+            if estimates:
+                lines.append(_row(t, n, *estimates[n - 1], closed, "mc", args.seed))
     return lines
 
 
@@ -346,19 +318,7 @@ def _run_length_spectrum(args) -> list[str]:
         # edges past 2**1022 may sum past the float max; their halves are exact,
         # so they sum to the same centre without overflow
         center = 0.5 * (a + b) if b < 2.0**1022 else 0.5 * a + 0.5 * b
-        closed = None
-        if isinstance(space, Circle):
-            try:
-                closed = float(closed_forms.circle_length_density(n, space.r, center))
-            except ValueError:
-                pass
-        elif isinstance(space, Sphere2):
-            try:
-                closed = float(closed_forms.sphere_length_density(n, space.r, center))
-            except ValueError:
-                pass
-        elif isinstance(space, LineGaussian) and n == 1:
-            closed = math.sqrt(2 * math.pi) * math.exp(-center * center / 2)
+        closed = closed_forms.length_density(space, n, center)
         lines.append(_row(center, n, density[i], stderr[i], closed, "mc", args.seed))
     return lines
 

@@ -8,9 +8,13 @@ integral is
 
 On a homogeneous space the inner integral J(t) = int exp(-t*d(x,y)) dmu(x) is
 independent of the basepoint y, so integrating legs one at a time gives the
-factorization a_n(t) = mu(X) * J(t)**n.  That identity powers the circle and
-sphere catalogs and is cross-checked against quadrature of the published
-length-spectrum densities in the test suite.
+factorization a_n(t) = mu(X) * J(t)**n.  That identity gives the circle,
+sphere and torus references at every order, and is cross-checked against
+quadrature of the published length-spectrum densities in the test suite.
+
+This module is the one that knows which formula belongs to which analytic
+space: chain_terms, length_density and leg_integral_bound take a space of
+magnilab.spaces and dispatch on it.
 """
 from __future__ import annotations
 
@@ -19,6 +23,9 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
+
+from .spaces import (AnalyticSpace, Circle, FlatTorusUnit, Interval, LineGaussian,
+                     LineLaplace, Sphere2)
 
 
 def _quad(f, a: float, b: float, **options) -> float:
@@ -507,6 +514,79 @@ def gaussian_line_second_term(t: float) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return _gaussian_reduced_2d(t, 2.0, 2.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# per-space dispatch
+# ---------------------------------------------------------------------------
+
+def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
+    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x) on the space.
+
+    Closed forms for homogeneous spaces and for the two weighted lines, whose
+    weights are symmetric and log-concave, so the leg integral (a convolution
+    of two such functions) peaks at y = 0.  On the interval it is
+    2c/t + (m - c/t) g(y), with c the density, m each endpoint atom's mass and
+    g(y) = exp(-ty) + exp(-t(L-y)) convex and symmetric, so the sup lies at
+    y = 0 or y = L/2; expm1 keeps 2 - g(y) accurate at small tL.
+    """
+    if isinstance(space, Circle):
+        return circle_leg_integral(space.r, t)
+    if isinstance(space, Sphere2):
+        return sphere_leg_integral(space.r, t)
+    if isinstance(space, FlatTorusUnit):
+        return torus_first_term(t)
+    if isinstance(space, Interval):
+        L, c = space.length, space.continuous_density
+        m = space.atoms[0][1] if space.atoms else 0.0
+        # Python floats: t * L may overflow to inf, quietly
+        end = -c * math.expm1(-t * L) / t + m * (1.0 + math.exp(-t * L))
+        mid = -2.0 * c * math.expm1(-t * L / 2.0) / t + 2.0 * m * math.exp(-t * L / 2.0)
+        return max(end, mid)
+    if isinstance(space, LineLaplace):
+        # int exp(-t|x| - |x|) dx
+        return 2.0 / (1.0 + t)
+    if isinstance(space, LineGaussian):
+        # int exp(-t|x| - x^2) dx = sqrt(pi) exp(t^2/4) erfc(t/2)
+        from scipy.special import erfcx
+
+        return math.sqrt(math.pi) * float(erfcx(t / 2.0))
+    raise TypeError(f"no leg-integral bound for {type(space).__name__}")
+
+
+def chain_terms(space: AnalyticSpace, t: float, N: int) -> list:
+    """Reference values [a_1, ..., a_N] on the space, None for an order that
+    has none.
+
+    Circle, sphere and torus: mu(X) * J(t)^n, J = leg_integral_bound.  The
+    interval, under either measure: interval_chain_terms.  The Laplace line
+    at n = 1 and the Gaussian line at n = 1, 2: their first terms.
+    """
+    if isinstance(space, (Circle, Sphere2, FlatTorusUnit)):
+        leg = leg_integral_bound(space, t)
+        return [space.total_mass * _named_power(leg, n, "J(t)") for n in range(1, N + 1)]
+    if isinstance(space, Interval):
+        m = space.atoms[0][1] if space.atoms else 0.0
+        return interval_chain_terms(N, t, space.length, m, space.continuous_density)[1:]
+    known = {LineLaplace: (laplace_line_first_term,),
+             LineGaussian: (gaussian_line_first_term, gaussian_line_second_term)}[type(space)]
+    return [term(t) for term in known[:N]] + [None] * (N - len(known))
+
+
+def length_density(space: AnalyticSpace, n: int, l: float) -> float | None:
+    """Density of the order-n total chain length at l on the space, or None
+    where no closed form is known: the circle for n <= 3, the sphere for
+    n <= 2 and the Gaussian line for n = 1, sqrt(2 pi) exp(-l^2/2)."""
+    try:
+        if isinstance(space, Circle):
+            return float(circle_length_density(n, space.r, l))
+        if isinstance(space, Sphere2):
+            return float(sphere_length_density(n, space.r, l))
+    except ValueError:
+        return None
+    if isinstance(space, LineGaussian) and n == 1:
+        return math.sqrt(2 * math.pi) * math.exp(-l * l / 2)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The order-n term is a_n(t) = integral over X^{n+1} of exp(-t * total chain
 length) times the proper-chain indicator.  We sample from the normalized
 measure and multiply by mu(X)^{n+1}.  The indicator only matters for measures
 with atoms (interval weight measure); atom identity is tracked by integer
-tags, never by float comparison.
+tags, never by float comparison.  This module only samples: the exact
+references for its estimates, and the leg-integral bound behind tail_bound,
+come from closed_forms.
 
 One engine, _map_batches, draws every tile of TILE = 2^16 chains and
 reduces it.  A draw is one (N+1)-point chain, extended a point at a time,
@@ -404,44 +406,10 @@ def estimate_term(spec: SamplerSpec, N: int, grid) -> ChainEstimate:
     return ChainEstimate(grid, count, mean, cov, sum(p for _, _, p in tiles) / count)
 
 
-def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
-    """c(t) = sup_y int exp(-t*d(x,y)) dmu(x) on the space.
-
-    Closed forms for homogeneous spaces and for the two weighted lines, whose
-    weights are symmetric and log-concave, so the leg integral (a convolution
-    of two such functions) peaks at y = 0.  On the interval it is
-    2c/t + (m - c/t) g(y), with c the density, m each endpoint atom's mass and
-    g(y) = exp(-ty) + exp(-t(L-y)) convex and symmetric, so the sup lies at
-    y = 0 or y = L/2; expm1 keeps 2 - g(y) accurate at small tL.
-    """
-    if isinstance(space, Circle):
-        return closed_forms.circle_leg_integral(space.r, t)
-    if isinstance(space, Sphere2):
-        return closed_forms.sphere_leg_integral(space.r, t)
-    if isinstance(space, FlatTorusUnit):
-        return closed_forms.torus_first_term(t)
-    if isinstance(space, Interval):
-        L, c = space.length, space.continuous_density
-        m = space.atoms[0][1] if space.atoms else 0.0
-        # Python floats: t * L may overflow to inf, quietly
-        end = -c * math.expm1(-t * L) / t + m * (1.0 + math.exp(-t * L))
-        mid = -2.0 * c * math.expm1(-t * L / 2.0) / t + 2.0 * m * math.exp(-t * L / 2.0)
-        return max(end, mid)
-    if isinstance(space, LineLaplace):
-        # int exp(-t|x| - |x|) dx
-        return 2.0 / (1.0 + t)
-    if isinstance(space, LineGaussian):
-        # int exp(-t|x| - x^2) dx = sqrt(pi) exp(t^2/4) erfc(t/2)
-        from scipy.special import erfcx
-
-        return math.sqrt(math.pi) * float(erfcx(t / 2.0))
-    raise TypeError(f"no leg-integral bound for {type(space).__name__}")
-
-
 def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:
     """mu(X) * c^{N+1} / (1 - c) if c(t) < 1, else None ("no bound"): a bound
     on the truncation error of the order-N partial magnitude."""
-    c = leg_integral_bound(spec.space, t)
+    c = closed_forms.leg_integral_bound(spec.space, t)
     if c >= 1.0:
         return None
     return spec.total_mass * c ** (N + 1) / (1.0 - c)

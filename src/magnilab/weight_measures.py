@@ -39,7 +39,7 @@ def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
     """
     if not isinstance(space, (Circle, Sphere2)):
         raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
-    leg = mc.leg_integral_bound(space, t)
+    leg = closed_forms.leg_integral_bound(space, t)
     c = 1.0 / leg if leg > 0 else math.inf  # J(t) underflows to 0 at large t
     if not math.isfinite(c):
         raise OverflowError(f"weight constant 1/J(t) overflows at r = {space.r:g}, t = {t:g}")

@@ -73,8 +73,9 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
     inputs, and graph --gamma count on that grid with edge lengths 1, 2
     and 3, all written to workdir; the catalog; a Fekete run; one run that exits 2 and one that
     exits 3; the three Monte-Carlo commands at --N 0, which draw nothing;
-    weight-check on the circle; and two sphere runs at a radius whose
-    square underflows."""
+    weight-check on the circle; two sphere runs at a radius whose square
+    underflows; and manifold --method closed on every space, which reaches
+    every branch of closed_forms.chain_terms."""
     sys.path.insert(0, os.path.join(REPO, "bench"))
     import workloads
 
@@ -96,7 +97,11 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
             argv(["weight-check", "--space", "circle", "--N", "3", *GRID], 0),
             ["fekete-demo", "--r", "1e-161", "--m-list", "3", "--N", "2"],
             ["weight-check", "--space", "sphere", "--r", "1e-155", "--t", "1", "--N", "2",
-             "--samples", "1000"]]
+             "--samples", "1000"],
+            *(["manifold", "--space", *space, "--method", "closed", "--N", "4", *GRID]
+              for space in (["circle"], ["sphere"], ["torus"], ["interval"],
+                            ["interval", "--measure", "weight"], ["line-gauss"],
+                            ["line-laplace"]))]
 
 
 def argv(invocation, seed: int) -> list[str]:

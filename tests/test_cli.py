@@ -194,6 +194,34 @@ def test_method_all_multi_seed_agreement():
     assert hits >= 19
 
 
+#: --space options, the first order with no reference (None: every order has
+#: one), and the first order whose reference mu(X) J(t)^n or transfer
+#: recursion is checked against its estimate
+REFERENCE_COVERAGE = [(["circle"], None, 4), (["sphere"], None, 3), (["torus"], None, 2),
+                      (["interval"], None, None), (["interval", "--measure", "weight"], None, 1),
+                      (["line-gauss"], 3, None), (["line-laplace"], 2, None)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_manifold_rows_print_every_known_reference(capsys, seed):
+    """manifold --method mc --N 4 at t = 0.5 and 2 on every space: each row
+    prints a closed_form but the Gaussian line's from n = 3 and the Laplace
+    line's from n = 2, and the circle from n = 4, the sphere from n = 3, the
+    torus from n = 2 and the weighted interval lie within 5 sigma of their
+    estimates."""
+    for space, unknown, checked in REFERENCE_COVERAGE:
+        assert cli.run(["manifold", "--space", *space, "--method", "mc", "--N", "4",
+                        "--t-grid", "0.5", "2", "2", "--samples", "200000",
+                        "--seed", str(seed)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], int(r[1])) for r in rows] == [(t, n) for t in ("0.5", "2")
+                                                     for n in range(1, 5)]
+        for _, n, value, stderr, closed, *_ in rows:
+            assert (closed == "") == (unknown is not None and int(n) >= unknown), (space, n)
+            if checked is not None and int(n) >= checked:
+                assert abs(float(value) - float(closed)) <= 5 * float(stderr), (space, n)
+
+
 def test_run_returns_zero_in_process(tmp_path, distance_csv):
     assert cli.run(["finite", "--input", distance_csv, "--t", "1"]) == 0
 

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from magnilab import closed_forms as cf
 from magnilab import mc
@@ -439,39 +438,6 @@ def test_tail_bound_controls_truncation():
     assert bound > a5 - 1e-12
     # divergent regime yields no bound
     assert mc.tail_bound(spec, 0.05, 4) is None
-
-
-@pytest.mark.parametrize("space, weight", [(LineLaplace(), lambda x: math.exp(-abs(x))),
-                                           (LineGaussian(), lambda x: math.exp(-x * x))])
-def test_line_leg_bound_is_the_leg_integral_at_zero(space, weight):
-    """Both weights are symmetric and log-concave, so the leg integral peaks
-    at y = 0: quadrature there gives c(t), and no basepoint of a 25-point
-    grid over [-3, 3] gives more."""
-    def leg(y, t):
-        val, _ = integrate.quad(lambda x: math.exp(-t * abs(x - y)) * weight(x), -40, 40,
-                                points=[y], limit=200)
-        return val
-
-    for t in (0.1, 1.0, 3.0, 10.0):
-        c = mc.leg_integral_bound(space, t)
-        assert c == pytest.approx(leg(0.0, t), rel=1e-8)
-        assert max(leg(y, t) for y in np.linspace(-3.0, 3.0, 25)) <= c * (1 + 1e-12)
-
-
-@pytest.mark.parametrize("measure", ["lebesgue", "weight"])
-@pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
-def test_interval_leg_bound_is_the_sup_over_basepoints(measure, L):
-    """The closed sup agrees with the leg integral's largest value over a
-    10 001-point basepoint grid, which holds y = 0 and y = L/2."""
-    space = Interval(0.0, L, measure)
-    y = np.linspace(0.0, L, 10_001)
-    for t in np.logspace(-3, 3, 7).tolist():
-        leb = -(np.expm1(-t * y) + np.expm1(-t * (L - y))) / t
-        leg = space.continuous_density * leb
-        for loc, mass in space.atoms:
-            leg += mass * np.exp(-t * np.abs(loc - y))
-        assert mc.leg_integral_bound(space, t) == pytest.approx(
-            leg.max(), rel=1e-12)
 
 
 def test_length_density_histogram_matches_closed_form():
