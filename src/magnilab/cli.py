@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -255,11 +256,11 @@ def _run_exact(args, dist, counts=None) -> list[str]:
     lines, z = [HEADER], None
     for t in _t_grid(args):
         z = finite_mag.similarity(dist, t, counts, out=z)
-        exact = float(finite_mag._solve_ones(z).sum())
+        exact = finite_mag.classical_magnitude(z)
         if args.method in ("inverse", "all"):
             lines.append(_row(t, None, exact, 0.0, None, "inverse", args.seed))
         if args.method in ("series", "all"):
-            series = finite_mag.chain_series(z, t, args.N)
+            series = finite_mag.neumann_partial(z, args.N)
             lines.append(_row(t, args.N, series.partial_sums[args.N], 0.0, exact,
                               "series", args.seed))
     return lines
@@ -331,7 +332,9 @@ def _run_interval_weight(args) -> list[str]:
 
 
 def _run_fekete(args) -> list[str]:
-    constant = empirical.fekete_constant(args.r)  # an r^2 that overflows fails at once
+    # the weight mass over the uniform probability measure at unit scale;
+    # one past the float range fails at once
+    constant = weight_measures.homogeneous_weight_mass(Sphere2(args.r), 1.0)
     rows = empirical.fekete_convergence_experiment(args.r, args.m_list, args.N, args.seed)
     return [f"# limit constant c = {_csv(constant)}",
             "m,N,empirical,target,abs_dev", *(_csv(*dataclasses.astuple(r)) for r in rows)]
@@ -356,13 +359,21 @@ _DISPATCH = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.  argparse's --help
+    text is held and written by _emit, so that a closed pipe fails it as it
+    fails any output."""
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code else EXIT_OK
+        if exc.code:
+            return EXIT_VALIDATION
+        args = None
     try:
-        _emit(_DISPATCH[args.command](args), args.output)
+        if args is None:
+            _emit([shown.getvalue().removesuffix("\n")], None)
+        else:
+            _emit(_DISPATCH[args.command](args), args.output)
         return EXIT_OK
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -378,9 +389,9 @@ def run(argv) -> int:
 def main() -> None:
     """The console script: run, flush, and exit without the interpreter's
     teardown, which would only free memory once the output is complete.
-    run has reported its own failures, closed pipes included; a flush that
-    fails here could only lose argparse's help, whose writes argparse
-    lets fail quietly.  Library callers use run."""
+    run has reported its own failures, closed pipes included, and a flush
+    that fails here has nothing left to report to.  Library callers use
+    run."""
     code = run(sys.argv[1:])
     with contextlib.suppress(OSError):
         sys.stdout.flush()

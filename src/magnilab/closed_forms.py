@@ -19,6 +19,7 @@ magnilab.spaces and dispatch on it.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -62,8 +63,11 @@ def _named_power(x: float, k: int, name: str) -> float:
 def circle_leg_integral(r: float, t: float) -> float:
     """J(t) = int_circle exp(-t*d(x,y)) dvol(x) = 2(1 - exp(-pi*r*t))/t.
 
-    expm1 keeps every digit of 1 - exp(-pi*r*t) as t -> 0."""
-    return -2.0 * math.expm1(-math.pi * r * t) / t
+    expm1 keeps every digit of 1 - exp(-pi*r*t) as t -> 0.  Where pi*r*t
+    is subnormal it has lost digits of its own, and J(t) is its limit
+    2*pi*r to the last bit."""
+    x = math.pi * r * t
+    return -2.0 * math.expm1(-x) / t if x >= sys.float_info.min else 2.0 * math.pi * r
 
 
 def circle_term(n: int, r: float, t: float) -> float:
@@ -161,15 +165,6 @@ def sphere_leg_integral(r: float, t: float) -> float:
     if math.isnan(tr2):
         tr2 = (t * r) ** 2
     return 2.0 * math.pi * r2 * (1.0 + math.exp(-math.pi * r * t)) / (tr2 + 1.0)
-
-
-def sphere_leg_ratio(r: float, t: float) -> float:
-    """J(t)/Vol = (1 + exp(-pi*r*t)) / (2((t r)^2 + 1)) on the 2-sphere.
-
-    Free of r^2, which underflows below r = 1e-154 while the ratio tends
-    to 1; it is 0 where (t r)^2 overflows."""
-    tr = t * r
-    return (1.0 + math.exp(-math.pi * r * t)) / (2.0 * (tr * tr + 1.0))
 
 
 def sphere_term(n: int, r: float, t: float) -> float:
@@ -554,17 +549,42 @@ def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
     raise TypeError(f"no leg-integral bound for {type(space).__name__}")
 
 
+def leg_ratio(space: AnalyticSpace, t: float) -> float:
+    """J(t)/mu(X) on the circle and the 2-sphere, the inverse of the mass of
+    the weight measure.
+
+    Circle: (1 - e^{-x})/x with x = pi*r*t, and its limit 1 where x
+    underflows to 0; the one x in both places cancels its own rounding.
+    Sphere: (1 + e^{-pi*r*t}) / (2((t r)^2 + 1)), free of r^2, which
+    underflows below r = 1e-154 while the ratio tends to 1.  Either is 0
+    where x, resp. (t r)^2, overflows."""
+    if isinstance(space, Circle):
+        x = math.pi * space.r * t
+        return -math.expm1(-x) / x if x else 1.0
+    if isinstance(space, Sphere2):
+        tr = t * space.r
+        return (1.0 + math.exp(-math.pi * space.r * t)) / (2.0 * (tr * tr + 1.0))
+    raise TypeError(f"no leg ratio for {type(space).__name__}")
+
+
 def chain_terms(space: AnalyticSpace, t: float, N: int) -> list:
     """Reference values [a_1, ..., a_N] on the space, None for an order that
     has none.
 
-    Circle, sphere and torus: mu(X) * J(t)^n, J = leg_integral_bound.  The
-    interval, under either measure: interval_chain_terms.  The Laplace line
-    at n = 1 and the Gaussian line at n = 1, 2: their first terms.
+    Circle, sphere and torus: mu(X) * J(t)^n, J = leg_integral_bound, with
+    an OverflowError that names a_n where the product passes the float
+    range.  The interval, under either measure: interval_chain_terms.  The
+    Laplace line at n = 1 and the Gaussian line at n = 1, 2: their first
+    terms.
     """
     if isinstance(space, (Circle, Sphere2, FlatTorusUnit)):
         leg = leg_integral_bound(space, t)
-        return [space.total_mass * _named_power(leg, n, "J(t)") for n in range(1, N + 1)]
+        terms = [space.total_mass * _named_power(leg, n, "J(t)") for n in range(1, N + 1)]
+        if math.inf in terms:
+            n = terms.index(math.inf) + 1
+            raise OverflowError(f"chain term a_{n} = mu(X) J(t)^{n} = {space.total_mass:.3g} * "
+                                f"{leg:.3g}^{n} exceeds the float range")
+        return terms
     if isinstance(space, Interval):
         m = space.atoms[0][1] if space.atoms else 0.0
         return interval_chain_terms(N, t, space.length, m, space.continuous_density)[1:]

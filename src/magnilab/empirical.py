@@ -1,24 +1,24 @@
-"""Partial magnitude under finitely-supported measures, and a minimal-energy
-surrogate for equidistributed sphere configurations.
+"""Minimal-energy configurations on the 2-sphere, and the partial magnitude
+of their empirical measures.
 
 The empirical measure (1/m) sum of deltas over a configuration converges
 weakly to the uniform probability measure when the points equidistribute;
-its partial magnitude is an exact finite sum, so convergence of partial
-magnitudes can be watched directly.  True energy-extremal (Fekete)
-configurations are replaced by logarithmic-energy minimizers, which exhibit
-the same weak convergence at the scales studied here.
+its partial magnitude is an exact finite sum, finite_mag.neumann_partial
+with weights 1/m, so convergence of partial magnitudes can be watched
+directly.  True energy-extremal (Fekete) configurations are replaced by
+logarithmic-energy minimizers, which exhibit the same weak convergence at
+the scales studied here.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms
 from .errors import MagnilabError
-from .finite_mag import chain_series, similarity
-from .spaces import MagnitudeSeries, Sphere2
+from .finite_mag import neumann_partial, similarity
+from .spaces import Sphere2
 
 
 def great_circle_distances(u: np.ndarray, r: float) -> np.ndarray:
@@ -27,17 +27,6 @@ def great_circle_distances(u: np.ndarray, r: float) -> np.ndarray:
     d = r * np.arccos(np.clip(u @ u.T, -1.0, 1.0))
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def weighted_partial_magnitude(
-    dist: np.ndarray, weights: np.ndarray, t: float, N: int
-) -> MagnitudeSeries:
-    """Exact chain sums for an arbitrary finitely-supported measure.
-
-    a_n = sum over proper chains of w_{i_0} ... w_{i_n} e^{-t sum d};
-    computed as w^T (Y W)^{n-1} Y w with Y = exp(-t d) - I and W = diag(w).
-    """
-    return chain_series(similarity(dist, t), t, N, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +87,7 @@ def uniform_sphere_partial(r: float, t: float, N: int) -> float:
 
     Per-order terms are (J(t)/Vol)^n by homogeneity.
     """
-    ratio = closed_forms.sphere_leg_ratio(Sphere2(r).r, t)  # Sphere2 checks r
+    ratio = closed_forms.leg_ratio(Sphere2(r), t)  # Sphere2 checks r
     return sum((-ratio) ** n for n in range(N + 1))
 
 
@@ -111,12 +100,6 @@ class FeketeRow:
     abs_dev: float
 
 
-def fekete_constant(r: float) -> float:
-    """The limit constant 2(1 + r^2)/(1 + e^{-pi r}) (weight mass over the
-    uniform probability measure at unit scale)."""
-    return 2.0 * (1.0 + closed_forms._named_power(r, 2, "r")) / (1.0 + math.exp(-math.pi * r))
-
-
 def fekete_convergence_experiment(
     r: float, m_list, N: int, seed: int, t: float = 1.0
 ) -> list[FeketeRow]:
@@ -124,6 +107,6 @@ def fekete_convergence_experiment(
     rows = []
     for m in m_list:
         d = great_circle_distances(minimal_energy_configuration(m, seed=seed + m), r)
-        val = weighted_partial_magnitude(d, np.full(m, 1.0 / m), t, N).partial_sums[N]
+        val = neumann_partial(similarity(d, t), N, np.full(m, 1.0 / m)).partial_sums[N]
         rows.append(FeketeRow(m, N, val, target, abs(val - target)))
     return rows

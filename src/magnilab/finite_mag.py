@@ -1,4 +1,4 @@
-"""Magnitude of finite metric spaces with the counting measure.
+"""Magnitude of finite metric spaces, under the counting measure or given point weights.
 
 The similarity matrix Z has entries exp(-t*d(x,y)); the magnitude is the sum
 of the entries of Z^{-1}, obtained by solving Z v = 1 rather than inverting.
@@ -6,7 +6,8 @@ Every solve runs on numpy alone, as one solve against 1 and a few fixed
 columns in [-1, 1]; these bound the infinity-norm condition number from
 below, and Z is refused past COND_LIMIT.  The Neumann route expands the
 same quantity as an alternating series over proper chains, computed by
-matrix-vector powers of Y = Z - I.
+matrix-vector powers of Y = Z - I.  Both routes take Z itself, as built by
+similarity, so that a t grid can refill one buffer.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-from .spaces import FiniteMetricSpace, MagnitudeSeries, SeriesTerm
+from .spaces import MagnitudeSeries, SeriesTerm
 
 #: refuse linear solves beyond this infinity-norm condition estimate
 COND_LIMIT = 1e13
@@ -84,17 +85,12 @@ def _solve_ones(z: np.ndarray) -> np.ndarray:
     return y[:, 0]
 
 
-def weighting_vector(m: FiniteMetricSpace, t: float) -> np.ndarray:
-    """The weighting v with Z v = 1; its sum is the magnitude."""
-    return _solve_ones(similarity(m.dist, t))
+def classical_magnitude(z: np.ndarray) -> float:
+    """Sum of the entries of Z^{-1}: the sum of the weighting v, Z v = 1."""
+    return float(_solve_ones(z).sum())
 
 
-def classical_magnitude(m: FiniteMetricSpace, t: float) -> float:
-    """Sum of the entries of Z^{-1} at scale t."""
-    return float(weighting_vector(m, t).sum())
-
-
-def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeries:
+def neumann_partial(z: np.ndarray, N: int, weights=None) -> MagnitudeSeries:
     """Alternating partial sums mu(X) + sum_{k=1}^{N} (-1)^k a_k, Y = Z - I.
 
     a_k = w^T (Y W)^{k-1} Y w with W = diag(w): with Z = e^{-td} it sums
@@ -122,9 +118,4 @@ def chain_series(z: np.ndarray, t: float, N: int, weights=None) -> MagnitudeSeri
             x = w * v
     finally:
         z.flat[:: n + 1] = diagonal
-    return MagnitudeSeries(t=t, total_mass=float(w.sum()), terms=tuple(terms))
-
-
-def neumann_partial(m: FiniteMetricSpace, t: float, N: int) -> MagnitudeSeries:
-    """Alternating partial sums |X| + sum_{n=1}^{N} (-1)^n 1^T Y^n 1."""
-    return chain_series(similarity(m.dist, t), t, N)
+    return MagnitudeSeries(total_mass=float(w.sum()), terms=tuple(terms))

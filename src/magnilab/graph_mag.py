@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .finite_mag import _solve_ones, chain_series, similarity
+from .finite_mag import classical_magnitude, neumann_partial, similarity
 from .spaces import GeodesicGraph, MagnitudeSeries, graph_metric
 
 
@@ -33,9 +33,9 @@ def tilde_similarity(g: GeodesicGraph, t: float) -> np.ndarray:
 
 def tilde_magnitude(g: GeodesicGraph, t: float) -> float:
     """Sum of the entries of the inverse modified similarity matrix."""
-    return float(_solve_ones(tilde_similarity(g, t)).sum())
+    return classical_magnitude(tilde_similarity(g, t))
 
 
 def tilde_neumann_partial(g: GeodesicGraph, t: float, N: int) -> MagnitudeSeries:
     """Alternating series for tilde_magnitude via powers of Z-tilde - I."""
-    return chain_series(tilde_similarity(g, t), t, N)
+    return neumann_partial(tilde_similarity(g, t), N)

@@ -144,7 +144,7 @@ class ChainEstimate:
         c = np.array([(-1.0) ** n * _mass_power(total_mass, n + 1) for n in orders])
         var = np.cumsum(np.cumsum(c[:, None] * self.cov[i] * c, axis=0), axis=1).diagonal()
         errors = (0.0,) + tuple(math.sqrt(max(float(v), 0.0) / self.count) for v in var)
-        return MagnitudeSeries(t=self.t[i], total_mass=total_mass, terms=terms, errors=errors)
+        return MagnitudeSeries(total_mass=total_mass, terms=terms, errors=errors)
 
 
 @dataclass(frozen=True)

@@ -528,7 +528,6 @@ class MagnitudeSeries:
     partial_sums[N] = total_mass + sum_{n=1}^{N} (-1)^n a_n.
     """
 
-    t: float
     total_mass: float
     terms: tuple[SeriesTerm, ...]
     #: std error of each partial sum, from the estimator of sampled terms

@@ -23,38 +23,20 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import closed_forms, mc
-from .spaces import AnalyticSpace, Circle, Interval, MagnitudeSeries, Sphere2
+from .spaces import AnalyticSpace, Interval, MagnitudeSeries
 
 
 # ---------------------------------------------------------------------------
 # homogeneous weight measures (Speyer normalization)
 # ---------------------------------------------------------------------------
 
-def homogeneous_weight_constant(space: AnalyticSpace, t: float) -> float:
-    """c_tilde = 1 / J(t) for circle and 2-sphere, where the leg integral
-    J(t) = int exp(-t*d(x,y)) dvol is the same at every basepoint y.
-
-    Circle(r): t / (2(1 - e^{-t pi r}));
-    Sphere2(r): (t^2 r^2 + 1) / (2 pi r^2 (1 + e^{-t pi r})).
-    """
-    if not isinstance(space, (Circle, Sphere2)):
-        raise TypeError(f"no homogeneous weight constant for {type(space).__name__}")
-    leg = closed_forms.leg_integral_bound(space, t)
-    c = 1.0 / leg if leg > 0 else math.inf  # J(t) underflows to 0 at large t
-    if not math.isfinite(c):
-        raise OverflowError(f"weight constant 1/J(t) overflows at r = {space.r:g}, t = {t:g}")
-    return c
-
-
 def homogeneous_weight_mass(space: AnalyticSpace, t: float) -> float:
-    """mu_w(X) = c_tilde * Vol(X).  On the sphere it is Vol(X) / J(t), the
-    inverse of closed_forms.sphere_leg_ratio, which holds no r^2 to
-    underflow; where that ratio underflows too, J(t) does, and the weight
-    constant raises."""
-    ratio = closed_forms.sphere_leg_ratio(space.r, t) if isinstance(space, Sphere2) else 0.0
-    mass = 1.0 / ratio if ratio > 0 else homogeneous_weight_constant(space, t) * space.total_mass
+    """mu_w(X) = c_tilde * Vol(X) = Vol(X) / J(t) on the circle and the
+    2-sphere: the inverse of closed_forms.leg_ratio."""
+    ratio = closed_forms.leg_ratio(space, t)
+    mass = 1.0 / ratio if ratio > 0 else math.inf  # the ratio underflows to 0 at large r t
     if not math.isfinite(mass):
-        raise OverflowError(f"weight mass c_tilde * Vol(X) overflows at r = {space.r:g}, t = {t:g}")
+        raise OverflowError(f"weight mass Vol(X)/J(t) overflows at r = {space.r:g}, t = {t:g}")
     return mass
 
 

@@ -74,8 +74,11 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
     and 3, all written to workdir; the catalog; a Fekete run; one run that exits 2 and one that
     exits 3; the three Monte-Carlo commands at --N 0, which draw nothing;
     weight-check on the circle; two sphere runs at a radius whose square
-    underflows; and manifold --method closed on every space, which reaches
-    every branch of closed_forms.chain_terms."""
+    underflows; manifold --method closed on every space, which reaches
+    every branch of closed_forms.chain_terms; and the runs at the edges of
+    the float range that reach the circle's leg ratio where pi r t is
+    subnormal, its J(t) there, a chain term past the float range and a
+    Fekete weight mass past it."""
     sys.path.insert(0, os.path.join(REPO, "bench"))
     import workloads
 
@@ -101,7 +104,13 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
             *(["manifold", "--space", *space, "--method", "closed", "--N", "4", *GRID]
               for space in (["circle"], ["sphere"], ["torus"], ["interval"],
                             ["interval", "--measure", "weight"], ["line-gauss"],
-                            ["line-laplace"]))]
+                            ["line-laplace"])),
+            ["weight-check", "--space", "circle", "--r", "1e-160", "--t", "1e-160", "--N", "2",
+             "--samples", "10"],
+            ["manifold", "--space", "circle", "--r", "1e100", "--t", "1e-300", "--N", "3",
+             "--method", "closed"],
+            ["manifold", "--space", "circle", "--t", "1e-320", "--method", "closed"],
+            ["fekete-demo", "--r", "1e200", "--m-list", "3", "--N", "2"]]
 
 
 def argv(invocation, seed: int) -> list[str]:

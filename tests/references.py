@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from magnilab import closed_forms as cf
-from magnilab.empirical import great_circle_distances, weighted_partial_magnitude
+from magnilab.empirical import great_circle_distances
+from magnilab.finite_mag import neumann_partial, similarity
 from magnilab.spaces import FiniteMetricSpace, GeodesicGraph
 
 
@@ -76,8 +77,8 @@ def rescaling_identity_residual(u: np.ndarray, N: int) -> float:
     unit scale; u holds the m points on the unit 2-sphere as unit vectors."""
     m = len(u)
     d = great_circle_distances(u, 1.0)
-    emp = weighted_partial_magnitude(d, np.full(m, 1.0 / m), 1.0, N)
-    cnt = weighted_partial_magnitude(d + math.log(m) * (1.0 - np.eye(m)), np.ones(m), 1.0, N)
+    emp = neumann_partial(similarity(d, 1.0), N, np.full(m, 1.0 / m))
+    cnt = neumann_partial(similarity(d + math.log(m) * (1.0 - np.eye(m)), 1.0), N)
     return max(abs(e - s / m) for e, s in zip(emp.partial_sums, cnt.partial_sums))
 
 

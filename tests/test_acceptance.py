@@ -46,14 +46,14 @@ class TestFourCycleClassical:
     def test_linear_solve_matches_closed_form(self):
         m = graph_metric(FOUR_CYCLE)
         for t in (1.2, 2.0, 3.0, 5.0):
-            got = finite_mag.classical_magnitude(m, t)
+            got = finite_mag.classical_magnitude(finite_mag.similarity(m.dist, t))
             assert got == pytest.approx(self.closed(t), rel=1e-10)
 
     def test_neumann_series_n60(self):
         m = graph_metric(FOUR_CYCLE)
         start = time.perf_counter()
         for t in (1.2, 2.0, 3.0, 5.0):
-            series = finite_mag.neumann_partial(m, t, 60)
+            series = finite_mag.neumann_partial(finite_mag.similarity(m.dist, t), 60)
             assert series.partial_sums[60] == pytest.approx(
                 self.closed(t), abs=1e-8)
         assert time.perf_counter() - start < 1.0
@@ -86,8 +86,9 @@ class TestFourCycleCounted:
 
     def test_same_metric_different_counts_at_t2(self):
         t = 2.0
-        classical_a = finite_mag.classical_magnitude(graph_metric(FOUR_CYCLE), t)
-        classical_b = finite_mag.classical_magnitude(graph_metric(FOUR_CYCLE_DIAG), t)
+        classical_a, classical_b = (
+            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g).dist, t))
+            for g in (FOUR_CYCLE, FOUR_CYCLE_DIAG))
         assert classical_a == pytest.approx(classical_b, rel=1e-12)
         tilde_a = graph_mag.tilde_magnitude(FOUR_CYCLE, t)
         tilde_b = graph_mag.tilde_magnitude(FOUR_CYCLE_DIAG, t)
@@ -233,7 +234,6 @@ class TestWeightMeasures:
     def test_scaled_weight_geometric_series(self):
         space, t, c, N = Circle(1.0), 1.0, 0.25, 12
         mass = wm.homogeneous_weight_mass(space, t)
-        c_tilde = wm.homogeneous_weight_constant(space, t)
         spec = mc.SamplerSpec(space, seed=0, samples=200_000)
         # the measure c * c_tilde * dvol, of total mass c * mass, samples as dvol does
         series = mc.estimate_term(spec, N, [t]).series(0, c * mass)
@@ -290,9 +290,9 @@ class TestScalingIdentity:
             m = FiniteMetricSpace(d)
             for c in (0.3, 1.0, math.log(5.0)):
                 shifted = shift_metric(m, c)
-                lhs = finite_mag.neumann_partial(shifted, 1.0, 6)
-                rhs = empirical.weighted_partial_magnitude(
-                    m.dist, np.full(size, math.exp(-c)), 1.0, 6)
+                lhs = finite_mag.neumann_partial(finite_mag.similarity(shifted.dist, 1.0), 6)
+                rhs = finite_mag.neumann_partial(
+                    finite_mag.similarity(m.dist, 1.0), 6, np.full(size, math.exp(-c)))
                 for a, b in zip(lhs.terms, rhs.terms):
                     assert math.exp(-c) * a.value == pytest.approx(
                         b.value, abs=1e-12)

@@ -364,8 +364,8 @@ def test_exact_grid_refills_one_z(tmp_path, monkeypatch, command):
             return real(z, *args)
         return call
 
-    monkeypatch.setattr(finite_mag, "_solve_ones", spy(finite_mag._solve_ones))
-    monkeypatch.setattr(finite_mag, "chain_series", spy(finite_mag.chain_series))
+    monkeypatch.setattr(finite_mag, "classical_magnitude", spy(finite_mag.classical_magnitude))
+    monkeypatch.setattr(finite_mag, "neumann_partial", spy(finite_mag.neumann_partial))
 
     def rows(*t_args):
         out = tmp_path / "o.csv"
@@ -392,15 +392,16 @@ def test_finite_method_all_rows_are_the_library_values(tmp_path):
     argv = ["finite", "--input", str(p), "--method", "all", "--t-grid", "0.5", "4", "4",
             "--t-spacing", "log", "--N", "6", "--output", str(out)]
     assert cli.run(argv) == 0
-    space = load_distance_csv(p)
+    dist = load_distance_csv(p).dist
     grid = cli._t_grid(cli.build_parser().parse_args(argv))
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 2 * len(grid)
     for i, t in enumerate(grid):
         inverse, series = lines[2 * i].split(","), lines[2 * i + 1].split(",")
-        exact = cli._csv(finite_mag.classical_magnitude(space, t))
+        z = finite_mag.similarity(dist, t)
+        exact = cli._csv(finite_mag.classical_magnitude(z))
         assert inverse[2] == exact and series[4] == exact
-        assert series[2] == cli._csv(finite_mag.neumann_partial(space, t, 6).partial_sums[6])
+        assert series[2] == cli._csv(finite_mag.neumann_partial(z, 6).partial_sums[6])
 
 
 def test_non_finite_distance_exits_2(tmp_path):
@@ -519,11 +520,16 @@ def test_t_grid_count_bound():
         cli._t_grid(args)
 
 
-@pytest.mark.parametrize("r", ["1e-155", "1e-160", "1e-300"])
-def test_tiny_sphere_weight_mass_is_one(capsys, r):
+@pytest.mark.parametrize("space, r, t", [
+    *(pytest.param("sphere", r, "1", id=r) for r in ("1e-155", "1e-160", "1e-300")),
+    *(pytest.param("circle", r, t, id=f"circle-{r}-{t}")
+      for r, t in (("1e-160", "1e-160"), ("1e-300", "1e-300"), ("5e-324", "1e-10")))])
+def test_tiny_sphere_weight_mass_is_one(capsys, space, r, t):
     """Below r = 1e-154, r^2 underflows, but J(t)/Vol = (1 + e^{-pi r t}) /
-    (2((t r)^2 + 1)) holds no r^2: mu_w(X) is 1 to the last bit."""
-    assert cli.run(["weight-check", "--space", "sphere", "--r", r, "--t", "1", "--N", "2",
+    (2((t r)^2 + 1)) holds no r^2: mu_w(X) is 1 to the last bit.  On the
+    circle J(t)/Vol = (1 - e^{-x})/x, x = pi r t, is 1 where x is subnormal
+    or 0."""
+    assert cli.run(["weight-check", "--space", space, "--r", r, "--t", t, "--N", "2",
                     "--samples", "10"]) == cli.EXIT_OK
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[4] for row in rows] == ["1", "0", "1"] and rows[0][2] == "1"
@@ -558,9 +564,9 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
       "--samples", "10"], "default l_max"),
     (["weight-check", "--space", "circle", "--r", "1e300", "--t", "1e300", "--samples", "10"],
      "weight mass"),
-    # t^2 passes the float range, so J(t) underflows to 0
+    # (t r)^2 passes the float range, so J(t)/Vol underflows to 0
     (["weight-check", "--space", "sphere", "--t", "1e300", "--samples", "10"],
-     "weight constant 1/J(t) overflows"),
+     "weight mass Vol(X)/J(t) overflows"),
     # mu(X) = 1 + L/2 is finite, but its square, which scales a_1, is not
     (["interval-weight", "--L", "1.7e308", "--t", "1", "--N", "3", "--samples", "3000"],
      "mu(X)^2 = 8.5e+307^2 exceeds the float range"),
@@ -569,6 +575,11 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
     # 2 pi r is finite, but the cube that scales the order-2 density is not
     (["length-spectrum", "--space", "circle", "--r", "1e300", "--l-max", "1", "--n", "2",
       "--bins", "4", "--samples", "3000"], "mu(X)^3 = 6.28e+300^3 exceeds the float range"),
+    # mu(X) and J(t)^3 are finite, their product is not
+    (["manifold", "--space", "circle", "--r", "1e100", "--t", "1e-300", "--N", "3",
+      "--method", "closed"], "chain term a_3 = mu(X) J(t)^3"),
+    # r^2 = 1e308 is finite, the limit constant 2(1 + r^2)/(1 + e^{-pi r}) is not
+    (["fekete-demo", "--r", "1e154", "--m-list", "3", "--N", "2"], "weight mass"),
 ])
 def test_overflow_message_names_the_quantity(capsys, args, named):
     assert cli.run(args) == cli.EXIT_NUMERICAL
@@ -879,6 +890,15 @@ def test_console_script_writes_every_byte(tmp_path):
     assert path.read_bytes() == want
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["finite", "--help"], ["catalog", "-h"]])
+def test_help_prints_what_argparse_prints(capsys, argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert cli.run(argv) == cli.EXIT_OK
+    assert capsys.readouterr() == (buf.getvalue(), "")
+
+
 def _reader_closes_early(args, head, unbuffered):
     """(exit code, stderr) of a run whose reader closes stdout after head bytes."""
     proc = subprocess.Popen([sys.executable, "-m", "magnilab.cli", *args],
@@ -894,9 +914,11 @@ def _reader_closes_early(args, head, unbuffered):
 
 # After 20 bytes, the large write fails part way, where an unbuffered
 # stdout's text layer would drop the rest unseen; before any byte, a
-# buffered stdout fails only on the flush that follows the write.
-@pytest.mark.parametrize("args, head", [(LARGE, 20), (SMALL, 0)],
-                         ids=["after-20-bytes", "before-any-byte"])
+# buffered stdout fails only on the flush that follows the write.  --help
+# is written as every other output is.
+@pytest.mark.parametrize("args, head", [(LARGE, 20), (SMALL, 0), (["--help"], 0),
+                                        (["finite", "--help"], 0)],
+                         ids=["after-20-bytes", "before-any-byte", "help", "finite-help"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_pipe_exits_as_sys_exit_does(args, head, unbuffered):
     """Every closed pipe exits 2 with one error line, as a failing

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from magnilab import closed_forms as cf
-from magnilab.spaces import Interval, LineGaussian, LineLaplace
+from magnilab.spaces import Circle, Interval, LineGaussian, LineLaplace, Sphere2
 from references import (interval_first_partial, laplace_line_first_partial,
                         torus_arccos_bounds)
 
@@ -50,6 +50,22 @@ class TestCircle:
         arr = cf.circle_length_density(2, 1.0, np.array([0.5, 1.5]))
         assert cf.circle_length_density(2, 1.0, 0.5) == pytest.approx(arr[0])
 
+    @pytest.mark.parametrize("t", [1e-320, 5e-324])
+    def test_first_term_where_pi_r_t_is_subnormal(self, t):
+        # pi t has lost digits, J(t) keeps its limit 2 pi
+        assert cf.circle_term(1, 1.0, t) == pytest.approx((2 * math.pi) ** 2, rel=1e-15)
+        assert cf.chain_terms(Circle(1.0), t, 1) == [cf.circle_term(1, 1.0, t)]
+
+    @pytest.mark.parametrize("r, t", [(1.0, 1.0), (2.5, 0.5), (1e-3, 3.0), (1e100, 1e-100),
+                                      (1.0, 1e-8)])
+    def test_leg_ratio_is_leg_integral_over_length(self, r, t):
+        assert cf.leg_ratio(Circle(r), t) == pytest.approx(
+            cf.circle_leg_integral(r, t) / (2 * math.pi * r), rel=1e-14)
+
+    @pytest.mark.parametrize("r, t", [(1e-160, 1e-160), (1e-300, 1e-300), (5e-324, 1e-10)])
+    def test_leg_ratio_where_pi_r_t_underflows(self, r, t):
+        assert cf.leg_ratio(Circle(r), t) == 1.0
+
 
 class TestSphere:
     @pytest.mark.parametrize("n", [1, 2])
@@ -81,13 +97,13 @@ class TestSphere:
 
     @pytest.mark.parametrize("r, t", [(1.0, 1.0), (2.5, 0.5), (1e-3, 3.0), (1e100, 1e-100)])
     def test_leg_ratio_is_leg_integral_over_volume(self, r, t):
-        assert cf.sphere_leg_ratio(r, t) == pytest.approx(
+        assert cf.leg_ratio(Sphere2(r), t) == pytest.approx(
             cf.sphere_leg_integral(r, t) / (4 * math.pi * r * r), rel=1e-14)
 
     @pytest.mark.parametrize("r", [1e-155, 1e-162, 5e-324])
     def test_leg_ratio_where_r2_underflows(self, r):
         # J(t) and Vol lose their digits with r^2, the ratio keeps its limit 1
-        assert cf.sphere_leg_ratio(r, 1.0) == 1.0
+        assert cf.leg_ratio(Sphere2(r), 1.0) == 1.0
 
 
 class TestTorus:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magnilab import empirical, finite_mag
+from magnilab import empirical, finite_mag, weight_measures as wm
 from magnilab.errors import MagnilabError
 from magnilab.spaces import Sphere2
 from references import rescaling_identity_residual
@@ -13,10 +13,8 @@ def test_weighted_partial_matches_neumann_counting_measure():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    from magnilab.spaces import FiniteMetricSpace
-    m = FiniteMetricSpace(d)
-    a = finite_mag.neumann_partial(m, 1.2, 4)
-    b = empirical.weighted_partial_magnitude(d, np.ones(5), 1.2, 4)
+    a = finite_mag.neumann_partial(finite_mag.similarity(d, 1.2), 4)
+    b = finite_mag.neumann_partial(finite_mag.similarity(d, 1.2), 4, np.ones(5))
     assert a.partial_sums == pytest.approx(b.partial_sums, abs=1e-12)
 
 
@@ -52,8 +50,9 @@ def test_rescaling_identity_exact():
 
 
 def test_fekete_constant():
+    """The limit constant fekete-demo prints: the weight mass at unit scale."""
     r = 1.0
-    assert empirical.fekete_constant(r) == pytest.approx(
+    assert wm.homogeneous_weight_mass(Sphere2(r), 1.0) == pytest.approx(
         2 * (1 + r**2) / (1 + math.exp(-math.pi * r)), rel=1e-12)
 
 

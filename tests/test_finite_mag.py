@@ -14,7 +14,7 @@ from references import convergence_threshold, shift_metric
 
 
 def two_point(d):
-    return FiniteMetricSpace(np.array([[0.0, d], [d, 0.0]]))
+    return np.array([[0.0, d], [d, 0.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -22,7 +22,7 @@ def two_point(d):
 def test_two_point_closed_form(d, t):
     # Mag({x,y}) = 2/(1 + e^{-td})
     expected = 2.0 / (1.0 + math.exp(-t * d))
-    assert finite_mag.classical_magnitude(two_point(d), t) == pytest.approx(
+    assert finite_mag.classical_magnitude(finite_mag.similarity(two_point(d), t)) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -30,12 +30,11 @@ def test_weighting_vector_sums_to_magnitude():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(5, 3))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    m = FiniteMetricSpace(d)
-    w = finite_mag.weighting_vector(m, 1.5)
-    assert float(w.sum()) == pytest.approx(finite_mag.classical_magnitude(m, 1.5))
+    z = finite_mag.similarity(d, 1.5)
+    w = finite_mag._solve_ones(z)
+    assert float(w.sum()) == pytest.approx(finite_mag.classical_magnitude(z))
     # defining property: Z w = 1
-    z = np.exp(-1.5 * d)
-    assert np.allclose(z @ w, 1.0)
+    assert np.allclose(np.exp(-1.5 * d) @ w, 1.0)
 
 
 def test_neumann_converges_to_inverse():
@@ -46,8 +45,9 @@ def test_neumann_converges_to_inverse():
     t_exact, t_crude = convergence_threshold(m)
     assert t_exact <= t_crude
     t = t_exact + 0.5
-    series = finite_mag.neumann_partial(m, t, 80)
-    exact = finite_mag.classical_magnitude(m, t)
+    z = finite_mag.similarity(d, t)
+    series = finite_mag.neumann_partial(z, 80)
+    exact = finite_mag.classical_magnitude(z)
     assert series.partial_sums[-1] == pytest.approx(exact, abs=1e-9)
 
 
@@ -74,7 +74,7 @@ def test_singular_similarity_raises():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SingularMatrixError):
-            finite_mag.classical_magnitude(m, 1.0)
+            finite_mag.classical_magnitude(finite_mag.similarity(m.dist, 1.0))
     # the condition check reports the singularity; nothing else warns of it
     assert caught == []
 
@@ -201,10 +201,9 @@ def test_shift_metric_scaling_identity(c):
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     m = FiniteMetricSpace(d)
     shifted = shift_metric(m, c)
-    lhs = finite_mag.neumann_partial(shifted, 1.0, 4)
-    from magnilab.empirical import weighted_partial_magnitude
-    rhs = weighted_partial_magnitude(
-        m.dist, np.full(len(m.dist), math.exp(-c)), 1.0, 4)
+    lhs = finite_mag.neumann_partial(finite_mag.similarity(shifted.dist, 1.0), 4)
+    rhs = finite_mag.neumann_partial(
+        finite_mag.similarity(m.dist, 1.0), 4, np.full(len(m.dist), math.exp(-c)))
     for a, b in zip(lhs.terms, rhs.terms):
         assert math.exp(-c) * a.value == pytest.approx(b.value, abs=1e-12)
 
@@ -220,7 +219,7 @@ def test_chain_series_counting_measure_is_plain_powers():
     for _ in range(5):
         w = y @ w
         expected.append(float(np.ones(7) @ w))
-    series = finite_mag.chain_series(z, 0.8, 5)
+    series = finite_mag.neumann_partial(z, 5)
     assert [term.value for term in series.terms] == expected
     assert series.total_mass == 7.0
 
@@ -245,7 +244,7 @@ def test_chain_series_runs_in_place_and_restores_z(weights, diagonal):
         x = w * v
     tracemalloc.start()
     try:
-        series = finite_mag.chain_series(z, 0.7, 6, weights)
+        series = finite_mag.neumann_partial(z, 6, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -42,7 +42,8 @@ def test_tilde_equals_classical_on_trees():
     g = path(5)
     for t in (0.5, 1.0, 2.0):
         assert graph_mag.tilde_magnitude(g, t) == pytest.approx(
-            finite_mag.classical_magnitude(graph_metric(g), t), rel=1e-12)
+            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g).dist, t)),
+            rel=1e-12)
 
 
 def test_tilde_four_cycle_closed_form():

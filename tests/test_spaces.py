@@ -350,7 +350,7 @@ def test_analytic_space_masses():
 
 def test_magnitude_series_partial_sums():
     s = MagnitudeSeries(
-        t=1.0, total_mass=2.0,
+        total_mass=2.0,
         terms=(SeriesTerm(1, 1.0, 0.0), SeriesTerm(2, 0.5, 0.0)))
     assert s.partial_sums == (2.0, 1.0, 1.5)
 

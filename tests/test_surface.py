@@ -4,7 +4,8 @@ Every top-level public function and class of a library module (all of
 src/magnilab but cli and __init__) is read by other package code or is an
 entry point the benchmark traces.  A name that only tests use belongs in
 tests/, and being listed in the README keeps no name; instead every
-module.name the README's Library section lists must exist.  Importing the
+module.name the README's Library section lists must exist, and every name
+its example imports must be one the package itself reads.  Importing the
 package itself loads no module of it and no numpy: it re-exports nothing,
 so the library is what the command line imports.  And no library module
 imports scipy.sparse:
@@ -57,11 +58,14 @@ def test_every_public_name_is_used_traced_or_documented(module):
     assert not unused, f"{module}: {unused} are used only by tests or not at all"
 
 
+def _library_section() -> str:
+    return (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_section_names() -> list[tuple[str, str]]:
     """Each module.name of an inline code span in the README's Library
     section whose module is a library module."""
-    library = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    prose = re.sub(r"```.*?```", "", _library_section(), flags=re.S)
     return [(module, name) for span in re.findall(r"`([^`]+)`", prose)
             for module, name in re.findall(r"(?<![\w./])(\w+)\.(\w+)", span) if module in LIBRARY]
 
@@ -72,6 +76,22 @@ def test_readme_library_section_names_exist():
     missing = [f"{module}.{name}" for module, name in listed
                if not hasattr(importlib.import_module(f"magnilab.{module}"), name)]
     assert not missing, f"the README's Library section lists {missing}, which do not exist"
+
+
+def test_readme_library_imports_are_read_by_package_code():
+    """Each name the Library section's code imports from a library module is
+    what the package itself runs: read by package code outside its own
+    definition."""
+    code = "\n".join(re.findall(r"```python\n(.*?)```", _library_section(), flags=re.S))
+    imports = [node for node in ast.walk(ast.parse(code)) if isinstance(node, ast.ImportFrom)]
+    imported = [(module, alias.name) for node in imports
+                for module in [node.module.removeprefix("magnilab.")] if module in LIBRARY
+                for alias in node.names]
+    assert imported
+    unread = [f"{module}.{name}" for module, name in imported
+              if READS[name] == sum(_reads(node)[name] for node in TREES[module].body
+                                    if getattr(node, "name", None) == name)]
+    assert not unread, f"the README's Library section imports {unread}, which nothing reads"
 
 
 def _imports(tree: ast.AST):

@@ -53,20 +53,22 @@ def weight_identity_residual(space, t: float) -> float:
     else:
         leg, _ = integrate.quad(lambda th: math.exp(-t * r * th) * 2 * math.pi * r**2
                                 * math.sin(th), 0.0, math.pi, limit=100, epsabs=1e-12)
-    return abs(wm.homogeneous_weight_constant(space, t) * leg - 1.0)
+    return abs(wm.homogeneous_weight_mass(space, t) / space.total_mass * leg - 1.0)
 
 
 class TestHomogeneousWeights:
     def test_circle_constant(self):
         r, t = 1.0, 1.0
         expected = t / (2 * (1 - math.exp(-t * math.pi * r)))
-        assert wm.homogeneous_weight_constant(Circle(r), t) == pytest.approx(
+        space = Circle(r)
+        assert wm.homogeneous_weight_mass(space, t) / space.total_mass == pytest.approx(
             expected, rel=1e-12)
 
     def test_sphere_constant(self):
         r, t = 1.0, 1.0
         expected = (t**2 * r**2 + 1) / (2 * math.pi * r**2 * (1 + math.exp(-t * math.pi * r)))
-        assert wm.homogeneous_weight_constant(Sphere2(r), t) == pytest.approx(
+        space = Sphere2(r)
+        assert wm.homogeneous_weight_mass(space, t) / space.total_mass == pytest.approx(
             expected, rel=1e-12)
 
     @pytest.mark.parametrize("space", [Circle(1.0), Sphere2(1.0)])
@@ -84,7 +86,7 @@ class TestHomogeneousWeights:
         t, c = 1.0, 0.25
         for space, leg in ((Circle(1.0), cf.circle_leg_integral),
                            (Sphere2(1.0), cf.sphere_leg_integral)):
-            scale = c * wm.homogeneous_weight_constant(space, t)
+            scale = c * wm.homogeneous_weight_mass(space, t) / space.total_mass
             terms = [scale ** (n + 1) * space.total_mass * leg(space.r, t) ** n
                      for n in range(61)]
             assert math.fsum((-1) ** n * a for n, a in enumerate(terms)) == pytest.approx(
