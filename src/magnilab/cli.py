@@ -87,9 +87,13 @@ def _t_grid(args) -> list[float]:
     count = int(count)
     if count == 1:
         return [start]
-    if args.t_spacing == "log":
+    if args.t_spacing == "log" and sys.float_info.min <= stop / start < math.inf:
         ratio = (stop / start) ** (1.0 / (count - 1))
         grid = [start * ratio**i for i in range(count)]
+    elif args.t_spacing == "log":  # stop / start is past the float range or subnormal
+        lo, hi = math.log(start), math.log(stop)
+        grid = [start, *(math.exp(lo + (hi - lo) * i / (count - 1)) for i in range(1, count - 1)),
+                stop]
     else:
         step = (stop - start) / (count - 1)
         grid = [start + step * i for i in range(count)]
@@ -217,16 +221,16 @@ def _run_finite(args) -> list[str]:
     keeps BLAS, solves the t grid; the solves' warnings and error are held
     until the report is in, then re-issued, or dropped with the report's
     error."""
-    space = load_distance_csv(args.input)
+    dist = load_distance_csv(args.input)
     if mc.worker_count() < 2:
-        _require_valid(validate_metric(space))
-        return _run_exact(args, space.dist)
+        _require_valid(validate_metric(dist))
+        return _run_exact(args, dist)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        report = pool.submit(validate_metric, space)
+        report = pool.submit(validate_metric, dist)
         # the catch holds every thread's warnings, and validate_metric raises none
         with warnings.catch_warnings(record=True) as held:
             try:
-                lines, failure = _run_exact(args, space.dist), None
+                lines, failure = _run_exact(args, dist), None
             except Exception as exc:  # raised below once the metric is valid
                 lines, failure = None, exc
         _require_valid(report.result())
@@ -244,7 +248,7 @@ def _require_valid(report) -> None:
 
 def _run_graph(args) -> list[str]:
     g = load_edge_list(args.edges)
-    dist = graph_metric(g).dist
+    dist = graph_metric(g)
     counts = graph_mag.count_geodesics(g) if args.gamma == "count" else None
     del g  # its cached sweep holds counts, which a --gamma triv run never reads
     return _run_exact(args, dist, counts)

@@ -532,8 +532,7 @@ def leg_integral_bound(space: AnalyticSpace, t: float) -> float:
     if isinstance(space, FlatTorusUnit):
         return torus_first_term(t)
     if isinstance(space, Interval):
-        L, c = space.length, space.continuous_density
-        m = space.atoms[0][1] if space.atoms else 0.0
+        L, c, m = space.length, space.continuous_density, space.atom_mass
         # Python floats: t * L may overflow to inf, quietly
         end = -c * math.expm1(-t * L) / t + m * (1.0 + math.exp(-t * L))
         mid = -2.0 * c * math.expm1(-t * L / 2.0) / t + 2.0 * m * math.exp(-t * L / 2.0)
@@ -586,8 +585,8 @@ def chain_terms(space: AnalyticSpace, t: float, N: int) -> list:
                                 f"{leg:.3g}^{n} exceeds the float range")
         return terms
     if isinstance(space, Interval):
-        m = space.atoms[0][1] if space.atoms else 0.0
-        return interval_chain_terms(N, t, space.length, m, space.continuous_density)[1:]
+        return interval_chain_terms(N, t, space.length, space.atom_mass,
+                                    space.continuous_density)[1:]
     known = {LineLaplace: (laplace_line_first_term,),
              LineGaussian: (gaussian_line_first_term, gaussian_line_second_term)}[type(space)]
     return [term(t) for term in known[:N]] + [None] * (N - len(known))

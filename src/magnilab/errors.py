@@ -13,7 +13,6 @@ class DisconnectedGraphError(MetricValidationError):
     """A graph has at least one unreachable vertex pair."""
 
     def __init__(self, u, v):
-        self.pair = (u, v)
         super().__init__(f"graph is disconnected: no path between vertices {u} and {v}")
 
 

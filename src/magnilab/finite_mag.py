@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-from .spaces import MagnitudeSeries, SeriesTerm
+from .spaces import MagnitudeSeries
 
 #: refuse linear solves beyond this infinity-norm condition estimate
 COND_LIMIT = 1e13
@@ -114,7 +114,7 @@ def neumann_partial(z: np.ndarray, N: int, weights=None) -> MagnitudeSeries:
         x = w  # W (Y W)^{k-1} 1, the vector Y multiplies next
         for k in range(1, N + 1):
             v = z @ x
-            terms.append(SeriesTerm(order=k, value=float(w @ v), std_error=0.0))
+            terms.append(float(w @ v))
             x = w * v
     finally:
         z.flat[:: n + 1] = diagonal

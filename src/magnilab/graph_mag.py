@@ -28,7 +28,7 @@ def count_geodesics(g: GeodesicGraph) -> np.ndarray:
 
 def tilde_similarity(g: GeodesicGraph, t: float) -> np.ndarray:
     """The counted similarity of g from its metric and counts."""
-    return similarity(graph_metric(g).dist, t, count_geodesics(g))
+    return similarity(graph_metric(g), t, count_geodesics(g))
 
 
 def tilde_magnitude(g: GeodesicGraph, t: float) -> float:

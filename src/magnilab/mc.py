@@ -43,9 +43,10 @@ forms cost one libm call per leg.
 
 Determinism contract: a fixed tile size, one random stream per tile index
 derived from the master seed, and reduction in tile order.  A batch of
-BATCH_SIZE = 4 TILE chains is the unit of thread-pool work and nothing
-else.  Estimates are bit-identical for a given seed regardless of worker
-count and batch size.
+BATCH_SIZE = 4 TILE chains is the unit of thread-pool work, and a run of
+at most one batch runs on the calling thread and starts no pool, whatever
+the worker count.  Estimates are bit-identical for a given seed regardless
+of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -59,8 +60,7 @@ import numpy as np
 
 from . import closed_forms
 from .spaces import (AnalyticSpace, Circle, FlatTorusUnit, Interval,
-                     LineGaussian, LineLaplace, MagnitudeSeries, SeriesTerm,
-                     Sphere2)
+                     LineGaussian, LineLaplace, MagnitudeSeries, Sphere2)
 
 TILE = 1 << 16
 BATCH_SIZE = 4 * TILE
@@ -110,21 +110,21 @@ def _mass_power(total_mass: float, power: int) -> float:
 
 @dataclass(frozen=True)
 class ChainEstimate:
-    """Estimates of a_1(t), ..., a_N(t) for each t of a grid from shared chains.
+    """Estimates of a_1(t), ..., a_N(t) for each t = grid[i] of the grid
+    estimate_term was given, from shared chains.
 
     With v_n = exp(-t L_n) * proper_n for the n-leg prefix of a chain,
-    mean[i, n - 1] is the chain mean of v_n at t[i], and cov[i, j - 1, k - 1]
+    mean[i, n - 1] is the chain mean of v_n at grid[i], and cov[i, j - 1, k - 1]
     the chain mean of v_j * v_k minus the product of their means.
     """
 
-    t: tuple[float, ...]
     count: int
     mean: np.ndarray
     cov: np.ndarray
     proper_fraction: float
 
     def term(self, n: int, i: int, total_mass: float) -> tuple[float, float]:
-        """(value, std error) of a_n(t[i]), n in 1..N, for a measure of total
+        """(value, std error) of a_n(grid[i]), n in 1..N, for a measure of total
         mass total_mass."""
         if not 1 <= n <= self.mean.shape[1]:
             raise ValueError(f"order {n} is outside 1..{self.mean.shape[1]}")
@@ -133,14 +133,14 @@ class ChainEstimate:
         return scale * mean, scale * math.sqrt(var / self.count)
 
     def series(self, i: int, total_mass: float) -> MagnitudeSeries:
-        """Partial sums at t[i] for a measure of total mass total_mass.
+        """Partial sums at grid[i] for a measure of total mass total_mass.
 
         The terms share chains, so a partial sum's error is that of the
         per-chain alternating sum sum_n c_n v_n, c_n = (-1)^n mu^{n+1}:
         sqrt(c^T Cov c / count) over the orders it includes.
         """
         orders = range(1, self.mean.shape[1] + 1)
-        terms = tuple(SeriesTerm(n, *self.term(n, i, total_mass)) for n in orders)
+        terms = tuple(self.term(n, i, total_mass)[0] for n in orders)
         c = np.array([(-1.0) ** n * _mass_power(total_mass, n + 1) for n in orders])
         var = np.cumsum(np.cumsum(c[:, None] * self.cov[i] * c, axis=0), axis=1).diagonal()
         errors = (0.0,) + tuple(math.sqrt(max(float(v), 0.0) / self.count) for v in var)
@@ -202,13 +202,13 @@ def sample_batch(spec: SamplerSpec, rng: np.random.Generator, m: int, out: Batch
     elif isinstance(sp, Interval) and sp.measure == "lebesgue":
         _uniform(rng, sp.a, sp.b, coords)
     elif isinstance(sp, Interval):
-        # atoms a, b each carry probability p = (1/2)/(1 + L/2); the selector
+        # atoms a, b each carry probability p = atom_mass / mu(X); the selector
         # u is drawn first, into the array the positions overwrite next, and
         # tags 2 [u < 2p] - [u < p] are 1 below p and 2 in [p, 2p).  Masked
         # products place the atoms: x [tag 0] + a [tag 1] + b [tag 2]; each
         # mask is cast into spare first, since a ufunc fed the bool mask
         # casts it through buffers of its own
-        p_atom = 0.5 / sp.total_mass
+        p_atom = sp.atom_mass / sp.total_mass
         spare = spare[:m]
         u = _uniform(rng, 0.0, 1.0, coords)
         np.less(u, 2 * p_atom, out=tags.view(bool))
@@ -399,11 +399,11 @@ def estimate_term(spec: SamplerSpec, N: int, grid) -> ChainEstimate:
         return sums, moments, len(totals[-1]) if proper is None else int(proper.sum())
 
     if not N:
-        return ChainEstimate(grid, count, np.empty((T, 0)), np.empty((T, 0, 0)), 1.0)
+        return ChainEstimate(count, np.empty((T, 0)), np.empty((T, 0, 0)), 1.0)
     tiles = _map_batches(spec, N, reduce)
     mean = _fsum_batches([s for s, _, _ in tiles]) / count
     cov = _fsum_batches([q for _, q, _ in tiles]) / count - mean[:, :, None] * mean[:, None, :]
-    return ChainEstimate(grid, count, mean, cov, sum(p for _, _, p in tiles) / count)
+    return ChainEstimate(count, mean, cov, sum(p for _, _, p in tiles) / count)
 
 
 def tail_bound(spec: SamplerSpec, t: float, N: int) -> float | None:

@@ -1,4 +1,5 @@
-"""Core domain types: finite metric spaces, geodesic graphs, analytic spaces.
+"""Core domain types: geodesic graphs and analytic spaces.  A finite metric
+space is its read-only float64 n x n distance array.
 
 Everything here is immutable after construction and safe to share across
 threads; all operations are pure functions.
@@ -33,30 +34,6 @@ COUNT_LIMIT = float(2**53)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FiniteMetricSpace:
-    """A finite metric space given by its distance matrix, which it copies."""
-
-    dist: np.ndarray  # (n, n) float64, read-only
-
-    def __post_init__(self):
-        self._own(np.array(self.dist, dtype=float))
-
-    def _own(self, d: np.ndarray) -> None:
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
-
-    @classmethod
-    def _adopt(cls, dist: np.ndarray) -> "FiniteMetricSpace":
-        """The space on a float64 array its caller has just made and holds
-        alone, without the constructor's copy; the array becomes read-only."""
-        space = cls.__new__(cls)
-        space._own(dist)
-        return space
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_metric: a list of (invariant, offending indices).
 
@@ -79,16 +56,20 @@ class ValidationReport:
         return text
 
 
-def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
+def validate_metric(dist) -> ValidationReport:
     """Check finiteness, symmetry, zero diagonal, positivity, and the triangle
-    inequality, each within METRIC_TOL.
+    inequality of a square distance array, each within METRIC_TOL.
 
     Returns a report listing violated invariants with offending indices, in
     the order the checks run, and stops scanning after MAX_VIOLATIONS of
-    them; the report is empty iff the space is a valid metric space.  Takes
-    O(n^3) time and O(n^2) memory.
+    them; the report is empty iff dist is a metric.  Takes O(n^3) time and
+    O(n^2) memory; a float64 array is read in place, not copied.  An array
+    that is not square raises MetricValidationError.
     """
-    found = tuple(islice(_violations(m.dist), MAX_VIOLATIONS + 1))
+    d = np.asanyarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
+    found = tuple(islice(_violations(d), MAX_VIOLATIONS + 1))
     return ValidationReport(found[:MAX_VIOLATIONS], truncated=len(found) > MAX_VIOLATIONS)
 
 
@@ -205,9 +186,9 @@ class GeodesicGraph:
         return uvw[order // 2, 2], heads[order ^ 1], indptr
 
     @cached_property
-    def metric(self) -> FiniteMetricSpace:
-        """All-pairs shortest-path metric of a connected graph, built once per
-        graph.  Connectivity is checked first, in O(|E|) memory:
+    def metric(self) -> np.ndarray:
+        """Read-only all-pairs shortest-path distances of a connected graph,
+        built once per graph.  Connectivity is checked first, in O(|E|) memory:
         DisconnectedGraphError names the first vertex not joined to 0, which
         is the first unreachable pair in row-major order.  Raises
         OverflowError naming the first pair whose path length is inf.
@@ -215,11 +196,12 @@ class GeodesicGraph:
         n = self.vertex_count
         if (first := self._first_unjoined()) < n:
             raise DisconnectedGraphError(0, first)
-        metric = self._all_pairs[0]
-        if metric.dist.max() == np.inf:  # the graph is connected, so the length overflowed
-            i, j = np.unravel_index(metric.dist.argmax(), (n, n))
+        dist = self._all_pairs[0]
+        if dist.max() == np.inf:  # the graph is connected, so the length overflowed
+            i, j = np.unravel_index(dist.argmax(), (n, n))
             raise OverflowError(f"path length between vertices {i} and {j} overflows")
-        return metric
+        dist.setflags(write=False)
+        return dist
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -235,7 +217,7 @@ class GeodesicGraph:
         for rounding), MetricValidationError names it.  Graphs of one length
         tie exactly and are never refused.
         """
-        dist = self.metric.dist  # rejects disconnected graphs and overflowed lengths
+        dist = self.metric  # rejects disconnected graphs and overflowed lengths
         lengths = self.csr[0]
         if len(lengths) and lengths.min() < lengths.max() and (
                 lengths.min() <= 2 * TIE_TOL * max(1.0, dist.max())):
@@ -267,8 +249,8 @@ class GeodesicGraph:
         return next((j for j in range(min(n, len(self.edges) + 2)) if j not in joined), n)
 
     @cached_property
-    def _all_pairs(self) -> tuple[FiniteMetricSpace, np.ndarray]:
-        """(metric, counts) from _sweep over blocks of SWEEP_KEYS // 2|E|
+    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distances, counts) from _sweep over blocks of SWEEP_KEYS // 2|E|
         sources, with the diagonal of counts set to zero.  A pair whose path
         length passes the float range keeps inf.
         """
@@ -279,7 +261,7 @@ class GeodesicGraph:
             last = min(n, first + block)
             self._sweep(np.arange(first, last), dist[first:last], counts[first:last])
         np.fill_diagonal(counts, 0.0)
-        return FiniteMetricSpace._adopt(dist), counts
+        return dist, counts
 
     def _sweep(self, sources: np.ndarray, dist_rows: np.ndarray, count_rows: np.ndarray) -> None:
         """Shortest-path distances and counts from sources[i] into row i of
@@ -380,7 +362,7 @@ class GeodesicGraph:
             keys, waiting = waiting[settle], waiting[~settle]
 
 
-def graph_metric(g: GeodesicGraph) -> FiniteMetricSpace:
+def graph_metric(g: GeodesicGraph) -> np.ndarray:
     """All-pairs shortest-path metric of a connected graph: g.metric, which
     the graph builds on the first call and keeps."""
     return g.metric
@@ -474,10 +456,9 @@ class Interval:
         return self.length
 
     @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        if self.measure == "weight":
-            return ((self.a, 0.5), (self.b, 0.5))
-        return ()
+    def atom_mass(self) -> float:
+        """Mass of the atom at each endpoint a and b."""
+        return 0.5 if self.measure == "weight" else 0.0
 
     @property
     def continuous_density(self) -> float:
@@ -486,7 +467,7 @@ class Interval:
 
     @property
     def total_mass(self) -> float:
-        return self.continuous_density * self.length + sum(m for _, m in self.atoms)
+        return self.continuous_density * self.length + 2.0 * self.atom_mass
 
 
 @dataclass(frozen=True)
@@ -515,21 +496,15 @@ AnalyticSpace = Circle | Sphere2 | FlatTorusUnit | Interval | LineGaussian | Lin
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeriesTerm:
-    order: int
-    value: float
-    std_error: float
-
-
-@dataclass(frozen=True)
 class MagnitudeSeries:
-    """Per-order chain-integral terms a_n and the alternating partial sums.
+    """Per-order chain-integral terms a_n = terms[n - 1] and the alternating
+    partial sums.
 
     partial_sums[N] = total_mass + sum_{n=1}^{N} (-1)^n a_n.
     """
 
     total_mass: float
-    terms: tuple[SeriesTerm, ...]
+    terms: tuple[float, ...]
     #: std error of each partial sum, from the estimator of sampled terms
     #: (they may share samples); None for exact terms
     errors: tuple[float, ...] | None = None
@@ -537,8 +512,8 @@ class MagnitudeSeries:
 
     def __post_init__(self):
         sums = [self.total_mass]
-        for term in self.terms:
-            sums.append(sums[-1] + (-1) ** term.order * term.value)
+        for n, a in enumerate(self.terms, 1):
+            sums.append(sums[-1] + (-1) ** n * a)
         object.__setattr__(self, "partial_sums", tuple(sums))
 
 
@@ -572,13 +547,13 @@ def _data_lines(path):
             yield no, line
 
 
-def load_distance_csv(path) -> FiniteMetricSpace:
+def load_distance_csv(path) -> np.ndarray:
     """Read an n x n distance matrix from CSV, optional first header row.
 
     The first row is a header of labels, skipped, when none of its fields is
     a number; either way its field count is n.  Blank lines are skipped.
     The file is read once, so a pipe loads too, and each row is parsed into
-    the n x n array that the space keeps, allocated at the first data row,
+    the read-only n x n array it returns, allocated at the first data row,
     so no copy of the text is held.  A non-numeric field, a row with other than n
     fields or an (n+1)-th row raises MetricValidationError naming its
     1-based line; fewer than n rows raise it too.  When the n x n array
@@ -617,7 +592,8 @@ def load_distance_csv(path) -> FiniteMetricSpace:
             f"distance file {path} is not square: {r} rows for {n} columns")
     if no_room is not None:
         raise no_room
-    return FiniteMetricSpace._adopt(d)
+    d.setflags(write=False)
+    return d
 
 
 def load_edge_list(path) -> GeodesicGraph:

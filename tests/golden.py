@@ -77,8 +77,9 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
     underflows; manifold --method closed on every space, which reaches
     every branch of closed_forms.chain_terms; and the runs at the edges of
     the float range that reach the circle's leg ratio where pi r t is
-    subnormal, its J(t) there, a chain term past the float range and a
-    Fekete weight mass past it."""
+    subnormal, its J(t) there, a chain term past the float range, a
+    Fekete weight mass past it and a log t grid whose end ratio is past
+    it."""
     sys.path.insert(0, os.path.join(REPO, "bench"))
     import workloads
 
@@ -110,7 +111,9 @@ def fixed_invocations(workdir: str) -> list[list[str]]:
             ["manifold", "--space", "circle", "--r", "1e100", "--t", "1e-300", "--N", "3",
              "--method", "closed"],
             ["manifold", "--space", "circle", "--t", "1e-320", "--method", "closed"],
-            ["fekete-demo", "--r", "1e200", "--m-list", "3", "--N", "2"]]
+            ["fekete-demo", "--r", "1e200", "--m-list", "3", "--N", "2"],
+            ["manifold", "--space", "circle", "--method", "closed", "--N", "1",
+             "--t-spacing", "log", "--t-grid", "1e-320", "1", "3"]]
 
 
 def argv(invocation, seed: int) -> list[str]:

@@ -13,12 +13,12 @@ import numpy as np
 from magnilab import closed_forms as cf
 from magnilab.empirical import great_circle_distances
 from magnilab.finite_mag import neumann_partial, similarity
-from magnilab.spaces import FiniteMetricSpace, GeodesicGraph
+from magnilab.spaces import GeodesicGraph
 
 
-def shift_metric(m: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
+def shift_metric(dist: np.ndarray, c: float) -> np.ndarray:
     """Every off-diagonal distance increased by c >= 0, still a metric."""
-    return FiniteMetricSpace(m.dist + c * (1.0 - np.eye(len(m.dist))))
+    return dist + c * (1.0 - np.eye(len(dist)))
 
 
 def bisect_threshold(weights: np.ndarray, dist: np.ndarray, hi: float) -> float:
@@ -46,15 +46,15 @@ def min_positive_distance(dist: np.ndarray) -> float:
     return float(dist[~np.eye(len(dist), dtype=bool)].min())
 
 
-def convergence_threshold(m: FiniteMetricSpace) -> tuple[float, float]:
+def convergence_threshold(dist: np.ndarray) -> tuple[float, float]:
     """(exact threshold, crude bound) for Neumann-series convergence, n >= 2.
 
     Exact: minimal t* such that max_y sum_{x != y} exp(-t d(x,y)) < 1 for all
     t > t*, found by bisection to 1e-10.  Crude: log|X| / (min distance).
     """
-    n = len(m.dist)
-    crude = math.log(n) / min_positive_distance(m.dist)
-    return bisect_threshold(1.0 - np.eye(n), m.dist, crude), crude
+    n = len(dist)
+    crude = math.log(n) / min_positive_distance(dist)
+    return bisect_threshold(1.0 - np.eye(n), dist, crude), crude
 
 
 def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
@@ -66,7 +66,7 @@ def tilde_convergence_threshold(g: GeodesicGraph) -> tuple[float, float]:
     S * exp(-t*eps), so t > log(S)/eps suffices.  For the 4-cycle S = 4;
     with the length-2 diagonal S = 5.
     """
-    dist, counts = g.metric.dist, g.counts
+    dist, counts = g.metric, g.counts
     crude = math.log(float(counts.sum(axis=0).max())) / min_positive_distance(dist)
     return bisect_threshold(counts, dist, max(crude, 1.0)), crude
 

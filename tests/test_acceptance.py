@@ -17,9 +17,9 @@ from scipy import integrate
 
 from magnilab import (closed_forms as cf, empirical, finite_mag, graph_mag,
                       mc, weight_measures as wm)
-from magnilab.spaces import (Circle, FiniteMetricSpace, FlatTorusUnit,
-                             GeodesicGraph, Interval, LineGaussian,
-                             LineLaplace, Sphere2, graph_metric)
+from magnilab.spaces import (Circle, FlatTorusUnit, GeodesicGraph,
+                             Interval, LineGaussian, LineLaplace, Sphere2,
+                             graph_metric)
 from references import (OrderedPartition, cluster_stats, enumerate_partitions,
                         interval_first_partial, laplace_line_first_partial,
                         rescaling_identity_residual, shift_metric, torus_arccos_bounds)
@@ -44,16 +44,16 @@ class TestFourCycleClassical:
         return 4 * e**2 / (1 + e) ** 2
 
     def test_linear_solve_matches_closed_form(self):
-        m = graph_metric(FOUR_CYCLE)
+        d = graph_metric(FOUR_CYCLE)
         for t in (1.2, 2.0, 3.0, 5.0):
-            got = finite_mag.classical_magnitude(finite_mag.similarity(m.dist, t))
+            got = finite_mag.classical_magnitude(finite_mag.similarity(d, t))
             assert got == pytest.approx(self.closed(t), rel=1e-10)
 
     def test_neumann_series_n60(self):
-        m = graph_metric(FOUR_CYCLE)
+        d = graph_metric(FOUR_CYCLE)
         start = time.perf_counter()
         for t in (1.2, 2.0, 3.0, 5.0):
-            series = finite_mag.neumann_partial(finite_mag.similarity(m.dist, t), 60)
+            series = finite_mag.neumann_partial(finite_mag.similarity(d, t), 60)
             assert series.partial_sums[60] == pytest.approx(
                 self.closed(t), abs=1e-8)
         assert time.perf_counter() - start < 1.0
@@ -87,7 +87,7 @@ class TestFourCycleCounted:
     def test_same_metric_different_counts_at_t2(self):
         t = 2.0
         classical_a, classical_b = (
-            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g).dist, t))
+            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g), t))
             for g in (FOUR_CYCLE, FOUR_CYCLE_DIAG))
         assert classical_a == pytest.approx(classical_b, rel=1e-12)
         tilde_a = graph_mag.tilde_magnitude(FOUR_CYCLE, t)
@@ -287,15 +287,13 @@ class TestScalingIdentity:
             size = int(rng.integers(2, 9))
             pts = rng.normal(size=(size, 3)) * (0.5 + rng.random())
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-            m = FiniteMetricSpace(d)
             for c in (0.3, 1.0, math.log(5.0)):
-                shifted = shift_metric(m, c)
-                lhs = finite_mag.neumann_partial(finite_mag.similarity(shifted.dist, 1.0), 6)
+                shifted = shift_metric(d, c)
+                lhs = finite_mag.neumann_partial(finite_mag.similarity(shifted, 1.0), 6)
                 rhs = finite_mag.neumann_partial(
-                    finite_mag.similarity(m.dist, 1.0), 6, np.full(size, math.exp(-c)))
+                    finite_mag.similarity(d, 1.0), 6, np.full(size, math.exp(-c)))
                 for a, b in zip(lhs.terms, rhs.terms):
-                    assert math.exp(-c) * a.value == pytest.approx(
-                        b.value, abs=1e-12)
+                    assert math.exp(-c) * a == pytest.approx(b, abs=1e-12)
 
 
 class TestCliDeterminism:

@@ -392,7 +392,7 @@ def test_finite_method_all_rows_are_the_library_values(tmp_path):
     argv = ["finite", "--input", str(p), "--method", "all", "--t-grid", "0.5", "4", "4",
             "--t-spacing", "log", "--N", "6", "--output", str(out)]
     assert cli.run(argv) == 0
-    dist = load_distance_csv(p).dist
+    dist = load_distance_csv(p)
     grid = cli._t_grid(cli.build_parser().parse_args(argv))
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 2 * len(grid)
@@ -438,10 +438,10 @@ def test_non_finite_distance_exits_2(tmp_path):
     ["finite", "--input", "DIST", "--t-grid", "1", "2", "2.7"],
     # and at most MAX_T_COUNT of them, checked before any list is built
     ["finite", "--input", "DIST", "--t-grid", "1", "2", "1e20"],
-    # a log ratio that overflows would put t = inf on the grid
-    ["manifold", "--space", "circle", "--t-grid", "1e-300", "1e300", "3", "--t-spacing", "log",
+    # a log grid needs finite positive ends
+    ["manifold", "--space", "circle", "--t-grid", "0", "1", "3", "--t-spacing", "log",
      "--samples", "10"],
-    ["catalog", "--t-grid", "1e-300", "1e300", "3", "--t-spacing", "log"],
+    ["catalog", "--t-grid", "1", "inf", "3", "--t-spacing", "log"],
 ])
 def test_flag_out_of_range_exits_2(distance_csv, args):
     res = run_cli([distance_csv if a == "DIST" else a for a in args])
@@ -518,6 +518,31 @@ def test_t_grid_count_bound():
     args.t_grid = (1.0, 2.0, cli.MAX_T_COUNT + 1)
     with pytest.raises(MetricValidationError, match="count in"):
         cli._t_grid(args)
+
+
+@pytest.mark.parametrize("start, stop, count", [("1e-300", "1e300", "65536"),
+                                                 ("1e-320", "1", "3"), ("1e308", "1e-300", "3")])
+def test_log_grid_whose_end_ratio_leaves_the_float_range(capsys, start, stop, count):
+    """stop / start overflows or underflows, yet every point of the grid is a
+    finite positive float: the grid runs from start to stop exactly, each
+    normal point within 1e-12 of the geometric grid, computed here in long
+    double."""
+    argv = ["manifold", "--space", "circle", "--method", "closed", "--N", "1",
+            "--t-spacing", "log", "--t-grid", start, stop, count]
+    grid = cli._t_grid(cli.build_parser().parse_args(argv))
+    assert len(grid) == int(count) and grid[0] == float(start) and grid[-1] == float(stop)
+    assert all(0.0 < t < math.inf for t in grid)
+    steps = [b - a for a, b in zip(grid, grid[1:])]
+    assert all(s > 0 for s in steps) or all(s < 0 for s in steps)
+    import numpy as np
+    lo, hi = np.log(np.longdouble(grid[0])), np.log(np.longdouble(grid[-1]))
+    geometric = np.exp(lo + (hi - lo) * np.arange(len(grid), dtype=np.longdouble) / (len(grid) - 1))
+    normal = np.array(grid) >= sys.float_info.min
+    assert normal.sum() >= len(grid) - 1
+    assert np.all(np.abs(np.array(grid, dtype=np.longdouble)[normal] / geometric[normal] - 1)
+                  <= 1e-12)
+    assert cli.run(argv) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(grid)
 
 
 @pytest.mark.parametrize("space, r, t", [

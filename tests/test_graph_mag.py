@@ -42,7 +42,7 @@ def test_tilde_equals_classical_on_trees():
     g = path(5)
     for t in (0.5, 1.0, 2.0):
         assert graph_mag.tilde_magnitude(g, t) == pytest.approx(
-            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g).dist, t)),
+            finite_mag.classical_magnitude(finite_mag.similarity(graph_metric(g), t)),
             rel=1e-12)
 
 
@@ -108,7 +108,7 @@ def dag_loop_counts(g):
     order of increasing distance, where v sums the counts of its neighbours u
     with dist[u] + w(u,v) == dist[v] within TIE_TOL relative."""
     n = g.vertex_count
-    dist = graph_metric(g).dist
+    dist = graph_metric(g)
     lengths, nbrs, indptr = (a.tolist() for a in g.csr)
     adj = [tuple(zip(nbrs[a:b], lengths[a:b])) for a, b in zip(indptr, indptr[1:])]
 
@@ -270,7 +270,7 @@ def test_weighted_sweep_equals_dijkstra_and_dag_loop(draw, seed):
     chord = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs)
     g = GeodesicGraph(n, tuple((u, v, float(lengths())) for u, v, _ in unit.edges)
                       + (chord + (1e308,),))
-    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
+    assert np.array_equal(graph_metric(g), dijkstra_metric(g))
     assert np.array_equal(graph_mag.count_geodesics(g), dag_loop_counts(g))
 
 
@@ -278,7 +278,7 @@ def test_lengths_beyond_the_tie_tolerance_settle():
     """Past 1e308, adding 1 changes no float, so no key lies below a round's
     limit; each source still settles its least open key."""
     g = GeodesicGraph(4, ((0, 1, 1e308), (1, 2, 1.0), (2, 3, 1.0)))
-    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
+    assert np.array_equal(graph_metric(g), dijkstra_metric(g))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_sweep_on_path():
     i = np.arange(n)
     hops = np.abs(i[:, None] - i[None, :]).astype(float)
     g = path(n)
-    assert np.array_equal(graph_metric(g).dist, hops)
+    assert np.array_equal(graph_metric(g), hops)
     assert np.array_equal(graph_mag.count_geodesics(g), (hops > 0).astype(float))
 
 
@@ -317,14 +317,14 @@ def test_sweep_on_star():
     expected = np.full((n, n), 2.0)
     expected[0, :] = expected[:, 0] = 1.0
     np.fill_diagonal(expected, 0.0)
-    assert np.array_equal(graph_metric(g).dist, expected)
+    assert np.array_equal(graph_metric(g), expected)
     assert np.array_equal(graph_mag.count_geodesics(g), (expected > 0).astype(float))
 
 
 def test_sweep_on_complete_graph():
     n = 6
     off = 1.0 - np.eye(n)
-    assert np.array_equal(graph_metric(complete(n)).dist, off)
+    assert np.array_equal(graph_metric(complete(n)), off)
     assert np.array_equal(graph_mag.count_geodesics(complete(n)), off)
 
 
@@ -336,7 +336,7 @@ def test_sweep_on_hypercube_counts_factorials():
     expected = np.vectorize(math.factorial)(hamming).astype(float)
     np.fill_diagonal(expected, 0.0)
     g = hypercube(d)
-    assert np.array_equal(graph_metric(g).dist, hamming.astype(float))
+    assert np.array_equal(graph_metric(g), hamming.astype(float))
     assert np.array_equal(graph_mag.count_geodesics(g), expected)
 
 
@@ -344,8 +344,8 @@ def test_sweep_on_hypercube_counts_factorials():
                          ids=["path", "star", "complete", "hypercube", "cycle", "grid"])
 def test_sweep_equals_dijkstra_and_dag_loop(g):
     weighted = scaled(g, 2.0)
-    assert np.array_equal(graph_metric(g).dist, dijkstra_metric(g))
-    assert np.array_equal(graph_metric(weighted).dist, dijkstra_metric(weighted))
+    assert np.array_equal(graph_metric(g), dijkstra_metric(g))
+    assert np.array_equal(graph_metric(weighted), dijkstra_metric(weighted))
     assert np.array_equal(graph_mag.count_geodesics(g), graph_mag.count_geodesics(weighted))
     assert np.array_equal(graph_mag.count_geodesics(weighted), dag_loop_counts(weighted))
 
@@ -357,7 +357,7 @@ def test_sweep_is_shared_and_read_only():
         metric, counts = h._all_pairs
         assert graph_metric(h) is metric  # the cached metric, not a rebuilt one
         assert graph_mag.count_geodesics(h) is counts
-        assert not metric.dist.flags.writeable and not counts.flags.writeable
+        assert not metric.flags.writeable and not counts.flags.writeable
 
 
 def test_weighted_graph_sweeps_once(monkeypatch):
@@ -421,12 +421,12 @@ def test_counted_similarity_is_built_in_place():
     metric, counts = graph_metric(g), graph_mag.count_geodesics(g)
     tracemalloc.start()
     try:
-        z = finite_mag.similarity(metric.dist, 0.5, counts)
+        z = finite_mag.similarity(metric, 0.5, counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n + (1 << 16)
-    expected = np.exp(-0.5 * metric.dist) * counts
+    expected = np.exp(-0.5 * metric) * counts
     np.fill_diagonal(expected, 1.0)
     assert np.array_equal(z, expected)
 
@@ -436,7 +436,7 @@ def test_exact_grid_holds_one_z_and_the_solve_copy():
     np.linalg.solve factors, whatever the number of t."""
     g = grid(25, 25)
     n = g.vertex_count
-    dist, counts = graph_metric(g).dist, graph_mag.count_geodesics(g)
+    dist, counts = graph_metric(g), graph_mag.count_geodesics(g)
     args = argparse.Namespace(t=None, t_grid=(0.5, 5.0, 5), t_spacing="linear",
                               method="all", N=10, seed=0)
     tracemalloc.start()
@@ -479,7 +479,7 @@ def test_disconnected_pair_message(factor):
 def test_metric_of_ladder_beyond_count_limit():
     """The overflow check belongs to the counts, not to the sweep."""
     g = diamond_ladder(60, 1.0)
-    assert graph_metric(g).dist[0, -1] == 120.0
+    assert graph_metric(g)[0, -1] == 120.0
     with pytest.raises(GeodesicOverflowError):
         graph_mag.count_geodesics(g)
 

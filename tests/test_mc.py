@@ -262,7 +262,8 @@ def test_partial_sum_errors_match_per_chain_alternating_sums():
             s = s + (-1.0) ** (k + 1) * mass ** (k + 2) * (np.exp(-t * total) * proper)
             sums[k].append(float(s.sum()))
             sqs[k].append(float((s * s).sum()))
-    series = mc.estimate_partial_magnitude(spec, t, N)
+    est = mc.estimate_term(spec, N, [t])
+    series = est.series(0, mass)
     errors = series.errors
     assert errors[0] == 0.0
     quadrature = 0.0
@@ -271,7 +272,7 @@ def test_partial_sum_errors_match_per_chain_alternating_sums():
         var = math.fsum(sqs[k]) / spec.samples - mean * mean
         assert series.partial_sums[k + 1] == pytest.approx(mass + mean, rel=1e-12)
         assert errors[k + 1] == pytest.approx(math.sqrt(var / spec.samples), rel=1e-9)
-        quadrature = math.hypot(quadrature, series.terms[k].std_error)
+        quadrature = math.hypot(quadrature, est.term(k + 1, 0, mass)[1])
     # consecutive terms are positively correlated, so their alternating sum
     # varies less than independent terms would
     assert errors[N] < quadrature
@@ -304,6 +305,26 @@ def test_batch_size_only_schedules_work(monkeypatch, batch):
     assert np.array_equal(resized.mean, default.mean)
     assert np.array_equal(resized.cov, default.cov)
     assert resized.proper_fraction == default.proper_fraction
+
+
+def test_one_batch_starts_no_pool(monkeypatch):
+    """A run of at most BATCH_SIZE chains is sampled on the calling thread
+    even with two workers allowed; one chain more makes a second batch and
+    starts the pool."""
+    started = []
+
+    class Recording(mc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    monkeypatch.setenv("MAGNILAB_THREADS", "2")
+    space = Interval(0.0, 1.0, "weight")
+    mc.estimate_term(mc.SamplerSpec(space, seed=3, samples=mc.BATCH_SIZE), 2, [1.0])
+    assert started == []
+    mc.estimate_term(mc.SamplerSpec(space, seed=3, samples=mc.BATCH_SIZE + 1), 2, [1.0])
+    assert started == [2]
 
 
 def test_scratch_sets_are_not_shared_between_workers(monkeypatch):

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from magnilab import spaces
 from magnilab.errors import DisconnectedGraphError, MetricValidationError
 from magnilab.spaces import (MAX_VIOLATIONS, METRIC_TOL, Circle,
-                             FiniteMetricSpace, GeodesicGraph, Interval,
-                             MagnitudeSeries, SeriesTerm, Sphere2,
-                             graph_metric, load_distance_csv, load_edge_list,
-                             validate_metric)
+                             GeodesicGraph, Interval, MagnitudeSeries,
+                             Sphere2, graph_metric, load_distance_csv,
+                             load_edge_list, validate_metric)
 
 
 def euclidean_space(coords):
     pts = np.asarray(coords, dtype=float)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return FiniteMetricSpace(d)
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -31,13 +29,11 @@ def test_euclidean_point_sets_validate(coords):
 
 
 def test_validation_catches_asymmetry_and_triangle():
-    d = np.array([[0.0, 1.0], [2.0, 0.0]])
-    bad = FiniteMetricSpace(d)
+    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
     names = {v[0] for v in validate_metric(bad).violations}
     assert "asymmetric" in names
 
-    d = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
-    bad = FiniteMetricSpace(d)
+    bad = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
     names = {v[0] for v in validate_metric(bad).violations}
     assert "triangle inequality" in names
 
@@ -45,7 +41,7 @@ def test_validation_catches_asymmetry_and_triangle():
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_validation_catches_non_finite_entries(entry):
     d = np.array([[0, 1, entry], [1, 0, 1], [entry, 1, 0]])
-    report = validate_metric(FiniteMetricSpace(d))
+    report = validate_metric(d)
     assert ("non-finite entry", (0, 2)) in report.violations
     assert ("non-finite entry", (2, 0)) in report.violations
 
@@ -53,14 +49,14 @@ def test_validation_catches_non_finite_entries(entry):
 def test_distances_near_the_float_max_validate():
     """d(i,j) + d(j,k) overflows to inf, which still bounds d(i,k)."""
     d = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
-    assert validate_metric(FiniteMetricSpace(d)).valid
+    assert validate_metric(d).valid
 
 
 def test_asymmetry_past_the_float_max_is_reported_without_a_warning():
     """d(0,1) - d(1,0) overflows to inf > tol: an asymmetry, and no warning,
     which the suite would turn into an error."""
     d = np.array([[0.0, 1e308], [-1e308, 0.0]])
-    report = validate_metric(FiniteMetricSpace(d))
+    report = validate_metric(d)
     assert report.violations == (("asymmetric", (0, 1)),)
 
 
@@ -115,7 +111,7 @@ def broken_metric(n, kind, seed):
 
 def assert_matches_reference(d):
     ref = reference_violations(d)
-    report = validate_metric(FiniteMetricSpace(d))
+    report = validate_metric(d)
     assert report.violations == tuple(ref[:MAX_VIOLATIONS])
     assert report.truncated == (len(ref) > MAX_VIOLATIONS)
 
@@ -131,7 +127,7 @@ def test_validate_metric_matches_reference(n, kind):
 @pytest.mark.parametrize("shortcut", [False, True])
 def test_validate_metric_matches_reference_on_200_euclidean_points(shortcut):
     rng = np.random.default_rng(5)
-    d = euclidean_space(rng.uniform(0.0, 10.0, size=(200, 2))).dist.copy()
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(200, 2)))
     if shortcut:
         d[3, 150] = d[150, 3] = 0.5 * d[3, 150]
     assert_matches_reference(d)
@@ -162,7 +158,7 @@ def screened_rows(d):
 
     plain = np.array(d, dtype=float)
     origin = plain.__array_interface__["data"][0]
-    report = validate_metric(FiniteMetricSpace._adopt(plain.view(Recording)))
+    report = validate_metric(plain.view(Recording))
     return report, rows, from_copy
 
 
@@ -173,7 +169,7 @@ def blocks(first, n):
 
 def test_exactly_symmetric_metric_forms_sums_only_for_k_at_least_i():
     n = 300  # three blocks of rows k
-    d = euclidean_space(np.random.default_rng(0).uniform(0.0, 10.0, size=(n, 2))).dist
+    d = euclidean_space(np.random.default_rng(0).uniform(0.0, 10.0, size=(n, 2)))
     report, rows, from_copy = screened_rows(d)
     assert report.valid and not from_copy
     assert rows == {i: blocks(i, n) for i in range(n)}
@@ -191,7 +187,7 @@ def test_metric_symmetric_only_within_the_tolerance_is_screened_in_full():
 
 def test_shortcut_is_reported_both_ways_and_screened_in_full_from_its_first_row():
     n = 300
-    d = euclidean_space(np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))).dist.copy()
+    d = euclidean_space(np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2)))
     d[200, 250] = d[250, 200] = 0.99 * d[200, 250]  # first breaks a triangle in row 26
     report, rows, from_copy = screened_rows(d)
     ref = reference_violations(d)
@@ -215,12 +211,12 @@ def test_shortcut_is_reported_both_ways_and_screened_in_full_from_its_first_row(
 
 def test_validate_metric_caps_the_violation_list():
     d = np.zeros((20, 20))  # 190 nonpositive off-diagonal pairs
-    report = validate_metric(FiniteMetricSpace(d))
+    report = validate_metric(d)
     assert len(report.violations) == MAX_VIOLATIONS and report.truncated
     assert report.violations == tuple(reference_violations(d)[:MAX_VIOLATIONS])
     assert str(report).endswith(f"; list cut after the first {MAX_VIOLATIONS} violations")
     d = np.full((3, 3), np.nan)
-    report = validate_metric(FiniteMetricSpace(d))
+    report = validate_metric(d)
     assert len(report.violations) == 9 and not report.truncated
 
 
@@ -230,11 +226,11 @@ def test_validate_metric_memory_is_quadratic():
     builds |d - d^T|."""
     rng = np.random.default_rng(0)
     n = 400
-    space = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
-    assert (space.dist == space.dist.T).all()
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
+    assert (d == d.T).all()
     tracemalloc.start()
     try:
-        assert validate_metric(space).valid
+        assert validate_metric(d).valid
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,12 +244,11 @@ def test_metric_symmetric_within_the_tolerance_holds_one_square_array_at_a_time(
     absolute value made (2.0 * 8n^2)."""
     rng = np.random.default_rng(0)
     n = 700  # the SCREEN_BLOCK x n block of sums is 0.18 * 8n^2
-    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2))).dist.copy()
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
     d += np.triu(rng.uniform(-3e-13, 3e-13, size=(n, n)), 1)
-    space = FiniteMetricSpace._adopt(d)
     tracemalloc.start()
     try:
-        report = validate_metric(space)
+        report = validate_metric(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,12 +261,11 @@ def test_invalid_metric_memory_is_one_block_of_sums():
     SCREEN_BLOCK x n block of sums: no n^2 buffer of sums and no transpose."""
     rng = np.random.default_rng(0)
     n = 400
-    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2))).dist.copy()
+    d = euclidean_space(rng.uniform(0.0, 10.0, size=(n, 2)))
     d[3, 150] = d[150, 3] = 0.5 * d[3, 150]
-    space = FiniteMetricSpace(d)
     tracemalloc.start()
     try:
-        report = validate_metric(space)
+        report = validate_metric(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,10 +281,9 @@ def test_row_with_many_violations_costs_less_than_one_square_array():
     np.fill_diagonal(d, 0.0)
     far = np.arange(n) >= n // 2
     d[0, far] = d[far, 0] = 10.0  # d(0,k) = 10 > d(0,j) + d(j,k) = 2 for j < n/2 <= k
-    space = FiniteMetricSpace(d)
     tracemalloc.start()
     try:
-        report = validate_metric(space)
+        report = validate_metric(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,7 +304,7 @@ def test_analytic_spaces_reject_bad_parameters(make):
 
 def test_constructor_rejects_wrong_shape():
     with pytest.raises(MetricValidationError):
-        FiniteMetricSpace(np.zeros((2, 3)))
+        validate_metric(np.zeros((2, 3)))
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -325,10 +318,10 @@ def test_graph_rejects_self_loops_and_duplicates():
 
 def test_graph_metric_cycle():
     g = GeodesicGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
-    m = graph_metric(g)
-    assert m.dist[0, 2] == 2.0
-    assert m.dist[0, 1] == 1.0
-    assert validate_metric(m).valid
+    d = graph_metric(g)
+    assert d[0, 2] == 2.0
+    assert d[0, 1] == 1.0
+    assert validate_metric(d).valid
 
 
 def test_graph_metric_disconnected():
@@ -345,28 +338,30 @@ def test_analytic_space_masses():
     w = Interval(0.0, 2.0, "weight")
     # (delta_a + delta_b + Lebesgue)/2
     assert w.total_mass == pytest.approx(1.0 + 1.0)
-    assert w.atoms == ((0.0, 0.5), (2.0, 0.5))
+    assert (w.a, w.b, w.atom_mass) == (0.0, 2.0, 0.5)
+    assert leb.atom_mass == 0.0
 
 
 def test_magnitude_series_partial_sums():
     s = MagnitudeSeries(
         total_mass=2.0,
-        terms=(SeriesTerm(1, 1.0, 0.0), SeriesTerm(2, 0.5, 0.0)))
+        terms=(1.0, 0.5))
     assert s.partial_sums == (2.0, 1.0, 1.5)
 
 
 def test_load_distance_csv_with_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n0,1\n1,0\n")
-    m = load_distance_csv(p)
-    assert m.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    d = load_distance_csv(p)
+    assert d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert d.dtype == np.float64 and not d.flags.writeable
 
 
 def test_load_distance_csv_plain(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("0,2\n2,0\n")
-    m = load_distance_csv(p)
-    assert m.dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    d = load_distance_csv(p)
+    assert d.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
 def test_load_distance_csv_matches_list_parse(tmp_path):
@@ -378,13 +373,13 @@ def test_load_distance_csv_matches_list_parse(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,c,d,e\n\n" + text.replace("\n", "\n\n", 1) + "\n")
     expected = np.array([[float(x) for x in r] for r in rows])
-    m = load_distance_csv(p)
-    assert m.dist.tobytes() == expected.tobytes()
+    d = load_distance_csv(p)
+    assert d.tobytes() == expected.tobytes()
 
 
 def test_load_distance_csv_parses_into_the_kept_array(tmp_path):
     """The loader holds no copy of the text and no second n^2 array: it
-    reads the file once and parses each row into the matrix the space keeps.
+    reads the file once and parses each row into the matrix it returns.
     A loader that held the lines and then the matrix peaked at 4.3 * 8n^2."""
     n = 500
     d = np.random.default_rng(1).uniform(0.0, 10.0, size=(n, n))
@@ -394,11 +389,11 @@ def test_load_distance_csv_parses_into_the_kept_array(tmp_path):
     p.write_text(",".join(f"p{i}" for i in range(n)) + "\n" + rows + "\n\n")
     tracemalloc.start()
     try:
-        m = load_distance_csv(p)
+        loaded = load_distance_csv(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.dist.shape == (n, n) and m.dist.tobytes() == d.tobytes()
+    assert loaded.shape == (n, n) and loaded.tobytes() == d.tobytes()
     assert peak < 1.25 * 8 * n * n
 
 
@@ -406,8 +401,8 @@ def test_load_distance_csv_reads_its_file_once(tmp_path, monkeypatch):
     """Lines that can be read only once, as from a pipe, load."""
     lines = iter(["a,b\n", "0,1\n", "\n", "1,0\n"])
     monkeypatch.setattr(spaces, "_text_lines", lambda path: lines)
-    m = load_distance_csv(tmp_path / "d.csv")
-    assert m.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    d = load_distance_csv(tmp_path / "d.csv")
+    assert d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize("text, named", [("0,1,2\n1,0,abc\n2,1,0\n", "line 2"),
@@ -433,15 +428,3 @@ def test_load_edge_list(tmp_path):
     assert g.vertex_count == 3
     assert (1, 2, 2.5) in g.edges
 
-
-def test_metric_space_copies_its_distances():
-    d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = FiniteMetricSpace(d)
-    d[0, 1] = 5.0  # a writable input is copied
-    assert m.dist[0, 1] == 1.0 and not m.dist.flags.writeable
-    base = np.zeros((2, 2))
-    writable = base[:]
-    base.setflags(write=False)  # read-only, but the view taken before can still write
-    m = FiniteMetricSpace(base)
-    writable[0, 1] = 5.0
-    assert m.dist[0, 1] == 0.0

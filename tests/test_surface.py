@@ -2,8 +2,9 @@
 
 Every top-level public function and class of a library module (all of
 src/magnilab but cli and __init__) is read by other package code or is an
-entry point the benchmark traces.  A name that only tests use belongs in
-tests/, and being listed in the README keeps no name; instead every
+entry point the benchmark traces, and every field of a library dataclass
+is read as an attribute by package code or the benchmark.  A name that
+only tests use belongs in tests/, and being listed in the README keeps no name; instead every
 module.name the README's Library section lists must exist, and every name
 its example imports must be one the package itself reads.  Importing the
 package itself loads no module of it and no numpy: it re-exports nothing,
@@ -56,6 +57,37 @@ def test_every_public_name_is_used_traced_or_documented(module):
               and not node.name.startswith("_") and node.name not in kept
               and READS[node.name] == _reads(node)[node.name]]  # read only by itself
     assert not unused, f"{module}: {unused} are used only by tests or not at all"
+
+
+#: dataclasses that cli prints whole, each field a CSV column, through dataclasses.astuple
+PRINTED_ROWS = ("IntervalWeightRow", "FeketeRow")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """True for a class decorated with dataclass, called or not."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass in a library module is read as an
+    attribute, obj.field, by package code or by a bench/ module other than
+    its tests.  Like the checks around it, this matches names only: a field
+    passes on any read of an attribute of its name, so a field t would pass
+    on cli's args.t even if nothing read the field itself."""
+    bench = [ast.parse(p.read_text()) for p in sorted(REPO.glob("bench/*.py"))
+             if not p.name.startswith("test_")]
+    read = {node.attr for tree in [*TREES.values(), *bench] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{cls.name}.{field.target.id}" for module in LIBRARY
+              for cls in TREES[module].body if isinstance(cls, ast.ClassDef)
+              and _is_dataclass(cls) and cls.name not in PRINTED_ROWS
+              for field in cls.body if isinstance(field, ast.AnnAssign)
+              and isinstance(field.target, ast.Name) and field.target.id not in read]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 def _library_section() -> str:
